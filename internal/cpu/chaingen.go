@@ -184,6 +184,9 @@ func (c *Core) TakeReadyChain(now uint64) *Chain {
 			}
 		}
 		c.slot(ch.SourceRob).inChain = true
+		// Shipped loads may ride run tokens; split those out.
+		c.resolveGen++
+		c.settleRuns()
 		return ch
 	}
 	return nil
@@ -451,6 +454,9 @@ func (c *Core) CompleteRemoteChain(ch *Chain, values []uint64, now uint64) {
 		c.Stats.RemoteCompleted++
 		c.Stats.ChainLiveOuts++
 	}
+	// Completed chain stores resolved; split runs of loads they blocked.
+	c.resolveGen++
+	c.settleRuns()
 	c.dropChain(ch)
 }
 
@@ -476,6 +482,7 @@ func (c *Core) AbortRemoteChain(ch *Chain) {
 			c.rsCount++
 		}
 		if st == stReady {
+			c.copies[cu.RobIdx]++
 			c.readyQ = append(c.readyQ, cu.RobIdx)
 		}
 	}

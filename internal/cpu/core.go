@@ -153,24 +153,13 @@ type robEntry struct {
 	consumers []int32 // rob slots waiting on this entry's result
 
 	// Memory state.
-	vaddr      uint64
-	paddr      uint64
-	addrValid  bool
-	isLLCMiss  bool
-	forwarded  bool
-	memBlocked bool // parked in the LSQ retry list
-	l1Counted  bool // this load already counted as an L1D miss (retries)
-
-	// blockStore memoizes the unresolved older store (ROB slot + dispatch
-	// seq) that parked this load, so retries skip the store-queue scan while
-	// that same store is still unresolved. -1 when the load is not
-	// store-blocked. The skipped scan prefix has no side effects, so this is
-	// purely an optimization — retry outcomes are bit-identical.
-	blockStore int32
-	blockSeq   uint64
+	vaddr     uint64
+	paddr     uint64
+	isLLCMiss bool
+	forwarded bool
+	l1Counted bool // this load already counted as an L1D miss (retries)
 
 	// EMC state.
-	remote          bool // shipped to the EMC; do not issue locally
 	inChain         bool
 	chainRef        *Chain // the chain this uop was shipped in (remote uops)
 	producedDepMiss bool
@@ -254,15 +243,46 @@ type Core struct {
 	st         []entryState
 	seq        []uint64
 	ops        []isa.Op // mirror of rob[i].u.Op, set at dispatch
-	remote     []bool
-	memBlocked []bool
+	remote     []bool   // shipped to the EMC; do not issue locally
+	memBlocked []bool   // parked in blockedLd (or riding a run token)
 	addrValid  []bool
+	// blockStore memoizes the unresolved older store (ROB slot, with its
+	// dispatch seq in blockSeq) that parked a load, so retries skip the
+	// store-queue scan while that same store is still unresolved. -1 when
+	// the load is not store-blocked. The skipped scan prefix has no side
+	// effects, so retry outcomes are bit-identical.
 	blockStore []int32
 	blockSeq   []uint64
 
 	renameMap [isa.NumArchRegs]int32
 	archVal   [isa.NumArchRegs]uint64
 	archTaint [isa.NumArchRegs]bool
+
+	// Run tokens. readyQ and blockedLd hold ROB slots, and also negative
+	// items ^h: a run token standing for a maximal sequence of consecutive
+	// parked loads, h being the first. Members are linked in order through
+	// runNext (-1 ends the run); runTail and runChecked are kept for heads
+	// only. Every member is a local, stReady load blocked on an unresolved
+	// older store, with no other copy in either list; memBlocked stays set
+	// while it rides a token. Such loads only ever move as a block (parked
+	// behind the same store they issue nothing and touch no counter), so
+	// issue, retryBlockedLoads and NextEvent move or skip a whole run in
+	// O(1) where the per-entry loops would handle each member in turn. A run
+	// is split back into its members in place once one stops being valid:
+	// every store resolution and chain shipment bumps resolveGen, runValid
+	// rechecks a run whose runChecked lags it, and settleRuns splits the
+	// invalid ones (DESIGN.md §8.3).
+	runNext    []int32
+	runTail    []int32
+	runChecked []uint64
+	// copies counts each slot's items in readyQ and blockedLd (a run counts
+	// once for each member). Stale entries of a reused slot and chain aborts
+	// create duplicates; a load joins a run only when its copy is the sole
+	// one.
+	copies     []int32
+	resolveGen uint64
+	runs       int // run tokens present in readyQ and blockedLd
+	runBuf     []int32
 
 	rsCount int
 	readyQ  []int32
@@ -272,7 +292,7 @@ type Core struct {
 	// evMask mirrors events occupancy: bit b of evMask[b/64] is set iff
 	// events[b] is non-empty, so NextEvent finds the earliest completion
 	// with a handful of TrailingZeros64 probes instead of a 255-bucket scan.
-	evMask [eventHorizon / 64]uint64
+	evMask    [eventHorizon / 64]uint64
 	lq, sq    []int32 // rob slots of in-flight loads/stores, program order
 	blockedLd []int32 // loads waiting on LSQ conditions or MSHR space
 
@@ -283,6 +303,7 @@ type Core struct {
 	fetchBlockedTill uint64
 
 	pendingFetch *isa.Uop // uop fetched but not yet dispatched (stall)
+	fetchBuf     isa.Uop  // backing store for fetched uops (no per-uop heap copy)
 
 	depCounter int
 	depMax     int
@@ -305,7 +326,8 @@ type Core struct {
 	DbgStallHeads uint64
 	lastStallHead uint64
 
-	// waitingFill maps line -> true while an I-cache fill is pending.
+	// icFillAt is the cycle a pending I-cache fill completes; fetch stalls
+	// until then.
 	icFillAt uint64
 }
 
@@ -336,6 +358,10 @@ func New(cfg Config, feed trace.Reader, pt *vm.PageTable, uncore Uncore) *Core {
 		addrValid:  make([]bool, cfg.ROBSize),
 		blockStore: make([]int32, cfg.ROBSize),
 		blockSeq:   make([]uint64, cfg.ROBSize),
+		runNext:    make([]int32, cfg.ROBSize),
+		runTail:    make([]int32, cfg.ROBSize),
+		runChecked: make([]uint64, cfg.ROBSize),
+		copies:     make([]int32, cfg.ROBSize),
 		fetchHold:  -1,
 	}
 	for i := range c.renameMap {
@@ -551,6 +577,7 @@ func (c *Core) maybeWake(idx int32) {
 		}
 	}
 	c.st[idx] = stReady
+	c.copies[idx]++
 	c.readyQ = append(c.readyQ, idx)
 }
 
@@ -562,12 +589,33 @@ func (c *Core) issue() {
 	// out. Scan order and the surviving queue order match the remove-in-place
 	// formulation exactly, without its O(n^2) element moves.
 	issued, memIssued := 0, 0
+	gen := c.resolveGen
 	i, w := 0, 0
 	for i < len(c.readyQ) && issued < c.cfg.IssueWidth {
 		idx := c.readyQ[i]
 		i++
+		if idx < 0 {
+			// A run of store-blocked loads: each member would be kept, or
+			// re-parked with no state change, so the run moves as one item.
+			if memIssued >= c.cfg.MemPorts {
+				c.readyQ[w] = idx
+				w++
+				continue
+			}
+			if !c.runValid(^idx) {
+				// A store issued earlier in this scan unblocked a member,
+				// which may issue this very cycle: handle the members one
+				// by one from here.
+				i--
+				c.readyQ = c.splitRun(c.readyQ, i, false)
+				continue
+			}
+			c.blockedLd = c.appendRun(c.blockedLd, ^idx)
+			continue
+		}
 		if c.st[idx] != stReady || c.remote[idx] {
 			// Stale, or shipped to the EMC (completion arrives as a live-out).
+			c.copies[idx]--
 			continue
 		}
 		op := c.ops[idx]
@@ -577,20 +625,20 @@ func (c *Core) issue() {
 			w++
 			continue
 		}
-		if bs := c.blockStore[idx]; bs >= 0 {
+		if c.blockStore[idx] >= 0 {
 			// Load still blocked on the same unresolved older store: the
 			// issueOne attempt would park it again with no net state change
 			// (issuedAt and recomputed taint fields are unobservable until a
 			// successful issue), so re-park directly. rsCount is untouched —
 			// the attempt's decrement/increment pair cancels.
-			if c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs) {
-				c.memBlocked[idx] = true
-				c.blockedLd = append(c.blockedLd, idx)
+			if c.stillBlocked(idx) {
+				c.park(idx)
 				continue
 			}
 			c.blockStore[idx] = -1
 		}
 		if c.issueOne(idx) {
+			c.copies[idx]--
 			issued++
 			if isMem {
 				memIssued++
@@ -603,6 +651,10 @@ func (c *Core) issue() {
 		i++
 	}
 	c.readyQ = c.readyQ[:w]
+	if c.resolveGen != gen {
+		// A store issued: runs parked before it may hold loads it unblocked.
+		c.settleRuns()
+	}
 }
 
 // issueOne executes an entry. Returns false if it could not issue (parked).
@@ -632,7 +684,7 @@ func (c *Core) issueOne(idx int32) bool {
 		e.val = e.srcVal[1]
 		c.schedule(idx, c.now+1+uint64(tlbLat))
 		c.checkLateDisambiguation(idx)
-		c.unblockLoadsFor()
+		c.resolveGen++
 		return true
 	case isa.ClassBranch:
 		c.schedule(idx, c.now+1)
@@ -719,7 +771,8 @@ func (c *Core) dispatch() {
 				c.done = true
 				return
 			}
-			u = &uu
+			c.fetchBuf = uu
+			u = &c.fetchBuf
 		}
 		// LSQ capacity.
 		switch u.Op {
@@ -883,12 +936,6 @@ func (c *Core) ShootdownTLB(vaddr uint64) {
 	c.tlb.Invalidate(vaddr, c.pt.Shift())
 }
 
-// FullWindowStalled reports whether the core is stalled with a full window
-// and a load with an outstanding LLC miss blocking retirement — the paper's
-// chain-generation trigger state. "Full window" means dispatch is blocked:
-// either the ROB is full or the reservation station is exhausted (on a
-// dependence-heavy window the 92-entry RS fills well before the 256-entry
-// ROB; both block the front end identically).
 // NextEvent reports the earliest future cycle at which Tick can change
 // architectural or statistical state (beyond the bulk counters SkipIdle
 // credits). It is a lower bound: waking earlier is harmless because an idle
@@ -908,10 +955,11 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// blocking store resolves only through an event this function already
 	// accounts for (a wheel completion waking it, or an external fill/ring
 	// message that wakes the whole system). Loads parked for any other reason
-	// (MSHR pressure) keep forcing per-cycle ticking.
+	// (MSHR pressure) keep forcing per-cycle ticking. Run tokens hold only
+	// loads still blocked on an unresolved store (settleRuns keeps them so
+	// between Ticks), so a run is skipped whole.
 	for _, idx := range c.blockedLd {
-		bs := c.blockStore[idx]
-		if bs < 0 || c.seq[bs] != c.blockSeq[idx] || !c.storeUnresolved(bs) {
+		if idx >= 0 && !c.stillBlocked(idx) {
 			return now + 1
 		}
 	}
@@ -1041,6 +1089,12 @@ func (c *Core) SkipIdle(now, delta uint64) {
 	}
 }
 
+// FullWindowStalled reports whether the core is stalled with a full window
+// and a load with an outstanding LLC miss blocking retirement — the paper's
+// chain-generation trigger state. "Full window" means dispatch is blocked:
+// either the ROB is full or the reservation station is exhausted (on a
+// dependence-heavy window the 92-entry RS fills well before the 256-entry
+// ROB; both block the front end identically).
 func (c *Core) FullWindowStalled() bool {
 	if c.robCount == 0 {
 		return false

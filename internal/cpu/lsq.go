@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"repro/internal/isa"
 	"repro/internal/mem/cache"
 )
@@ -12,19 +14,6 @@ import (
 func (c *Core) issueLoad(idx int32) bool {
 	e := c.slot(idx)
 	e.vaddr = isa.AddrOf(&e.u, e.srcVal[0])
-
-	// Fast retry path: if a previous attempt parked on an unresolved older
-	// store and that same store (slot+seq) is still unresolved, the scan
-	// below would stop at it again — park without rescanning. The skipped
-	// prefix only reads resolved older stores (no side effects), and stores
-	// never become unresolved again, so outcomes are identical.
-	if bs := c.blockStore[idx]; bs >= 0 {
-		if c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs) {
-			c.parkLoad(idx)
-			return false
-		}
-		c.blockStore[idx] = -1
-	}
 
 	// Memory ordering: scan older stores. An older store with an unresolved
 	// address blocks the load (conservative disambiguation); a resolved
@@ -137,23 +126,119 @@ func (c *Core) NoteLLCMiss(lineAddr uint64) {
 
 // storeUnresolved reports whether the store queue entry in slot sIdx still
 // has an unknown address (it blocks younger loads under conservative
-// disambiguation).
+// disambiguation). A store resolves only by issuing locally (issueOne) or by
+// completing remotely (CompleteRemoteChain); RemoteMemExecuted fills in the
+// address of a shipped store that is still stWaiting/stReady, so it resolves
+// nothing.
 func (c *Core) storeUnresolved(sIdx int32) bool {
 	st := c.st[sIdx]
 	return st == stWaiting || st == stReady ||
 		(st == stIssued && !c.addrValid[sIdx])
 }
 
-// parkLoad returns a load to the blocked list; it re-enters the ready queue
-// on the next retry sweep.
-func (c *Core) parkLoad(idx int32) {
-	c.st[idx] = stReady
-	c.memBlocked[idx] = true
-	c.rsCount++ // it still occupies its RS entry
-	c.blockedLd = append(c.blockedLd, idx)
+// stillBlocked reports whether a parked load's memoized blocker (slot+seq) is
+// still an unresolved store.
+func (c *Core) stillBlocked(idx int32) bool {
+	bs := c.blockStore[idx]
+	return bs >= 0 && c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs)
 }
 
-// retryBlockedLoads re-queues parked loads for issue.
+// parkLoad undoes a failed issueOne attempt and returns the load to the
+// blocked list; it re-enters the ready queue on the next retry sweep.
+func (c *Core) parkLoad(idx int32) {
+	c.st[idx] = stReady
+	c.rsCount++ // it still occupies its RS entry
+	c.park(idx)
+}
+
+// park appends a load to the blocked list. A load blocked on an unresolved
+// older store whose only copy in readyQ/blockedLd is the one being moved
+// joins a run token at the tail of the list instead (see the "run tokens"
+// block on Core). Loads parked on MSHR pressure, and duplicated loads, stay
+// individual entries.
+func (c *Core) park(idx int32) {
+	c.memBlocked[idx] = true
+	if c.blockStore[idx] < 0 || c.copies[idx] != 1 {
+		c.blockedLd = append(c.blockedLd, idx)
+		return
+	}
+	c.runNext[idx] = -1
+	c.runTail[idx] = idx
+	c.runChecked[idx] = c.resolveGen
+	c.runs++
+	c.blockedLd = c.appendRun(c.blockedLd, idx)
+}
+
+// appendRun appends the run headed by h to list, concatenating it onto the
+// list's last item when that is a run token too.
+func (c *Core) appendRun(list []int32, h int32) []int32 {
+	n := len(list)
+	if n == 0 || list[n-1] >= 0 {
+		return append(list, ^h)
+	}
+	t := ^list[n-1]
+	c.runNext[c.runTail[t]] = h
+	c.runTail[t] = c.runTail[h]
+	if c.runChecked[h] < c.runChecked[t] {
+		c.runChecked[t] = c.runChecked[h]
+	}
+	c.runs--
+	return list
+}
+
+// runValid reports whether every member of the run headed by h is still a
+// local load blocked on an unresolved store. The answer is memoized against
+// resolveGen, so it costs a walk only after a store resolved or a chain
+// shipped.
+func (c *Core) runValid(h int32) bool {
+	if c.runChecked[h] == c.resolveGen {
+		return true
+	}
+	for m := h; m >= 0; m = c.runNext[m] {
+		if c.remote[m] || !c.stillBlocked(m) {
+			return false
+		}
+	}
+	c.runChecked[h] = c.resolveGen
+	return true
+}
+
+// splitRun replaces the run token at list[pos] by its members as individual
+// entries, in order, with memBlocked set for the list they now sit in
+// (parked: blockedLd). The old per-entry code then handles each member.
+func (c *Core) splitRun(list []int32, pos int, parked bool) []int32 {
+	buf := c.runBuf[:0]
+	for m := ^list[pos]; m >= 0; m = c.runNext[m] {
+		buf = append(buf, m)
+		c.memBlocked[m] = parked
+	}
+	c.runBuf = buf
+	c.runs--
+	return slices.Replace(list, pos, pos+1, buf...)
+}
+
+// settleRuns splits every run that holds a member no longer store-blocked or
+// shipped to the EMC, restoring the invariant that every run token is valid.
+// Called after anything that bumps resolveGen.
+func (c *Core) settleRuns() {
+	if c.runs == 0 {
+		return
+	}
+	c.readyQ = c.settleList(c.readyQ, false)
+	c.blockedLd = c.settleList(c.blockedLd, true)
+}
+
+func (c *Core) settleList(list []int32, parked bool) []int32 {
+	for i := 0; i < len(list); i++ {
+		if x := list[i]; x < 0 && !c.runValid(^x) {
+			list = c.splitRun(list, i, parked)
+		}
+	}
+	return list
+}
+
+// retryBlockedLoads re-queues parked loads for issue; a run token moves as
+// one item.
 func (c *Core) retryBlockedLoads() {
 	if len(c.blockedLd) == 0 {
 		return
@@ -161,15 +246,15 @@ func (c *Core) retryBlockedLoads() {
 	list := c.blockedLd
 	c.blockedLd = c.blockedLd[:0]
 	for _, idx := range list {
+		if idx < 0 {
+			c.readyQ = c.appendRun(c.readyQ, ^idx)
+			continue
+		}
 		if c.st[idx] != stReady || !c.memBlocked[idx] {
+			c.copies[idx]--
 			continue
 		}
 		c.memBlocked[idx] = false
 		c.readyQ = append(c.readyQ, idx)
 	}
 }
-
-// unblockLoadsFor is called when a store resolves its address; parked loads
-// will be retried on the next cycle's sweep (no action needed beyond the
-// park list, but the hook exists for clarity and symmetry).
-func (c *Core) unblockLoadsFor() {}

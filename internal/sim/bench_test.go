@@ -60,3 +60,18 @@ func BenchmarkStepSaturated(b *testing.B) {
 	}
 	b.ReportMetric(float64(sys.Now()-start)/float64(b.N), "cycles/op")
 }
+
+// BenchmarkStepStream measures System.Step on the store-heavy 4x lbm stream
+// with the stream prefetcher and no EMC: loads park behind unresolved older
+// stores on most cycles, so the core's run-token path dominates.
+func BenchmarkStepStream(b *testing.B) {
+	sys := benchSystem(b, []string{"lbm", "lbm", "lbm", "lbm"},
+		func(c *Config) { c.Prefetcher = PFStream })
+	b.ReportAllocs()
+	b.ResetTimer()
+	start := sys.Now()
+	for i := 0; i < b.N; i++ {
+		sys.Step()
+	}
+	b.ReportMetric(float64(sys.Now()-start)/float64(b.N), "cycles/op")
+}

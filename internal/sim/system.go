@@ -622,11 +622,11 @@ func (s *System) sliceNext(sl *llcSlice, now uint64) uint64 {
 	return h
 }
 
-// step advances one cycle. It is the per-cycle hot path: BenchmarkStepIdle
-// and BenchmarkStepSaturated pin it at 0 allocs/op, and the hotalloc
-// analyzer enforces the same property at build time.
+// step advances one cycle. It is the per-cycle hot path: BenchmarkStepIdle,
+// BenchmarkStepSaturated and BenchmarkStepStream pin it at 0 allocs/op, and
+// the hotalloc analyzer enforces the same property at build time.
 //
-//simlint:noalloc bench=BenchmarkStep(Idle|Saturated)
+//simlint:noalloc bench=BenchmarkStep(Idle|Saturated|Stream)
 func (s *System) step() {
 	// Event-horizon fast-forward: when every component agrees the next
 	// state change is at cycle h > now+1, the Ticks in between are pure
