@@ -204,7 +204,7 @@ func (c *client) submit(args []string) {
 	mcs := fs.Int("mcs", 0, "memory controllers (8-core only)")
 	ideal := fs.Bool("ideal-dep-hits", false, "serve dependent misses at LLC-hit latency")
 	client := fs.String("client", "emcctl", "client name for queue fairness")
-	wait := fs.Bool("wait", false, "poll until the job is terminal, then print its status")
+	wait := fs.Bool("wait", false, "wait until the job is terminal, then print its status")
 	fs.Parse(args) //nolint:errcheck // ExitOnError
 
 	req := service.JobRequest{
@@ -234,9 +234,17 @@ func (c *client) submit(args []string) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		fatal(err)
 	}
+	// Follow the job by long-poll: each status request returns as soon as
+	// the job is terminal, or after half the request deadline (the server
+	// caps it at 30 s) with a status that is not, and the next is sent at
+	// once.
+	waitMS := (c.http.Timeout / 2).Milliseconds()
+	if c.http.Timeout <= 0 {
+		waitMS = 30_000 // no deadline: wait as long as the server allows
+	}
+	path := fmt.Sprintf("/api/v1/jobs/%s?wait=%d", st.ID, waitMS)
 	for !st.State.Terminal() {
-		time.Sleep(200 * time.Millisecond)
-		data = c.get("/api/v1/jobs/" + st.ID)
+		data = c.get(path)
 		if err := json.Unmarshal(data, &st); err != nil {
 			fatal(err)
 		}

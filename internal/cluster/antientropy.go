@@ -69,7 +69,7 @@ func (n *Node) antiEntropy() {
 	var rr int
 	for {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		case <-t.C:
 			peers := n.members.alivePeers(n.id)

@@ -313,13 +313,33 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 	t.Cleanup(fault.DisableAll)
 	armSite(t, fault.SiteClusterHeartbeat, fault.Trigger{}) // no probes at all
 
-	// The suspect window must outlast one submit+wait iteration (which can
-	// stretch well past 100ms under -race) but stay far below the run
-	// length, so the sweep WOULD fire several times over without the
-	// replication traffic crediting the peers.
+	// The suspect window must outlast one submit+wait iteration, which under
+	// -race on a small host can take several hundred ms, yet the run must
+	// span several windows, so the sweep WOULD fire several times over
+	// without the replication traffic crediting the peers. Both derive from
+	// a measured first job: the window is 4x its submit+wait (at least
+	// 400ms), the run 5 windows.
+	probe, err := service.Open(service.Config{Workers: 2, QueueCap: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	pj, err := probe.Submit("t", tinyCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	_, err = pj.Wait(ctx)
+	cancel()
+	jobTime := time.Since(start)
+	probe.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	suspect := max(4*jobTime, 400*time.Millisecond)
 	f := newFabricOpts(t, 2, nil, func(i int) cluster.Options {
 		o := fastOpts(i)
-		o.SuspectAfter = 400 * time.Millisecond
+		o.SuspectAfter = suspect
 		return o
 	})
 
@@ -327,7 +347,7 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 	// node0 credits node1 on the successful send, node1 credits node0 on
 	// the successful receive — both suspect timers keep resetting with not
 	// a single heartbeat flowing.
-	deadline := time.Now().Add(2 * time.Second)
+	deadline := time.Now().Add(5 * suspect)
 	for seed := uint64(1); time.Now().Before(deadline); seed++ {
 		j, err := f.Nodes[0].Service().Submit("t", tinyCfg(seed))
 		if err != nil {

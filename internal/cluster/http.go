@@ -349,13 +349,16 @@ func (t *HTTPTransport) Submit(ctx context.Context, node string, req SubmitReque
 	return st, nil
 }
 
-func (t *HTTPTransport) Status(ctx context.Context, node, jobID string) (service.Status, error) {
+// Status long-polls the owner's job endpoint with ?wait= in milliseconds,
+// rounded up so a sub-millisecond wait still waits.
+func (t *HTTPTransport) Status(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error) {
 	base, err := t.base(node)
 	if err != nil {
 		return service.Status{}, err
 	}
+	ms := (wait + time.Millisecond - 1) / time.Millisecond
 	var st service.Status
-	if _, err := t.do(ctx, http.MethodGet, base+"/api/v1/jobs/"+url.PathEscape(jobID), "", nil, &st); err != nil {
+	if _, err := t.do(ctx, http.MethodGet, base+"/api/v1/jobs/"+url.PathEscape(jobID)+"?wait="+strconv.FormatInt(int64(ms), 10), "", nil, &st); err != nil {
 		return service.Status{}, err
 	}
 	return st, nil

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -385,5 +386,46 @@ func TestHTTPClusterAuth(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestHTTPTransportStatusWaits: the HTTP transport's status call is a
+// long-poll on the owner — it returns a pending job's status only once its
+// wait expires, and a finishing job's as soon as it is done.
+func TestHTTPTransportStatusWaits(t *testing.T) {
+	fault.DisableAll()
+	a := startHTTPNode(t, "a")
+	tr := cluster.NewHTTPTransport(func(string) (string, bool) { return a.url, true })
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+
+	release := make(chan struct{})
+	blocker := tinyCfg(99)
+	blocker.CoreTweak = func(*cpu.Config) { <-release }
+	bj, err := a.node.Service().Submit("t", blocker)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	st, err := tr.Status(ctx, "a", bj.ID(), 50*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d < 50*time.Millisecond || st.State.Terminal() {
+		t.Fatalf("status wait returned %s after %v, want a pending job after >= 50ms", st.State, d)
+	}
+	close(release)
+
+	j, err := a.node.Service().Submit("t", tinyCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start = time.Now()
+	st, err = tr.Status(ctx, "a", j.ID(), 8*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); st.State != service.StateDone || d > 5*time.Second {
+		t.Fatalf("status wait returned %s after %v, want done as soon as the job finished", st.State, d)
 	}
 }

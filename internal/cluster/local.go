@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/service"
 )
@@ -117,7 +118,7 @@ func mapLocalErr(err error) error {
 		return nil
 	case service.ErrQueueFull:
 		return ErrBusy
-	case service.ErrDraining:
+	case service.ErrDraining, ErrNodeClosed:
 		return ErrUnreachable
 	default:
 		return err
@@ -136,12 +137,13 @@ func (c *localConn) Submit(ctx context.Context, node string, req SubmitRequest) 
 	return st, nil
 }
 
-func (c *localConn) Status(ctx context.Context, node, jobID string) (service.Status, error) {
+func (c *localConn) Status(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error) {
 	n, err := c.conn(node)
 	if err != nil {
 		return service.Status{}, err
 	}
-	return n.HandleStatus(jobID)
+	st, err := n.HandleStatus(ctx, jobID, wait)
+	return st, mapLocalErr(err)
 }
 
 func (c *localConn) Cancel(ctx context.Context, node, jobID string) error {

@@ -40,8 +40,11 @@ type Options struct {
 	// SuspectAfter is how stale a peer's heartbeat may be before it is
 	// marked dead (default 4 × HeartbeatInterval).
 	SuspectAfter time.Duration
-	// PollInterval is the forwarded-job status poll cadence, also the busy
-	// backoff unit (default 100ms).
+	// PollInterval bounds each status wait a routed job follows its owner
+	// with: the owner answers as soon as the job is terminal or after this
+	// long, and the entry node asks again at once. It is therefore how long a
+	// cancel on the entry node, or a partition, can go unnoticed. It is also
+	// the busy-backoff unit (default 100ms).
 	PollInterval time.Duration
 	// StealThreshold is the minimum queue depth at which a peer becomes a
 	// steal victim (default 2).
@@ -164,11 +167,13 @@ type Node struct {
 
 	syncing atomic.Bool // anti-entropy backfill in progress
 
-	replCh   chan []byte
-	stop     chan struct{}
-	stopOnce sync.Once
-	wg       sync.WaitGroup
-	started  bool
+	replCh chan []byte
+	// ctx is cancelled by Close: the loops exit on it, and the status waits
+	// of routed jobs carry it so Close cuts them short.
+	ctx     context.Context
+	cancel  context.CancelFunc
+	wg      sync.WaitGroup
+	started bool
 
 	forwarded     atomic.Uint64
 	received      atomic.Uint64
@@ -193,6 +198,7 @@ type Node struct {
 // peers, then Start.
 func New(svc *service.Service, opts Options) *Node {
 	opts.defaults()
+	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
 		id:        opts.ID,
 		opts:      opts,
@@ -203,7 +209,8 @@ func New(svc *service.Service, opts Options) *Node {
 		health:    map[string]Health{},
 		breakers:  map[string]*breaker{},
 		replCh:    make(chan []byte, opts.ReplQueue),
-		stop:      make(chan struct{}),
+		ctx:       ctx,
+		cancel:    cancel,
 	}
 	n.ring.AddWeighted(n.id, opts.Weight)
 	n.members.upsert(n.selfMember(), true, time.Now())
@@ -325,7 +332,7 @@ func (n *Node) Start() {
 // delegation so no caller is left waiting on a thief that will never
 // report. It does not close the wrapped service — the owner does that.
 func (n *Node) Close() {
-	n.stopOnce.Do(func() { close(n.stop) })
+	n.cancel()
 	n.wg.Wait()
 	n.mu.Lock()
 	var all []delegation
@@ -341,12 +348,11 @@ func (n *Node) Close() {
 }
 
 // sleepInterval blocks for one PollInterval or until the node starts
-// closing. It returns false when the node is stopping, so forward-retry and
-// status-poll loops observe Close instead of sleeping through it — a
-// never-terminal remote job must not hold Close's wg.Wait hostage.
+// closing. It returns false when the node is stopping, so the busy-backoff
+// loop of a forward observes Close instead of sleeping through it.
 func (n *Node) sleepInterval() bool {
 	select {
-	case <-n.stop:
+	case <-n.ctx.Done():
 		return false
 	case <-time.After(n.opts.PollInterval):
 		return true
@@ -519,12 +525,16 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 			return true, ""
 		}
 	}
+	// Follow the job by long-poll: each status call returns once the job is
+	// terminal on the owner or PollInterval has passed, and the next is
+	// issued at once, so the job finishes here one RPC after it finishes
+	// there while cancels and partitions are still noticed every interval.
 	sentCancel := false
 	for {
 		if st.State.Terminal() {
 			return n.finishRemote(ctx, j, owner, st), ""
 		}
-		if !n.sleepInterval() {
+		if n.ctx.Err() != nil {
 			// Node is closing: fail the waiter rather than hold wg.Wait
 			// hostage to a remote job that may never reach a terminal state.
 			// If the owner does finish later, replication delivers the
@@ -533,11 +543,14 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 			return true, ""
 		}
 		if !sentCancel && j.CancelRequested() {
-			_ = n.rpcCancel(ctx, owner, st.ID) // best effort; polls confirm
+			_ = n.rpcCancel(ctx, owner, st.ID) // best effort; the waits confirm
 			sentCancel = true
 		}
-		st2, err := n.rpcStatus(ctx, owner, st.ID)
+		st2, err := n.rpcStatus(n.ctx, owner, st.ID, n.opts.PollInterval)
 		if err != nil {
+			if n.ctx.Err() != nil {
+				continue // Close cut the wait short, not the owner
+			}
 			// Unreachable or the owner restarted and forgot the job: either
 			// way the run is gone there — fail over.
 			return false, n.failOver(owner, j.Key())
@@ -599,14 +612,14 @@ func (n *Node) rpcSubmit(ctx context.Context, node string, req SubmitRequest) (s
 	return st, err
 }
 
-func (n *Node) rpcStatus(ctx context.Context, node, jobID string) (service.Status, error) {
+func (n *Node) rpcStatus(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error) {
 	var st service.Status
 	err := n.viaBreaker(node, func() error {
 		if fpForward.Fire() {
 			return ErrUnreachable
 		}
 		var err error
-		st, err = n.tr.Status(ctx, node, jobID)
+		st, err = n.tr.Status(ctx, node, jobID, wait)
 		return err
 	})
 	return st, err
@@ -648,7 +661,7 @@ func (n *Node) replicator() {
 	defer n.wg.Done()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		case frame := <-n.replCh:
 			n.broadcast(frame)
@@ -726,11 +739,29 @@ func (n *Node) HandleSubmit(req SubmitRequest) (service.Status, error) {
 	return j.Status(), nil
 }
 
-// HandleStatus polls a job by id.
-func (n *Node) HandleStatus(jobID string) (service.Status, error) {
+// HandleStatus answers a status wait: it returns a job's status as soon as
+// the job is terminal or wait has elapsed, whichever comes first; a zero wait
+// answers at once. A cancelled ctx (the caller gave up) also ends the wait
+// early. A closing node answers ErrNodeClosed instead, so the caller fails
+// over: once its service closes too, the status would report a
+// cancellation nobody asked for.
+func (n *Node) HandleStatus(ctx context.Context, jobID string, wait time.Duration) (service.Status, error) {
 	j, ok := n.svc.Job(jobID)
 	if !ok {
 		return service.Status{}, service.ErrNotFound
+	}
+	if wait > 0 {
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-j.Done():
+		case <-t.C:
+		case <-ctx.Done():
+		case <-n.ctx.Done():
+		}
+	}
+	if n.ctx.Err() != nil {
+		return service.Status{}, ErrNodeClosed
 	}
 	return j.Status(), nil
 }
@@ -884,7 +915,7 @@ func (n *Node) heartbeats() {
 	defer t.Stop()
 	for {
 		select {
-		case <-n.stop:
+		case <-n.ctx.Done():
 			return
 		case <-t.C:
 			n.heartbeatRound()

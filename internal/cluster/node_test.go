@@ -82,9 +82,20 @@ func ownerOf(nodes int, key string) string {
 // wanted node — how tests pin down which node executes.
 func cfgOwnedBy(t *testing.T, nodes, ownerIdx int) sim.Config {
 	t.Helper()
+	return ownedCfg(t, nodes, ownerIdx, 0)
+}
+
+// ownedCfg is cfgOwnedBy with instr instructions per core (0 keeps the
+// tiny default); 30M gives a run long enough for a test to act on it while
+// its owner is still running it.
+func ownedCfg(t *testing.T, nodes, ownerIdx int, instr uint64) sim.Config {
+	t.Helper()
 	want := fmt.Sprintf("node%d", ownerIdx)
 	for seed := uint64(1); seed < 4096; seed++ {
 		cfg := tinyCfg(seed)
+		if instr > 0 {
+			cfg.InstrPerCore = instr
+		}
 		key, ok := service.CacheKey(&cfg)
 		if !ok {
 			t.Fatal("tiny config unexpectedly uncacheable")
@@ -410,45 +421,120 @@ func TestReplicationSeedsPeers(t *testing.T) {
 }
 
 // TestRoutedCancelPropagates: cancelling a routed job on the entry node
-// reaches the owner and both sides settle cancelled.
+// reaches the owner and both sides settle cancelled — also when the entry
+// node learns of the cancel only between status waits of 200ms.
 func TestRoutedCancelPropagates(t *testing.T) {
+	for _, poll := range []time.Duration{2 * time.Millisecond, 200 * time.Millisecond} {
+		t.Run(poll.String(), func(t *testing.T) {
+			fault.DisableAll()
+			f := newFabricOpts(t, 2, nil, func(i int) cluster.Options {
+				o := fastOpts(i)
+				o.PollInterval = poll
+				return o
+			})
+			// A long run gives the cancel time to land; owned by node1 so
+			// node0 routes it.
+			cfg := ownedCfg(t, 2, 1, 30_000_000)
+			key, _ := service.CacheKey(&cfg)
+			j, err := f.Nodes[0].Submit("t", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Wait for the remote run to visibly start (mirrored progress),
+			// then cancel through the entry node's service.
+			deadline := time.Now().Add(20 * time.Second)
+			for j.Status().Retired == 0 && time.Now().Before(deadline) {
+				time.Sleep(2 * time.Millisecond)
+			}
+			if err := f.Nodes[0].Service().Cancel(j.ID()); err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			if _, err := j.Wait(ctx); !errors.Is(err, sim.ErrCancelled) {
+				t.Fatalf("routed job ended %v, want cancellation", err)
+			}
+			if st := j.Status(); st.State != service.StateCancelled {
+				t.Fatalf("routed job state %s, want cancelled", st.State)
+			}
+			owned := 0
+			for _, st := range f.Nodes[1].Service().Jobs() {
+				if st.Key != key {
+					continue
+				}
+				owned++
+				if st.State != service.StateCancelled {
+					t.Fatalf("owner's copy of the job is %s, want cancelled", st.State)
+				}
+			}
+			if owned == 0 {
+				t.Fatal("owner holds no copy of the routed job")
+			}
+		})
+	}
+}
+
+// TestForwardedJobFollowsOwnerPromptly: a routed job finishes on its entry
+// node as soon as its owner finishes it, however long PollInterval is —
+// the owner's status wait returns on completion, not when the interval runs
+// out.
+func TestForwardedJobFollowsOwnerPromptly(t *testing.T) {
 	fault.DisableAll()
-	f := newFabric(t, 2, nil)
-	// A long run gives the cancel time to land; owned by node1 so node0
-	// routes it.
-	var cfg sim.Config
-	found := false
-	for seed := uint64(1); seed < 4096; seed++ {
-		cfg = tinyCfg(seed)
-		cfg.InstrPerCore = 30_000_000
-		if key, _ := service.CacheKey(&cfg); ownerOf(2, key) == "node1" {
-			found = true
-			break
-		}
-	}
-	if !found {
-		t.Fatal("no node1-owned seed")
-	}
-	j, err := f.Nodes[0].Submit("t", cfg)
+	f := newFabricOpts(t, 3, nil, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.PollInterval = 5 * time.Second
+		return o
+	})
+	cfg := cfgOwnedBy(t, 3, 1)
+	ref := runTiny(t, cfg).Hash()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	start := time.Now()
+	res, err := f.Nodes[0].Run(ctx, "t", cfg)
+	elapsed := time.Since(start)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Wait for the remote run to visibly start (mirrored progress), then
-	// cancel through the entry node's service.
-	deadline := time.Now().Add(20 * time.Second)
-	for j.Status().Retired == 0 && time.Now().Before(deadline) {
-		time.Sleep(2 * time.Millisecond)
+	if res.Hash() != ref {
+		t.Fatalf("routed result hash %#x != direct %#x", res.Hash(), ref)
 	}
-	if err := f.Nodes[0].Service().Cancel(j.ID()); err != nil {
+	if c := f.Nodes[0].Counters(); c.Forwarded != 1 || c.LocalFallback != 0 {
+		t.Fatalf("job was not followed on its owner (%+v)", c)
+	}
+	if elapsed > time.Second {
+		t.Fatalf("forwarded tiny job took %v with a 5s PollInterval: the entry node waited out the interval", elapsed)
+	}
+}
+
+// TestCloseInterruptsStatusWait: Close on an entry node whose routed job is
+// parked in a 30s status wait on its owner returns promptly and fails the
+// job with ErrNodeClosed.
+func TestCloseInterruptsStatusWait(t *testing.T) {
+	fault.DisableAll()
+	f := newFabricOpts(t, 2, nil, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.PollInterval = 30 * time.Second
+		return o
+	})
+	j, err := f.Nodes[0].Submit("t", ownedCfg(t, 2, 1, 30_000_000))
+	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if _, err := j.Wait(ctx); !errors.Is(err, sim.ErrCancelled) {
-		t.Fatalf("routed job ended %v, want cancellation", err)
+	waitFor(t, 10*time.Second, "owner to accept the forward", func() bool {
+		return f.Nodes[1].Counters().Received == 1
+	})
+	time.Sleep(20 * time.Millisecond) // let the entry node enter its wait
+
+	start := time.Now()
+	f.Nodes[0].Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v with a status wait outstanding", d)
 	}
-	if st := j.Status(); st.State != service.StateCancelled {
-		t.Fatalf("routed job state %s, want cancelled", st.State)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); !errors.Is(err, cluster.ErrNodeClosed) {
+		t.Fatalf("routed job ended %v, want ErrNodeClosed", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"time"
 
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -113,8 +114,10 @@ type Transport interface {
 	// Submit hands a forwarded job to its owner and returns the owner's
 	// job status (which may already be terminal on a cache hit).
 	Submit(ctx context.Context, node string, req SubmitRequest) (service.Status, error)
-	// Status polls a forwarded job on its owner.
-	Status(ctx context.Context, node, jobID string) (service.Status, error)
+	// Status returns a forwarded job's status on its owner once the job is
+	// terminal or wait has elapsed, whichever comes first (a long-poll; zero
+	// wait answers at once).
+	Status(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error)
 	// Cancel propagates a cancellation to the owner. Best effort.
 	Cancel(ctx context.Context, node, jobID string) error
 	// Fetch retrieves the durable EMCR frame for key from a peer's cache.

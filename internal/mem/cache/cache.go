@@ -42,16 +42,18 @@ type Stats struct {
 	Fills      uint64
 }
 
+// line packs its three words first and its four flags after them, so a
+// line is 32 bytes rather than the 40 that interleaved bool pairs pad to.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64
-
+	tag  uint64
+	used uint64
 	// Inclusive-directory state, used only by LLC slices.
 	presence uint64 // bitmask of cores holding the line in an L1
-	emc      bool   // the paper's extra bit: line is held by the EMC cache
-	pf       bool   // line was brought in by a prefetch, not yet demanded
+
+	valid bool
+	dirty bool
+	emc   bool // the paper's extra bit: line is held by the EMC cache
+	pf    bool // line was brought in by a prefetch, not yet demanded
 }
 
 // Cache is a set-associative cache with true LRU replacement.

@@ -3,7 +3,17 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestLineIs32Bytes pins the line layout: cache.New's backing array is the
+// bulk of a simulator's allocation, and interleaving the bools with the
+// words pads a line to 40 bytes.
+func TestLineIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(line{}); got != 32 {
+		t.Fatalf("sizeof(line) = %d, want 32", got)
+	}
+}
 
 func small() *Cache {
 	// 4 sets x 2 ways x 64B = 512B

@@ -193,9 +193,11 @@ type Markov struct {
 	has   bool
 }
 
-// NewMarkov builds a Markov prefetcher.
+// NewMarkov builds a Markov prefetcher. The table grows on demand: a short
+// run touches a few hundred entries, and FIFO eviction in Train bounds it at
+// cfg.Entries.
 func NewMarkov(cfg MarkovConfig) *Markov {
-	return &Markov{cfg: cfg, table: make(map[uint64]*markovEntry, cfg.Entries)}
+	return &Markov{cfg: cfg, table: map[uint64]*markovEntry{}}
 }
 
 // Name returns "markov".

@@ -65,7 +65,7 @@ func (r *JobRequest) Config() (sim.Config, error) {
 //
 //	POST /api/v1/jobs                submit (JobRequest JSON) -> Status
 //	GET  /api/v1/jobs                list job statuses
-//	GET  /api/v1/jobs/{id}           one job's Status
+//	GET  /api/v1/jobs/{id}           one job's Status; ?wait=MS long-polls
 //	GET  /api/v1/jobs/{id}/result    finished job's report JSON
 //	GET  /api/v1/jobs/{id}/progress  NDJSON Status stream until terminal
 //	POST /api/v1/jobs/{id}/cancel    request cancellation
@@ -158,10 +158,40 @@ func (s *Service) jobFor(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 	return j, true
 }
 
+// maxStatusWait caps a status long-poll, so no client can park a handler
+// for longer.
+const maxStatusWait = 30 * time.Second
+
+// handleStatus answers with the job's Status. With ?wait=MS it first waits
+// until the job is terminal or MS milliseconds (capped at maxStatusWait)
+// have passed, whichever comes first; a status that is still not terminal
+// then means the wait expired. Fabric nodes and emcctl submit -wait follow
+// jobs this way instead of sleeping between polls.
 func (s *Service) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if j, ok := s.jobFor(w, r); ok {
-		writeJSON(w, http.StatusOK, j.Status())
+	j, ok := s.jobFor(w, r)
+	if !ok {
+		return
 	}
+	if v := r.URL.Query().Get("wait"); v != "" {
+		ms, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || ms < 0 {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad wait: want milliseconds >= 0"})
+			return
+		}
+		wait := maxStatusWait
+		if ms < maxStatusWait.Milliseconds() {
+			wait = time.Duration(ms) * time.Millisecond
+		}
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case <-j.Done():
+		case <-t.C:
+		case <-r.Context().Done():
+			return // client gone
+		}
+	}
+	writeJSON(w, http.StatusOK, j.Status())
 }
 
 func (s *Service) handleResult(w http.ResponseWriter, r *http.Request) {

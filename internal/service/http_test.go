@@ -3,12 +3,14 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/report"
@@ -292,5 +294,82 @@ func TestHTTPStatsAndHealth(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: got %d", resp.StatusCode)
+	}
+}
+
+// TestHTTPStatusWaitReturnsOnCompletion: a status long-poll answers as soon
+// as the job finishes, not when its 30 s wait runs out.
+func TestHTTPStatusWaitReturnsOnCompletion(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2, QueueCap: 8})
+	st, _ := submitReq(t, ts, tinyReq(1))
+	start := time.Now()
+	var cur Status
+	if resp := getJSON(t, ts.URL+"/api/v1/jobs/"+st.ID+"?wait=30000", &cur); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status wait: got %d", resp.StatusCode)
+	}
+	if cur.State != StateDone {
+		t.Fatalf("status wait returned %+v, want a done job", cur)
+	}
+	if d := time.Since(start); d > 10*time.Second {
+		t.Fatalf("status wait took %v: it did not wake on completion", d)
+	}
+}
+
+// TestHTTPStatusWaitExpires: a job that cannot finish yields its
+// non-terminal status once the wait expires; a malformed wait is a 400.
+func TestHTTPStatusWaitExpires(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8})
+	release := make(chan struct{})
+	defer close(release)
+	j, err := s.Submit("t", blockerCfg(release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	var cur Status
+	if resp := getJSON(t, ts.URL+"/api/v1/jobs/"+j.ID()+"?wait=50", &cur); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status wait: got %d", resp.StatusCode)
+	}
+	if d := time.Since(start); d < 50*time.Millisecond {
+		t.Fatalf("status wait returned after %v, before its 50ms wait expired", d)
+	}
+	if cur.ID != j.ID() || cur.State.Terminal() {
+		t.Fatalf("expired wait returned %+v, want job %s still pending", cur, j.ID())
+	}
+	for _, bad := range []string{"x", "-1"} {
+		if resp := getJSON(t, ts.URL+"/api/v1/jobs/"+j.ID()+"?wait="+bad, nil); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("wait=%s: got %d, want 400", bad, resp.StatusCode)
+		}
+	}
+}
+
+// TestHTTPStatusWaitClientGone: a status long-poll whose client disconnects
+// returns at once instead of holding the handler for the rest of its wait.
+func TestHTTPStatusWaitClientGone(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 8})
+	t.Cleanup(func() { s.Close() })
+	release := make(chan struct{})
+	defer close(release)
+	j, err := s.Submit("t", blockerCfg(release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	req := httptest.NewRequest(http.MethodGet, "/api/v1/jobs/"+j.ID()+"?wait=30000", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewHandler(s, nil).ServeHTTP(rec, req)
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("status wait still blocked 5s after its client went away")
+	}
+	if rec.Body.Len() != 0 {
+		t.Fatalf("handler wrote %q to a client that was gone", rec.Body.String())
 	}
 }

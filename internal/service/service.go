@@ -799,8 +799,9 @@ func (s *Service) runOnce(j *Job) (res *sim.Result, err error) {
 	return res, err
 }
 
-// finishJob finalizes the job, maintains the in-flight index, and bumps the
-// terminal counters.
+// finishJob maintains the in-flight index, bumps the terminal counters and
+// finalizes the job. The counters move first: finalize wakes the job's
+// waiters, and Stats read right after Wait must already count the job.
 func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
 	if j.cacheable {
 		s.mu.Lock()
@@ -809,7 +810,6 @@ func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
 		}
 		s.mu.Unlock()
 	}
-	j.finalize(state, res, err)
 	switch state {
 	case StateDone:
 		s.completed.Add(1)
@@ -818,4 +818,5 @@ func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
 	case StateCancelled:
 		s.cancelled.Add(1)
 	}
+	j.finalize(state, res, err)
 }
