@@ -21,8 +21,9 @@
 //
 // Cluster mode (-node-id) turns the process into one node of a sweep
 // fabric (see internal/cluster and DESIGN.md §15): submissions to any node
-// route to the key's consistent-hash owner, results replicate across the
-// fabric as durable EMCR records, and idle nodes steal queued work:
+// route to the key's consistent-hash owner, the entry node fetches the
+// result as a durable EMCR record, anti-entropy converges the durable
+// caches, and idle nodes (a freshly joined one too) steal queued work:
 //
 //	emcserve -addr 127.0.0.1:8081 -node-id a
 //	emcserve -addr 127.0.0.1:8082 -node-id b -join http://127.0.0.1:8081
@@ -70,7 +71,7 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat interval")
 	suspect := flag.Duration("suspect-after", 0, "mark peers dead after this much heartbeat silence (0 = 4x heartbeat)")
 	stealThreshold := flag.Int("steal-threshold", 2, "peer queue depth that makes an idle node steal work")
-	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy digest-exchange cadence (negative = off)")
+	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy digest-exchange cadence")
 	ringWeight := flag.Int("ring-weight", 1, "this node's ring weight (virtual-point multiplier for heterogeneous nodes)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive peer failures that trip the circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit duration before a half-open probe (jittered +/-25%)")

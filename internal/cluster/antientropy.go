@@ -10,8 +10,8 @@ import (
 
 // Anti-entropy failpoints (see internal/fault): antientropy.digest fails a
 // round's digest RPC as unreachable (the node skips that peer this round);
-// antientropy.fetch drops one missing record's backfill (a later round, or
-// ordinary replication, must cover it).
+// antientropy.fetch drops one missing record's backfill (a later round must
+// cover it).
 var (
 	fpAEDigest = fault.Register(fault.SiteClusterAntiEntropyDigest)
 	fpAEFetch  = fault.Register(fault.SiteClusterAntiEntropyFetch)
@@ -60,8 +60,9 @@ func (n *Node) HandleKeys(bucket int) []string {
 // digests with one live peer (round-robin over the sorted peer list) and
 // backfill whatever records the peer has that this node lacks. Pull-based
 // and pairwise, so a freshly restarted node with an empty or stale cache
-// converges to the cluster's full replica set in a few rounds without any
-// node tracking who missed which replica.
+// converges to the cluster's full record set in a few rounds without any
+// node tracking who holds which record. It is the only path that copies a
+// record to a node that neither computed nor fetched it.
 func (n *Node) antiEntropy() {
 	defer n.wg.Done()
 	t := time.NewTicker(n.opts.AntiEntropyInterval)

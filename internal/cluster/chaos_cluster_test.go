@@ -37,7 +37,7 @@ import (
 )
 
 // clusterChaosPool mirrors the service chaos pool: small enough that
-// duplicates (cluster-wide coalescing, replication hits) are common.
+// duplicates (cluster-wide coalescing, fetched-result hits) are common.
 func clusterChaosPool() []sim.Config {
 	var pool []sim.Config
 	for seed := uint64(1); seed <= 3; seed++ {
@@ -233,7 +233,7 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 	}
 
 	// Disarm before the bookkeeping sweep: the fabric keeps running
-	// (heartbeats, steals, late replications) until Close.
+	// (heartbeats, steals, late steal deliveries) until Close.
 	fault.DisableAll()
 
 	for i, n := range f.Nodes {

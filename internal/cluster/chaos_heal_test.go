@@ -1,9 +1,9 @@
 // Self-healing chaos schedules: seeded scenarios that exercise the heal
-// paths specifically — a node joining mid-sweep (ring handover), a killed
-// node restarting empty and backfilling (anti-entropy recovery), and a
-// flapping peer (breaker trips and half-open recovery) — with the heal
-// failpoints (digest skip, backfill fetch failure, handover ack loss) armed
-// probabilistically on top. The invariants are the same as the base chaos
+// paths specifically — a node joining mid-sweep (an idle joiner that steals),
+// a killed node restarting empty and backfilling (anti-entropy recovery),
+// and a flapping peer (breaker trips and half-open recovery) — with the heal
+// failpoints (digest skip, backfill fetch failure, lost steal delivery)
+// armed probabilistically on top. The invariants are the same as the base chaos
 // suite: no lost, duplicated, or torn results.
 //
 // Failpoints are process-global, so schedules run sequentially — no
@@ -40,7 +40,7 @@ func TestClusterHealSchedules(t *testing.T) {
 }
 
 // armHealChaos arms a random subset of the self-healing failpoints. None of
-// these can fail a job — a lost handover ack reclaims, a failed backfill
+// these can fail a job — a lost steal delivery reclaims, a failed backfill
 // retries next round — so the schedule asserts every job ends done.
 func armHealChaos(t *testing.T, rng *rand.Rand) string {
 	desc := ""
@@ -60,9 +60,6 @@ func armHealChaos(t *testing.T, rng *rand.Rand) string {
 	}
 	if rng.Float64() < 0.5 {
 		arm(fault.SiteClusterAntiEntropyFetch, prob(0.2+0.2*rng.Float64()))
-	}
-	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterHandoverAck, prob(0.3))
 	}
 	if rng.Float64() < 0.4 {
 		arm(fault.SiteClusterReplicateSend, prob(0.2+0.3*rng.Float64()))

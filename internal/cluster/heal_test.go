@@ -1,6 +1,6 @@
-// Self-healing layer tests: anti-entropy backfill, join-time queue
-// handover, circuit-breaker degradation, and the any-RPC-resets-suspicion
-// liveness rule. Failpoints are process-global, so no t.Parallel.
+// Self-healing layer tests: anti-entropy backfill, circuit-breaker
+// degradation, and the any-RPC-resets-suspicion liveness rule. Failpoints
+// are process-global, so no t.Parallel.
 package cluster_test
 
 import (
@@ -70,15 +70,13 @@ func cfgsOwnedBy(t *testing.T, nodes, ownerIdx, count int) []sim.Config {
 	return out
 }
 
-// TestAntiEntropyBackfill: with replication fully suppressed, a peer that
-// holds none of the records converges to the full set through digest
-// exchange and backfill alone, byte-identical to the source.
+// TestAntiEntropyBackfill: a peer that holds none of the records — they
+// were computed locally on node0, so no forward or fetch moved them —
+// converges to the full set through digest exchange and backfill alone,
+// byte-identical to the source.
 func TestAntiEntropyBackfill(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
-	// Drop every replica broadcast: anti-entropy is the only way records
-	// can reach a peer.
-	armSite(t, fault.SiteClusterReplicateSend, fault.Trigger{})
 
 	opts := func(i int) cluster.Options {
 		o := fastOpts(i)
@@ -125,138 +123,14 @@ func TestAntiEntropyBackfill(t *testing.T) {
 		t.Fatalf("node1 backfilled %d records, want >= %d", got, jobs)
 	}
 	if f.Nodes[1].Counters().ReplRecv != 0 {
-		t.Fatal("replication leaked despite the armed drop site — test premise broken")
+		t.Fatal("a delivered result reached node1 — test premise broken")
 	}
-}
-
-// TestJoinHandover: queued jobs whose keys a freshly joined node owns are
-// handed over, executed there, and completed on the original node with the
-// right bytes — while a parked job keeps the donor's worker busy the whole
-// time, proving the handover (not local execution) did the work.
-func TestJoinHandover(t *testing.T) {
-	fault.DisableAll()
-	t.Cleanup(fault.DisableAll)
-
-	scfg := func(int) service.Config { return service.Config{Workers: 1, QueueCap: 64} }
-	opts := func(i int) cluster.Options {
-		o := fastOpts(i)
-		o.StealThreshold = 1 << 20 // isolate handover from work stealing
-		return o
-	}
-	f := newFabricOpts(t, 2, scfg, opts)
-
-	// Park node0's single worker on a long-running job so the handover
-	// candidates stay queued behind it.
-	parker := tinyCfg(99999)
-	parker.InstrPerCore = 5_000_000
-	pj, err := f.Nodes[0].Service().Submit("parker", parker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "parker running", func() bool {
-		return f.Nodes[0].Service().Stats().Running == 1
-	})
-
-	const jobs = 3
-	cfgs := cfgsOwnedBy(t, 3, 2, jobs) // owned by node2 once it joins
-	refs := make([]uint64, jobs)
-	handed := make([]*service.Job, jobs)
-	for i, cfg := range cfgs {
-		refs[i] = runTiny(t, cfg).Hash()
-		handed[i], err = f.Nodes[0].Service().Submit("t", cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	joiner, err := f.AddNode(scfg(2), opts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for i, j := range handed {
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		res, err := j.Wait(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("handed-over job %d: %v", i, err)
-		}
-		if res.Hash() != refs[i] {
-			t.Fatalf("handed-over job %d hash %x, want %x", i, res.Hash(), refs[i])
-		}
-	}
-	if got := f.Nodes[0].Counters().HandedOut; got != jobs {
-		t.Fatalf("node0 handed out %d jobs, want %d", got, jobs)
-	}
-	if got := joiner.Counters().HandedIn; got != jobs {
-		t.Fatalf("joiner accepted %d jobs, want %d", got, jobs)
-	}
-	// The parker never finished — node0's worker was busy throughout, so
-	// the candidates cannot have executed locally.
-	if pj.Status().State.Terminal() {
-		t.Fatal("parker finished early; queue pressure premise broken")
-	}
-	_ = f.Nodes[0].Service().Cancel(pj.Status().ID)
-}
-
-// TestJoinHandoverLostAck: the receiver accepts the batch but the ack is
-// lost (injected). The sender reclaims and re-executes locally; determinism
-// makes the double execution benign and the job still completes with the
-// reference bytes.
-func TestJoinHandoverLostAck(t *testing.T) {
-	fault.DisableAll()
-	t.Cleanup(fault.DisableAll)
-	armSite(t, fault.SiteClusterHandoverAck, fault.Trigger{})
-
-	scfg := func(int) service.Config { return service.Config{Workers: 1, QueueCap: 64} }
-	opts := func(i int) cluster.Options {
-		o := fastOpts(i)
-		o.StealThreshold = 1 << 20
-		return o
-	}
-	f := newFabricOpts(t, 2, scfg, opts)
-
-	parker := tinyCfg(99998)
-	parker.InstrPerCore = 5_000_000
-	pj, err := f.Nodes[0].Service().Submit("parker", parker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 5*time.Second, "parker running", func() bool {
-		return f.Nodes[0].Service().Stats().Running == 1
-	})
-
-	cfg := cfgsOwnedBy(t, 3, 2, 1)[0]
-	ref := runTiny(t, cfg).Hash()
-	j, err := f.Nodes[0].Service().Submit("t", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.AddNode(scfg(2), opts(2)); err != nil {
-		t.Fatal(err)
-	}
-
-	// The lost ack makes the sender reclaim: ExecuteNow runs the job on
-	// the reclaiming goroutine even though node0's worker is parked.
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := j.Wait(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Hash() != ref {
-		t.Fatalf("job hash %x, want %x", res.Hash(), ref)
-	}
-	if got := f.Nodes[0].Counters().HandedOut; got != 0 {
-		t.Fatalf("lost ack must not count as handed out, got %d", got)
-	}
-	_ = f.Nodes[0].Service().Cancel(pj.Status().ID)
 }
 
 // TestBreakerDegradesFlappingPeer: an unreachable peer trips the circuit
 // breaker well before the suspect sweep would fire, shows up as "degraded"
-// in Stats.Nodes, gets routed around without burning MaxHops, and recovers
-// to "alive" through a half-open probe once the partition heals.
+// in Stats.Nodes, gets routed around without burning re-dispatch hops, and
+// recovers to "alive" through a half-open probe once the partition heals.
 func TestBreakerDegradesFlappingPeer(t *testing.T) {
 	fault.DisableAll()
 	f := newFabricOpts(t, 2, nil, func(i int) cluster.Options {
@@ -277,7 +151,7 @@ func TestBreakerDegradesFlappingPeer(t *testing.T) {
 	}
 
 	// A key node1 owns routes straight to local execution: the degraded
-	// owner is skipped by the ring predicate, no MaxHops timeout burn.
+	// owner is skipped by the ring predicate, no re-dispatch timeout burn.
 	cfg := cfgOwnedBy(t, 2, 1)
 	ref := runTiny(t, cfg).Hash()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -305,9 +179,9 @@ func TestBreakerDegradesFlappingPeer(t *testing.T) {
 }
 
 // TestSuccessfulRPCResetsSuspectTimer: with every explicit heartbeat probe
-// suppressed, a steady stream of successful replication RPCs alone keeps
-// both peers out of the dead state — the regression test for "any
-// successful RPC from a peer resets the suspect timer".
+// suppressed, a steady stream of forwarded jobs alone keeps both peers out
+// of the dead state — the regression test for "any successful RPC from a
+// peer resets the suspect timer".
 func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
@@ -316,7 +190,7 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 	// The suspect window must outlast one submit+wait iteration, which under
 	// -race on a small host can take several hundred ms, yet the run must
 	// span several windows, so the sweep WOULD fire several times over
-	// without the replication traffic crediting the peers. Both derive from
+	// without the forwarding traffic crediting the peers. Both derive from
 	// a measured first job: the window is 4x its submit+wait (at least
 	// 400ms), the run 5 windows.
 	probe, err := service.Open(service.Config{Workers: 2, QueueCap: 64})
@@ -343,13 +217,17 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 		return o
 	})
 
-	// Each fresh local completion on node0 broadcasts a replica to node1:
-	// node0 credits node1 on the successful send, node1 credits node0 on
-	// the successful receive — both suspect timers keep resetting with not
-	// a single heartbeat flowing.
+	// Each job entered at node1 and owned by node0 is forwarded: node1
+	// credits node0 on every answered submit, status wait and fetch, and
+	// node0 credits node1 on every one it receives — both suspect timers
+	// keep resetting with not a single heartbeat flowing.
 	deadline := time.Now().Add(5 * suspect)
 	for seed := uint64(1); time.Now().Before(deadline); seed++ {
-		j, err := f.Nodes[0].Service().Submit("t", tinyCfg(seed))
+		cfg := tinyCfg(seed)
+		if key, _ := service.CacheKey(&cfg); ownerOf(2, key) != "node0" {
+			continue
+		}
+		j, err := f.Nodes[1].Submit("t", cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -363,13 +241,13 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 	}
 
 	if row, ok := peerRow(f.Nodes[0], "node1"); !ok || row.State != "alive" {
-		t.Fatalf("node1 on node0: %+v — active replication did not keep it alive", row)
+		t.Fatalf("node1 on node0: %+v — inbound RPCs did not keep it alive", row)
 	}
 	if row, ok := peerRow(f.Nodes[1], "node0"); !ok || row.State != "alive" {
-		t.Fatalf("node0 on node1: %+v — inbound RPCs did not keep it alive", row)
+		t.Fatalf("node0 on node1: %+v — answered RPCs did not keep it alive", row)
 	}
-	if f.Nodes[0].Counters().ReplSent == 0 {
-		t.Fatal("no replicas flowed — the liveness evidence premise is broken")
+	if f.Nodes[1].Counters().Forwarded == 0 {
+		t.Fatal("no jobs were forwarded — the liveness evidence premise is broken")
 	}
 }
 
@@ -379,7 +257,6 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 func TestRestartBackfillsDurableCache(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
-	armSite(t, fault.SiteClusterReplicateSend, fault.Trigger{}) // anti-entropy only
 
 	scfg := func(int) service.Config { return service.Config{Workers: 2, QueueCap: 64} }
 	opts := func(i int) cluster.Options {

@@ -31,14 +31,13 @@ const peerIDHeader = "X-Emc-Node"
 //
 //	POST /api/v1/cluster/submit     forwarded job intake (SubmitRequest)
 //	GET  /api/v1/cluster/record     ?key= -> durable EMCR frame bytes
-//	POST /api/v1/cluster/replicate  durable EMCR frame body
+//	POST /api/v1/cluster/replicate  stolen job's EMCR frame body
 //	GET  /api/v1/cluster/ping       Health JSON
 //	POST /api/v1/cluster/steal      one StolenJob JSON, or 204 when declined
 //	POST /api/v1/cluster/join       Member JSON -> member list JSON
 //	GET  /api/v1/cluster/members    member list JSON
 //	GET  /api/v1/cluster/digest     anti-entropy Digest JSON
 //	GET  /api/v1/cluster/keys       ?bucket=N -> key list JSON
-//	POST /api/v1/cluster/handover   HandoverRequest JSON
 //
 // A non-empty token shields every /api/v1/cluster/* endpoint behind a
 // shared bearer token (constant-time compare, 401 on mismatch, rejections
@@ -88,7 +87,6 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	}))
 	mux.HandleFunc("GET /api/v1/cluster/digest", guard(n.httpDigest))
 	mux.HandleFunc("GET /api/v1/cluster/keys", guard(n.httpKeys))
-	mux.HandleFunc("POST /api/v1/cluster/handover", guard(n.httpHandover))
 	return mux
 }
 
@@ -225,21 +223,6 @@ func (n *Node) httpKeys(w http.ResponseWriter, r *http.Request) {
 		keys = []string{}
 	}
 	httpJSON(w, http.StatusOK, keys)
-}
-
-func (n *Node) httpHandover(w http.ResponseWriter, r *http.Request) {
-	var req HandoverRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
-		return
-	}
-	if err := n.HandleHandover(req); err != nil {
-		// The only handler-side failure is the injected lost ack; report it
-		// as unavailability so the sender's breaker and reclaim kick in.
-		httpJSON(w, http.StatusServiceUnavailable, httpError{Error: err.Error()})
-		return
-	}
-	httpJSON(w, http.StatusOK, struct{}{})
 }
 
 // ---------------------------------------------------------------------------
@@ -456,19 +439,6 @@ func (t *HTTPTransport) Keys(ctx context.Context, node string, bucket int) ([]st
 		return nil, err
 	}
 	return keys, nil
-}
-
-func (t *HTTPTransport) Handover(ctx context.Context, node string, req HandoverRequest) error {
-	base, err := t.base(node)
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	_, err = t.do(ctx, http.MethodPost, base+"/api/v1/cluster/handover", "application/json", body, nil)
-	return err
 }
 
 // JoinAddr announces mem to the fabric member at baseURL directly — the

@@ -210,14 +210,6 @@ func (c *localConn) Keys(ctx context.Context, node string, bucket int) ([]string
 	return n.HandleKeys(bucket), nil
 }
 
-func (c *localConn) Handover(ctx context.Context, node string, req HandoverRequest) error {
-	n, err := c.conn(node)
-	if err != nil {
-		return err
-	}
-	return n.HandleHandover(req)
-}
-
 // ---------------------------------------------------------------------------
 // Fabric: an in-process N-node cluster.
 
@@ -283,8 +275,8 @@ func NewFabric(fc FabricConfig) (*Fabric, error) {
 
 // AddNode grows a running fabric: it builds "node<len>" with the given
 // service config and options, starts it, and joins it through the first
-// surviving member — which triggers gossip and the join-time handover of
-// queued keys the newcomer now owns.
+// surviving member, which gossips it to the rest. The newcomer starts idle
+// and picks up queued work by stealing.
 func (f *Fabric) AddNode(scfg service.Config, opts Options) (*Node, error) {
 	i := len(f.Nodes)
 	svc, err := service.Open(scfg)

@@ -14,9 +14,10 @@ import (
 
 // Cluster failpoints (see internal/fault): forward makes one routing RPC
 // fail as unreachable (the partition model, driving re-dispatch);
-// replicate.send drops one peer's replica; replicate.recv tears one byte of
-// a received frame (the CRC check must reject it); fetch fails a peer-fetch
-// attempt; heartbeat skips one probe; steal refuses to hand out a job.
+// replicate.send drops a thief's delivery of a stolen job's result (the
+// victim's reclaim covers it); replicate.recv tears one byte of a received
+// frame (the CRC check must reject it); fetch fails a peer-fetch attempt;
+// heartbeat skips one probe; steal refuses to hand out a job.
 var (
 	fpForward   = fault.Register(fault.SiteClusterForward)
 	fpReplSend  = fault.Register(fault.SiteClusterReplicateSend)
@@ -26,6 +27,15 @@ var (
 	fpSteal     = fault.Register(fault.SiteClusterSteal)
 )
 
+const (
+	// forwardRetries is how many ErrBusy responses a forward absorbs before
+	// executing locally instead.
+	forwardRetries = 3
+	// maxHops bounds re-dispatch hops across dying owners before the job
+	// falls back to local execution.
+	maxHops = 4
+)
+
 // Options tunes one fabric node. The zero value of every field selects a
 // production-shaped default; tests shrink the intervals.
 type Options struct {
@@ -33,8 +43,6 @@ type Options struct {
 	ID string
 	// Addr is the advertised base URL for HTTP fabrics (empty in-process).
 	Addr string
-	// Replicas is the ring's virtual-node count per member (default 64).
-	Replicas int
 	// HeartbeatInterval is the peer probe cadence (default 1s).
 	HeartbeatInterval time.Duration
 	// SuspectAfter is how stale a peer's heartbeat may be before it is
@@ -52,18 +60,9 @@ type Options struct {
 	// DelegationTimeout bounds how long a victim waits for a thief to
 	// deliver before reclaiming the job (default 30s).
 	DelegationTimeout time.Duration
-	// ForwardRetries is how many ErrBusy responses a forward absorbs before
-	// executing locally instead (default 3).
-	ForwardRetries int
-	// MaxHops bounds re-dispatch hops across dying owners before the job
-	// falls back to local execution (default 4).
-	MaxHops int
-	// ReplQueue sizes the asynchronous replication queue (default 256;
-	// overflow drops the broadcast — peer fetch covers the gap).
-	ReplQueue int
 	// AntiEntropyInterval is the cadence of the anti-entropy loop: each tick
 	// exchanges digests with one live peer round-robin and backfills missing
-	// durable records (default 30s; negative disables the loop).
+	// durable records (default 30s).
 	AntiEntropyInterval time.Duration
 	// Weight is this node's ring weight — the virtual-point multiplier for
 	// heterogeneous fabrics (default 1).
@@ -77,9 +76,6 @@ type Options struct {
 }
 
 func (o *Options) defaults() {
-	if o.Replicas <= 0 {
-		o.Replicas = 64
-	}
 	if o.HeartbeatInterval <= 0 {
 		o.HeartbeatInterval = time.Second
 	}
@@ -95,16 +91,7 @@ func (o *Options) defaults() {
 	if o.DelegationTimeout <= 0 {
 		o.DelegationTimeout = 30 * time.Second
 	}
-	if o.ForwardRetries <= 0 {
-		o.ForwardRetries = 3
-	}
-	if o.MaxHops <= 0 {
-		o.MaxHops = 4
-	}
-	if o.ReplQueue <= 0 {
-		o.ReplQueue = 256
-	}
-	if o.AntiEntropyInterval == 0 {
+	if o.AntiEntropyInterval <= 0 {
 		o.AntiEntropyInterval = 30 * time.Second
 	}
 	if o.Weight <= 0 {
@@ -130,25 +117,22 @@ type Counters struct {
 	Received      uint64 // forwarded jobs accepted as owner
 	Redispatched  uint64 // forwards re-routed after an owner died
 	LocalFallback uint64 // routed jobs that ended up executing here
-	ReplSent      uint64 // replicas delivered to peers
-	ReplRecv      uint64 // replicas accepted (CRC-verified) from peers
-	ReplTorn      uint64 // replicas rejected by CRC verification
-	ReplDropped   uint64 // broadcasts dropped on replication-queue overflow
+	ReplSent      uint64 // stolen jobs' results delivered to their victims
+	ReplRecv      uint64 // delivered results accepted (CRC-verified) from thieves
+	ReplTorn      uint64 // delivered results rejected by CRC verification
 	Fetched       uint64 // records fetched from peers
 	FetchServed   uint64 // records served to fetching peers
 	StolenIn      uint64 // jobs stolen from victims and run here
 	StolenOut     uint64 // queued jobs handed out to thieves
 	Reclaimed     uint64 // delegations reclaimed after thief silence
 	Backfilled    uint64 // records backfilled via anti-entropy sync
-	HandedOut     uint64 // queued jobs handed to a joining owner
-	HandedIn      uint64 // queued jobs accepted from previous owners
 	BreakerTrips  uint64 // circuit-breaker opens, summed over peers
 }
 
 // Node is one fabric member: a service.Service plus the routing, steal,
-// replication, and health machinery that makes N of them act as one
-// scheduler. The service never learns about the cluster — the node attaches
-// itself through the service's hook surface (service/cluster.go).
+// peer-fetch, anti-entropy, and health machinery that makes N of them act
+// as one scheduler. The service never learns about the cluster — the node
+// attaches itself through the service's hook surface (service/cluster.go).
 type Node struct {
 	id   string
 	opts Options
@@ -167,7 +151,6 @@ type Node struct {
 
 	syncing atomic.Bool // anti-entropy backfill in progress
 
-	replCh chan []byte
 	// ctx is cancelled by Close: the loops exit on it, and the status waits
 	// of routed jobs carry it so Close cuts them short.
 	ctx     context.Context
@@ -182,20 +165,16 @@ type Node struct {
 	replSent      atomic.Uint64
 	replRecv      atomic.Uint64
 	replTorn      atomic.Uint64
-	replDropped   atomic.Uint64
 	fetched       atomic.Uint64
 	fetchServed   atomic.Uint64
 	stolenIn      atomic.Uint64
 	stolenOut     atomic.Uint64
 	reclaimed     atomic.Uint64
 	backfilled    atomic.Uint64
-	handedOut     atomic.Uint64
-	handedIn      atomic.Uint64
 }
 
 // New builds a node around svc. The node installs itself into the service's
-// stats and completion hooks; call SetTransport, AddMember for the known
-// peers, then Start.
+// stats hook; call SetTransport, AddMember for the known peers, then Start.
 func New(svc *service.Service, opts Options) *Node {
 	opts.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -203,19 +182,17 @@ func New(svc *service.Service, opts Options) *Node {
 		id:        opts.ID,
 		opts:      opts,
 		svc:       svc,
-		ring:      NewRing(opts.Replicas),
+		ring:      NewRing(0),
 		members:   newMembership(),
 		delegated: map[string][]delegation{},
 		health:    map[string]Health{},
 		breakers:  map[string]*breaker{},
-		replCh:    make(chan []byte, opts.ReplQueue),
 		ctx:       ctx,
 		cancel:    cancel,
 	}
 	n.ring.AddWeighted(n.id, opts.Weight)
 	n.members.upsert(n.selfMember(), true, time.Now())
 	svc.SetClusterStats(n.nodeStats)
-	svc.SetOnDone(n.onLocalDone)
 	return n
 }
 
@@ -242,9 +219,8 @@ func (n *Node) AddMember(mem Member) { n.admitMember(mem) }
 
 // admitMember is the single funnel every membership source goes through
 // (static config, self-join, gossip). A genuinely new member extends the
-// ring at its announced weight and triggers the join-time handover of
-// queued jobs whose keys the newcomer now owns. Returns true only for new
-// members — the gossip-convergence signal.
+// ring at its announced weight. Returns true only for new members — the
+// gossip-convergence signal.
 func (n *Node) admitMember(mem Member) bool {
 	if mem.ID == "" || mem.ID == n.id {
 		return false
@@ -253,7 +229,6 @@ func (n *Node) admitMember(mem Member) bool {
 		return false
 	}
 	n.ring.AddWeighted(mem.ID, mem.Weight)
-	n.maybeHandover(mem.ID)
 	return true
 }
 
@@ -272,7 +247,7 @@ func (n *Node) JoinVia(ctx context.Context, seed string) error {
 }
 
 // MarkPeerSeen records inbound evidence of a peer's liveness: any
-// successful RPC *from* id (a replica delivered, a forward, a steal) resets
+// successful RPC *from* id (a forward, a fetch, a steal) resets
 // its suspect timer, so a busy-but-healthy peer whose heartbeats are
 // delayed is not marked dead while it is demonstrably doing work. Unknown
 // ids are ignored (membership is join-driven).
@@ -300,20 +275,17 @@ func (n *Node) Counters() Counters {
 		ReplSent:      n.replSent.Load(),
 		ReplRecv:      n.replRecv.Load(),
 		ReplTorn:      n.replTorn.Load(),
-		ReplDropped:   n.replDropped.Load(),
 		Fetched:       n.fetched.Load(),
 		FetchServed:   n.fetchServed.Load(),
 		StolenIn:      n.stolenIn.Load(),
 		StolenOut:     n.stolenOut.Load(),
 		Reclaimed:     n.reclaimed.Load(),
 		Backfilled:    n.backfilled.Load(),
-		HandedOut:     n.handedOut.Load(),
-		HandedIn:      n.handedIn.Load(),
 		BreakerTrips:  n.breakerTrips(),
 	}
 }
 
-// Start launches the heartbeat, replication, and anti-entropy loops.
+// Start launches the heartbeat and anti-entropy loops.
 func (n *Node) Start() {
 	if n.started {
 		return
@@ -321,11 +293,7 @@ func (n *Node) Start() {
 	n.started = true
 	n.wg.Add(2)
 	go n.heartbeats()
-	go n.replicator()
-	if n.opts.AntiEntropyInterval > 0 {
-		n.wg.Add(1)
-		go n.antiEntropy()
-	}
+	go n.antiEntropy()
 }
 
 // Close stops the loops and synchronously reclaims every outstanding
@@ -400,7 +368,7 @@ func (n *Node) Run(ctx context.Context, client string, cfg sim.Config) (*sim.Res
 // nor currently degraded (circuit breaker open); self is never rejected, so
 // it always resolves. Skipping degraded peers is the graceful-degradation
 // rule: a flapping owner's keys fall to the next live node immediately
-// instead of burning MaxHops timeouts per routed job.
+// instead of burning maxHops timeouts per routed job.
 func (n *Node) owner(key string) string {
 	if o := n.ring.Owner(key, n.peerUnavailable); o != "" {
 		return o
@@ -471,15 +439,15 @@ func (n *Node) viaBreaker(peer string, fn func() error) error {
 // routeJob drives a routed job to a terminal state: forward to the owner,
 // mirror progress and cancellation, fetch the result bytes; when an owner
 // dies, fail over to the next ring owner; as the last resort run locally
-// (after trying a peer fetch — the previous owner may have completed and
-// replicated before dying).
+// (after trying a peer fetch — an entry node that fetched the result
+// before the owner died may hold it).
 func (n *Node) routeJob(j *service.Job, owner string) {
 	defer n.wg.Done()
 	if !n.svc.StartRouted(j) {
 		n.svc.FinishRouted(j, nil, sim.ErrCancelled)
 		return
 	}
-	for hop := 0; hop < n.opts.MaxHops && owner != n.id; hop++ {
+	for hop := 0; hop < maxHops && owner != n.id; hop++ {
 		done, next := n.runRemote(j, owner)
 		if done {
 			return
@@ -511,7 +479,7 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 		switch {
 		case isUnreachable(err):
 			return false, n.failOver(owner, j.Key())
-		case err == ErrBusy && attempt < n.opts.ForwardRetries:
+		case err == ErrBusy && attempt < forwardRetries:
 			if !n.sleepInterval() {
 				n.svc.FinishRouted(j, nil, ErrNodeClosed)
 				return true, ""
@@ -537,8 +505,8 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 		if n.ctx.Err() != nil {
 			// Node is closing: fail the waiter rather than hold wg.Wait
 			// hostage to a remote job that may never reach a terminal state.
-			// If the owner does finish later, replication delivers the
-			// record anyway and the duplicate execution is benign.
+			// If the owner does finish later, its cached record serves a
+			// resubmission by fetch or anti-entropy.
 			n.svc.FinishRouted(j, nil, ErrNodeClosed)
 			return true, ""
 		}
@@ -639,51 +607,7 @@ func isUnreachable(err error) bool {
 }
 
 // ---------------------------------------------------------------------------
-// Replication and peer fetch.
-
-// onLocalDone is the service completion hook: a fresh result was computed
-// here; broadcast its durable frame to peers asynchronously. Runs on the
-// worker goroutine, so it only enqueues.
-func (n *Node) onLocalDone(key string, res *sim.Result) {
-	frame, err := service.EncodeRecord(key, res)
-	if err != nil {
-		return
-	}
-	select {
-	case n.replCh <- frame:
-	default:
-		n.replDropped.Add(1) // peer fetch covers the gap
-	}
-}
-
-// replicator drains the broadcast queue.
-func (n *Node) replicator() {
-	defer n.wg.Done()
-	for {
-		select {
-		case <-n.ctx.Done():
-			return
-		case frame := <-n.replCh:
-			n.broadcast(frame)
-		}
-	}
-}
-
-// broadcast delivers one durable frame to every live peer.
-func (n *Node) broadcast(frame []byte) {
-	for _, p := range n.members.alivePeers(n.id) {
-		if fpReplSend.Fire() {
-			continue
-		}
-		peer := p.ID
-		err := n.viaBreaker(peer, func() error {
-			return n.tr.Replicate(context.Background(), peer, frame)
-		})
-		if err == nil {
-			n.replSent.Add(1)
-		}
-	}
-}
+// Peer fetch.
 
 // fetchRecord pulls the durable frame for key from one peer, CRC-verifies
 // it, and seeds the local cache on success.
@@ -783,10 +707,11 @@ func (n *Node) HandleFetch(key string) ([]byte, error) {
 	return frame, nil
 }
 
-// HandleReplicate applies a replicated durable frame: CRC-verify, seed the
-// local cache (write-through to disk when configured), and complete any
-// delegated jobs waiting on the key. Torn frames are rejected and counted —
-// a corrupt byte can never reach the cache.
+// HandleReplicate applies a thief's delivery of a stolen job's result, a
+// durable frame: CRC-verify, seed the local cache (write-through to disk
+// when configured), and complete the delegated jobs waiting on the key.
+// Torn frames are rejected and counted — a corrupt byte can never reach the
+// cache; the victim's reclaim timer then covers the job.
 func (n *Node) HandleReplicate(frame []byte) error {
 	if len(frame) > 0 && fpReplRecv.Fire() {
 		// Tear the copy mid-frame; the verification below must reject it.
@@ -815,7 +740,7 @@ func (n *Node) HandlePing() Health {
 }
 
 // HandleSteal hands one queued job to a thief, arming the reclaim timer: if
-// neither a replica nor a reclaim completes the job within
+// the thief's delivery does not complete the job within
 // DelegationTimeout, the victim re-executes it locally (determinism makes a
 // thief that finished late a benign duplicate).
 func (n *Node) HandleSteal() (*StolenJob, error) {
@@ -948,11 +873,14 @@ func (n *Node) heartbeatRound() {
 	n.maybeSteal()
 }
 
-// maybeSteal pulls one job from the most loaded live peer when this node's
-// own queue is empty — skew smoothing, not load balancing: the ring already
-// spreads keys, stealing only absorbs hot-spot bursts.
+// maybeSteal pulls one job from the most loaded live peer when this node
+// has a free worker and nothing queued — skew smoothing, not load
+// balancing: the ring already spreads keys, stealing only absorbs hot-spot
+// bursts, and it is how a freshly joined node picks up queued work. A node
+// whose workers are all busy does not steal even with an empty queue: the
+// stolen job would only wait here instead of there.
 func (n *Node) maybeSteal() {
-	if n.svc.QueueDepth() > 0 {
+	if !n.svc.Idle() {
 		return
 	}
 	victim, best := "", n.opts.StealThreshold-1
@@ -979,15 +907,19 @@ func (n *Node) maybeSteal() {
 	go n.runStolen(victim, sj)
 }
 
-// runStolen executes one stolen job and delivers the result straight back
-// to the victim (the broadcast replication would also get there, but the
-// direct send beats the victim's delegation timeout deterministically).
+// runStolen executes one stolen job at once on this goroutine and delivers
+// the result back to the victim, whose delegated copy it completes. The job
+// never enters this node's queue, so it is never stolen again. A failed run
+// or a lost delivery leaves the victim to reclaim on its delegation timeout.
 func (n *Node) runStolen(victim string, sj *StolenJob) {
 	defer n.wg.Done()
+	if key, ok := service.CacheKey(&sj.Cfg); !ok || key != sj.Key {
+		return // the config did not survive its encoding
+	}
 	n.stolenIn.Add(1)
-	res, err := n.svc.Run(context.Background(), "steal/"+victim, sj.Cfg)
-	if err != nil {
-		return // victim reclaims on the delegation timeout
+	res, err := n.svc.RunStolen("steal/"+victim, sj.Key, sj.Cfg)
+	if err != nil || fpReplSend.Fire() {
+		return
 	}
 	//simlint:dettaintok res is the simulator's deterministic Result; the taint is Job.submitted scheduling metadata, which EncodeRecord never frames
 	frame, err := service.EncodeRecord(sj.Key, res)
@@ -1017,8 +949,6 @@ func (n *Node) nodeStats(local *service.Stats) []service.NodeStat {
 		ReplTorn:     n.replTorn.Load(),
 		Fetched:      n.fetched.Load(),
 		Backfilled:   n.backfilled.Load(),
-		HandedOut:    n.handedOut.Load(),
-		HandedIn:     n.handedIn.Load(),
 		BreakerTrips: n.breakerTrips(),
 	}}
 	now := time.Now()

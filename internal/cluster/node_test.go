@@ -1,5 +1,5 @@
 // Fabric unit tests: routing, cluster-wide coalescing, failover, stealing,
-// replication, and membership — all over the in-process LocalTransport.
+// steal delivery, and membership — all over the in-process LocalTransport.
 // Failpoints are process-global, so no t.Parallel anywhere in this package.
 package cluster_test
 
@@ -247,7 +247,8 @@ func TestOwnerDeathRedispatch(t *testing.T) {
 
 // TestWorkStealing: an idle node pulls queued jobs off a saturated peer,
 // runs them, and delivers the results back; the victim's jobs complete
-// without its blocked worker ever touching them.
+// without its blocked worker ever touching them, and no delegation waits
+// out its timeout on either node.
 func TestWorkStealing(t *testing.T) {
 	fault.DisableAll()
 	release := make(chan struct{})
@@ -279,21 +280,17 @@ func TestWorkStealing(t *testing.T) {
 	}
 
 	// Queue three cacheable jobs that node0 owns; with the worker parked they
-	// can only finish if node1 steals them.
-	var cfgs []sim.Config
-	for seed := uint64(1); len(cfgs) < 3 && seed < 4096; seed++ {
-		cfg := tinyCfg(seed)
-		key, _ := service.CacheKey(&cfg)
-		if ownerOf(2, key) == "node0" {
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	if len(cfgs) < 3 {
-		t.Fatal("not enough node0-owned seeds")
-	}
+	// can only finish if node1 steals them. The first enters at node1 and is
+	// forwarded, so node1 steals a job its own routed copy is following: the
+	// thief must run it rather than wait on that copy.
+	cfgs := cfgsOwnedBy(t, 2, 0, 3)
 	var jobs []*service.Job
 	for i, cfg := range cfgs {
-		j, err := f.Nodes[0].Submit(fmt.Sprintf("c%d", i), cfg)
+		entry := f.Nodes[0]
+		if i == 0 {
+			entry = f.Nodes[1]
+		}
+		j, err := entry.Submit(fmt.Sprintf("c%d", i), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -317,10 +314,89 @@ func TestWorkStealing(t *testing.T) {
 	if c := f.Nodes[1].Counters(); c.StolenIn == 0 {
 		t.Fatalf("thief ran no stolen jobs (%+v)", c)
 	}
+	for i, n := range f.Nodes {
+		if c := n.Counters(); c.Reclaimed != 0 {
+			t.Fatalf("node%d reclaimed %d delegations: a stolen job waited out its timeout (%+v)", i, c.Reclaimed, c)
+		}
+	}
 
 	close(release)
 	if _, err := bj.Wait(ctx); err != nil {
 		t.Fatalf("blocker: %v", err)
+	}
+}
+
+// TestNoStealWhileWorkersBusy: a node whose only worker is busy does not
+// steal, even with an empty queue: the stolen job could only wait there,
+// or bounce between two busy nodes until the victim's DelegationTimeout
+// reclaimed it. Both nodes park their single worker on a blocker while
+// node0 has one cacheable job queued; the job stays put and completes on
+// node0 once its blocker is released, while node1's worker is still busy.
+func TestNoStealWhileWorkersBusy(t *testing.T) {
+	fault.DisableAll()
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	free := func(i int) { once[i].Do(func() { close(release[i]) }) }
+	defer free(0)
+	defer free(1)
+	f := newFabricOpts(t, 2, func(int) service.Config {
+		return service.Config{Workers: 1, QueueCap: 64}
+	}, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.StealThreshold = 1
+		return o
+	})
+	var blockers []*service.Job
+	for i, n := range f.Nodes {
+		blocker := tinyCfg(uint64(99 + i))
+		ch := release[i]
+		blocker.CoreTweak = func(*cpu.Config) { <-ch }
+		bj, err := n.Submit("blocker", blocker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blockers = append(blockers, bj)
+	}
+	waitFor(t, 10*time.Second, "both workers parked", func() bool {
+		return f.Nodes[0].Service().Stats().Running == 1 && f.Nodes[1].Service().Stats().Running == 1
+	})
+
+	cfg := cfgsOwnedBy(t, 2, 0, 1)[0]
+	j, err := f.Nodes[0].Submit("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once node1's heartbeat has seen the queued job, its steal decision
+	// follows in the same round; give it several more rounds.
+	waitFor(t, 10*time.Second, "node1 to see node0's queued job", func() bool {
+		row, ok := peerRow(f.Nodes[1], "node0")
+		return ok && row.Queued == 1
+	})
+	time.Sleep(10 * fastOpts(0).HeartbeatInterval)
+	if c := f.Nodes[0].Counters(); c.StolenOut != 0 {
+		t.Fatalf("node0 handed its queued job to a thief with no free worker (%+v)", c)
+	}
+
+	free(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := j.Wait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Hash(), runTiny(t, cfg).Hash(); got != want {
+		t.Fatalf("result hash %#x != direct %#x", got, want)
+	}
+	free(1)
+	for _, bj := range blockers {
+		if _, err := bj.Wait(ctx); err != nil {
+			t.Fatalf("blocker: %v", err)
+		}
+	}
+	for i, n := range f.Nodes {
+		if c := n.Counters(); c.Reclaimed != 0 || c.StolenOut != 0 {
+			t.Fatalf("node%d: %+v, want no steals and no reclaims", i, c)
+		}
 	}
 }
 
@@ -370,53 +446,6 @@ func TestTornReplicaRejected(t *testing.T) {
 	}
 	if !bytes.Equal(reframe, frame) {
 		t.Fatal("seeded replica re-encodes to different bytes")
-	}
-}
-
-// TestReplicationSeedsPeers: a fresh local result broadcasts to every peer,
-// so later duplicate submissions anywhere are cache hits with no forward.
-func TestReplicationSeedsPeers(t *testing.T) {
-	fault.DisableAll()
-	f := newFabric(t, 3, nil)
-	cfg := cfgOwnedBy(t, 3, 0)
-	key, _ := service.CacheKey(&cfg)
-
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	res, err := f.Nodes[0].Run(ctx, "t", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for _, i := range []int{1, 2} {
-		for {
-			if peer, ok := f.Nodes[i].Service().PeekResult(key); ok {
-				if peer.Hash() != res.Hash() {
-					t.Fatalf("node%d replica hash %#x != original %#x", i, peer.Hash(), res.Hash())
-				}
-				break
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("replica never reached node%d", i)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
-	}
-
-	// Duplicate submission at a non-owner is now a pure local cache hit.
-	j, err := f.Nodes[1].Submit("t", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := j.Wait(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if c := f.Nodes[1].Counters(); c.Forwarded != 0 {
-		t.Fatalf("replicated key still forwarded (%+v)", c)
-	}
-	if got := sumExecuted(f); got != 1 {
-		t.Fatalf("%d executions, want 1", got)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Package cluster turns N emcserve processes (or N in-process services)
 // into one sweep fabric: a consistent-hash ring assigns every cache key a
 // single owning node, so duplicate submissions serialize behind their first
-// run cluster-wide regardless of which node receives them; completed
-// results replicate to peers as the same CRC-framed EMCR records the
-// durable cache writes to disk; idle nodes steal queued work from skewed
+// run cluster-wide regardless of which node receives them; results move
+// between nodes as the same CRC-framed EMCR records the durable cache
+// writes to disk, fetched by the entry node of a forwarded job and
+// backfilled by anti-entropy; idle nodes steal queued work from skewed
 // ones; and heartbeats promote the hung-job watchdog to node granularity,
 // with deterministic re-dispatch of jobs owned by a dead node.
 //

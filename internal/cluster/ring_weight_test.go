@@ -105,8 +105,8 @@ func TestRingWeightedDistribution(t *testing.T) {
 
 // TestRingJoinMinimalChurn: adding a member moves a key only when the new
 // member becomes its owner — consistent hashing's no-gratuitous-churn
-// property, which join-time handover relies on (previous owners hand over
-// exactly the joiner's keys, nothing reshuffles between survivors).
+// property: a join shifts only the joiner's keys, so routing between the
+// survivors is undisturbed.
 func TestRingJoinMinimalChurn(t *testing.T) {
 	before := weightedRing([][2]any{{"node0", 1}, {"node1", 2}})
 	after := weightedRing([][2]any{{"node0", 1}, {"node1", 2}, {"node2", 2}})

@@ -96,15 +96,6 @@ type Digest struct {
 	Buckets [digestBuckets]BucketSum `json:"buckets"`
 }
 
-// HandoverRequest transfers queued (never running) jobs from a previous
-// ring owner to a freshly joined node that now owns their keys. The jobs
-// remain delegated on the sender until replication confirms completion, so
-// a lost ack degrades to a benign (deterministic) double execution.
-type HandoverRequest struct {
-	From string      `json:"from"`
-	Jobs []StolenJob `json:"jobs"`
-}
-
 // Transport is the inter-node RPC surface. Two implementations exist: the
 // in-process LocalTransport (tests, chaos schedules, same-process fabrics)
 // and the HTTPTransport speaking the /api/v1/cluster endpoints between
@@ -122,8 +113,9 @@ type Transport interface {
 	Cancel(ctx context.Context, node, jobID string) error
 	// Fetch retrieves the durable EMCR frame for key from a peer's cache.
 	Fetch(ctx context.Context, node, key string) ([]byte, error)
-	// Replicate delivers a durable EMCR frame to a peer (write-through
-	// replication; the receiver CRC-verifies before seeding).
+	// Replicate delivers a stolen job's result, as a durable EMCR frame, to
+	// the victim it was stolen from (the receiver CRC-verifies before
+	// seeding and completing the delegated job).
 	Replicate(ctx context.Context, node string, frame []byte) error
 	// Ping probes a peer's liveness and load.
 	Ping(ctx context.Context, node string) (Health, error)
@@ -135,6 +127,4 @@ type Transport interface {
 	Digest(ctx context.Context, node string) (Digest, error)
 	// Keys lists a peer's durable record keys in one digest bucket.
 	Keys(ctx context.Context, node string, bucket int) ([]string, error)
-	// Handover delivers queued jobs to their new ring owner after a join.
-	Handover(ctx context.Context, node string, req HandoverRequest) error
 }

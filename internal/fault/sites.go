@@ -42,9 +42,9 @@ const (
 	// as the owner being unreachable, driving the re-dispatch path — the
 	// fabric's partition model.
 	SiteClusterForward = "cluster/forward"
-	// SiteClusterReplicateSend fires before replicating a fresh result to one
-	// peer (the replica for that peer is dropped; peer fetch or re-compute
-	// must cover).
+	// SiteClusterReplicateSend fires before a thief delivers a stolen job's
+	// result to its victim (the delivery is dropped; the victim's reclaim
+	// timer must cover).
 	SiteClusterReplicateSend = "cluster/replicate.send"
 	// SiteClusterReplicateRecv fires while applying a received replica; a
 	// firing tears one byte of the frame, which the CRC check must reject.
@@ -64,12 +64,7 @@ const (
 	// skips that peer this round and converges on a later one.
 	SiteClusterAntiEntropyDigest = "cluster/antientropy.digest"
 	// SiteClusterAntiEntropyFetch fires on an anti-entropy backfill fetch:
-	// one missing record is not retrieved this round (a later round, or
-	// ordinary replication, must cover it).
+	// one missing record is not retrieved this round (a later round must
+	// cover it).
 	SiteClusterAntiEntropyFetch = "cluster/antientropy.fetch"
-	// SiteClusterHandoverAck fires on the receiver side of a join-time
-	// queue handover after the jobs were accepted, modelling a lost ack:
-	// the previous owner reclaims and re-executes locally, and determinism
-	// makes the resulting double execution benign.
-	SiteClusterHandoverAck = "cluster/handover.ack"
 )

@@ -4,8 +4,8 @@ package service
 // internal/cluster fabric layer needs to route jobs across nodes without
 // reaching into scheduler internals. The service stays oblivious to
 // membership and transports — the cluster package composes these hooks into
-// the consistent-hash dispatch, replication, and steal protocols
-// (DESIGN.md §15).
+// the consistent-hash dispatch, peer fetch, anti-entropy, and steal
+// protocols (DESIGN.md §15).
 
 import (
 	"errors"
@@ -16,8 +16,8 @@ import (
 
 // ErrRecordCorrupt is the exported alias of the durable-record validation
 // error: DecodeRecord wraps every structural failure (bad magic, length
-// mismatch, CRC, truncated JSON) in it, so a replication receiver can treat
-// "torn frame" as one condition.
+// mismatch, CRC, truncated JSON) in it, so a receiver of a peer's frame can
+// treat "torn frame" as one condition.
 var ErrRecordCorrupt = errDurableCorrupt
 
 // CacheKey derives the content address of a config (fingerprint plus the
@@ -30,7 +30,8 @@ func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
 
 // EncodeRecord frames a completed result as a durable EMCR record — the
 // exact byte format the on-disk cache uses, reused verbatim as the
-// replication and peer-fetch wire format (a record is valid anywhere).
+// peer-fetch, backfill, and steal-delivery wire format (a record is valid
+// anywhere).
 func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
 	return encodeDurableRecord(&durableRecord{Key: key, Result: res})
 }
@@ -52,18 +53,20 @@ func (s *Service) PeekResult(key string) (*sim.Result, bool) {
 	return s.cache.peek(key)
 }
 
-// SeedResult installs a replicated result into the cache, writing through to
-// the durable store when one is attached. Results are content-addressed and
-// immutable, so overwriting an existing entry with a replica is benign (the
-// bytes are identical by determinism).
+// SeedResult installs a result computed on a peer into the cache, writing
+// through to the durable store when one is attached. Results are
+// content-addressed and immutable, so overwriting an existing entry is
+// benign (the bytes are identical by determinism).
 func (s *Service) SeedResult(key string, res *sim.Result) {
 	s.cache.put(key, res)
 }
 
-// QueueDepth is the number of queued (not yet running) jobs — the signal the
-// steal protocol uses to find skewed nodes.
-func (s *Service) QueueDepth() int {
-	return int(s.queued.Load())
+// Idle reports whether a worker is free and nothing is queued — the
+// condition under which the steal protocol lets a node take a peer's work.
+// Jobs run on the calling goroutine (ExecuteNow, RunStolen) count as
+// running, so a node busy with stolen work does not steal more.
+func (s *Service) Idle() bool {
+	return s.queued.Load() == 0 && s.running.Load() < int64(s.cfg.Workers)
 }
 
 // ResultKeys lists every cached result key, sorted — the enumeration the
@@ -72,19 +75,6 @@ func (s *Service) QueueDepth() int {
 // node's durable record set without touching disk.
 func (s *Service) ResultKeys() []string {
 	return s.cache.keys()
-}
-
-// SetOnDone installs the completion hook: fn is called from the worker
-// goroutine after an actual simulation completes and its result is cached
-// (cache hits and replica seeds do not fire it). The cluster layer uses it
-// to replicate fresh results to peers; fn must be quick (enqueue, not send).
-// Install before the first submission; a nil fn clears the hook.
-func (s *Service) SetOnDone(fn func(key string, res *sim.Result)) {
-	if fn == nil {
-		s.onDone.Store(nil)
-		return
-	}
-	s.onDone.Store(&fn)
 }
 
 // SetClusterStats installs the per-node stats hook: Stats() calls fn with
@@ -205,30 +195,8 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 	}
 }
 
-// TakeQueuedFor removes every queued job whose key the predicate accepts —
-// the join-time handover donor path (the jobs' keys now belong to a fresh
-// ring member). Uncacheable and cancel-requested jobs never leave the node;
-// the predicate only sees cacheable live keys. The returned jobs are in the
-// deterministic order the fair queues would have served them, shard by
-// shard, and remain registered in the job table and inflight map so
-// coalescing and status polls keep working while they are delegated.
-func (s *Service) TakeQueuedFor(pred func(key string) bool) []*Job {
-	var out []*Job
-	for _, q := range s.queues {
-		taken := q.takeMatching(func(j *Job) bool {
-			return j.cacheable && !j.cancelRequested() && pred(j.key)
-		})
-		out = append(out, taken...)
-	}
-	if len(out) > 0 {
-		s.queued.Add(-int64(len(out)))
-		s.publish()
-	}
-	return out
-}
-
 // FinishStolen completes a job previously handed out by TakeQueued with the
-// result the thief computed (or that arrived through replication first).
+// result the thief computed and delivered.
 // Cancellation that raced in while the job was delegated wins: the job
 // finalizes cancelled and the result is discarded (it is already cached).
 func (s *Service) FinishStolen(j *Job, res *sim.Result) {
@@ -242,6 +210,36 @@ func (s *Service) FinishStolen(j *Job, res *sim.Result) {
 	}
 	s.finishJob(j, StateDone, res, nil)
 	s.publish()
+}
+
+// RunStolen runs cfg, taken from a peer's queue, to a terminal state on the
+// calling goroutine and returns its outcome. The job is never queued, so no
+// peer can steal it back, and it never coalesces onto an in-flight job for
+// key: that job may be this node's routed copy, which follows the victim's
+// delegated copy and so waits on exactly this run. A cached result answers
+// at once without a job.
+func (s *Service) RunStolen(client, key string, cfg sim.Config) (*sim.Result, error) {
+	s.mu.Lock()
+	if s.draining {
+		s.mu.Unlock()
+		return nil, ErrDraining
+	}
+	if res, ok := s.cache.get(key); ok {
+		s.mu.Unlock()
+		return res, nil
+	}
+	s.seq++
+	j := newJob(fmt.Sprintf("j%d", s.seq), key, client, shardOf(key, len(s.queues)), true, cfg, s.rec)
+	s.jobs[j.id] = j
+	s.order = append(s.order, j)
+	if _, ok := s.inflight[key]; !ok {
+		s.inflight[key] = j
+	}
+	s.submitted.Add(1)
+	s.mu.Unlock()
+	s.ExecuteNow(j)
+	res, err, _ := j.Result()
+	return res, err
 }
 
 // ExecuteNow runs j to a terminal state on the calling goroutine — the
@@ -278,8 +276,6 @@ type NodeStat struct {
 	ReplTorn     uint64 `json:"replTorn,omitempty"`
 	Fetched      uint64 `json:"fetched,omitempty"`
 	Backfilled   uint64 `json:"backfilled,omitempty"`
-	HandedOut    uint64 `json:"handedOut,omitempty"`
-	HandedIn     uint64 `json:"handedIn,omitempty"`
 	BreakerTrips uint64 `json:"breakerTrips,omitempty"`
 
 	// HeartbeatAgeMS is the age of the last successful heartbeat (peer rows;

@@ -90,44 +90,6 @@ func (q *fairQueue) popLocked() *Job {
 	return j
 }
 
-// takeMatching removes and returns every queued job pred accepts, in the
-// deterministic per-client-FIFO order the ring would have served them —
-// the join-time handover donor path. The rotation cursor resets so the
-// post-handover round-robin is a pure function of what remains.
-func (q *fairQueue) takeMatching(pred func(*Job) bool) []*Job {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.n == 0 {
-		return nil
-	}
-	var taken []*Job
-	newRing := q.ring[:0]
-	for _, client := range q.ring {
-		fifo := q.fifos[client]
-		kept := fifo[:0]
-		for _, j := range fifo {
-			if pred(j) {
-				taken = append(taken, j)
-			} else {
-				kept = append(kept, j)
-			}
-		}
-		for i := len(kept); i < len(fifo); i++ {
-			fifo[i] = nil
-		}
-		if len(kept) == 0 {
-			delete(q.fifos, client)
-		} else {
-			q.fifos[client] = kept
-			newRing = append(newRing, client)
-		}
-	}
-	q.ring = newRing
-	q.rr = 0
-	q.n -= len(taken)
-	return taken
-}
-
 // close wakes all waiters; see the type comment for drain semantics.
 func (q *fairQueue) close() {
 	q.mu.Lock()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -89,56 +88,5 @@ func TestFairQueueInterleavedPushPop(t *testing.T) {
 	got := first.id + "," + second.id
 	if got != "a2,b1" && got != "b1,a2" {
 		t.Fatalf("expected one job each from alice and bob, got %s", got)
-	}
-}
-
-// TestFairQueueTakeMatching: the handover donor path removes exactly the
-// predicate's jobs — in the deterministic per-client order the ring held
-// them — and leaves the queue consistent for further push/pop traffic.
-func TestFairQueueTakeMatching(t *testing.T) {
-	q := newFairQueue()
-	for _, j := range []*Job{
-		qjob("a1", "alice"), qjob("a2", "alice"),
-		qjob("b1", "bob"), qjob("b2", "bob"),
-		qjob("c1", "carol"),
-	} {
-		q.push(j)
-	}
-	taken := q.takeMatching(func(j *Job) bool { return j.id == "a2" || j.id == "b1" || j.id == "b2" })
-	if len(taken) != 3 {
-		t.Fatalf("took %d jobs, want 3", len(taken))
-	}
-	got := taken[0].id + "," + taken[1].id + "," + taken[2].id
-	if got != "a2,b1,b2" {
-		t.Fatalf("take order %s, want a2,b1,b2 (ring order, FIFO per client)", got)
-	}
-	if q.len() != 2 {
-		t.Fatalf("queue len %d after take, want 2", q.len())
-	}
-	q.push(qjob("b3", "bob")) // bob left the ring entirely; must rejoin cleanly
-	var rest []string
-	for q.len() > 0 {
-		j, _ := q.pop()
-		rest = append(rest, j.id)
-	}
-	if got := strings.Join(rest, ","); got != "a1,c1,b3" {
-		t.Fatalf("remaining order %s, want a1,c1,b3", got)
-	}
-}
-
-// TestFairQueueTakeMatchingAll: taking everything empties the rotation and
-// tryPop reports exhaustion rather than touching stale ring slots.
-func TestFairQueueTakeMatchingAll(t *testing.T) {
-	q := newFairQueue()
-	q.push(qjob("a1", "alice"))
-	q.push(qjob("b1", "bob"))
-	if taken := q.takeMatching(func(*Job) bool { return true }); len(taken) != 2 {
-		t.Fatalf("took %d, want 2", len(taken))
-	}
-	if q.len() != 0 {
-		t.Fatalf("len %d, want 0", q.len())
-	}
-	if _, ok := q.tryPop(); ok {
-		t.Fatal("tryPop on emptied queue must fail")
 	}
 }

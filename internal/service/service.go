@@ -148,7 +148,7 @@ type Stats struct {
 	Cancelled  uint64 `json:"cancelled"`
 	Coalesced  uint64 `json:"coalesced"`
 	// Executed counts simulations actually run to completion on this node —
-	// cache hits, coalesced followers, and replica seeds excluded. Summed
+	// cache hits, coalesced followers, and seeded results excluded. Summed
 	// across a fabric it is the dedup ground truth: N identical submissions
 	// must leave exactly one execution behind.
 	Executed uint64 `json:"executed"`
@@ -241,8 +241,7 @@ type Service struct {
 	stopOnce  sync.Once
 	group     *obs.Group
 
-	// Cluster hooks (see cluster.go); nil outside a fabric node.
-	onDone       atomic.Pointer[func(key string, res *sim.Result)]
+	// Cluster stats hook (see cluster.go); nil outside a fabric node.
 	clusterStats atomic.Pointer[func(local *Stats) []NodeStat]
 }
 
@@ -734,11 +733,6 @@ func (s *Service) execute(j *Job) {
 			s.executed.Add(1)
 			if j.cacheable {
 				s.cache.put(j.key, res)
-				if fn := s.onDone.Load(); fn != nil {
-					// Cluster replication hook: a fresh result was actually
-					// computed here (not a cache hit, not a replica seed).
-					(*fn)(j.key, res)
-				}
 			}
 			s.finishJob(j, StateDone, res, nil)
 			return

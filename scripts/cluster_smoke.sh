@@ -6,7 +6,7 @@
 # -join a), waits for the member tables to converge, then verifies the
 # fabric contract end to end:
 #   1. the same configuration submitted to two different nodes returns
-#      byte-identical result JSON (consistent-hash routing + replication),
+#      byte-identical result JSON (consistent-hash routing + peer fetch),
 #   2. a sweep stays live through a SIGKILL of one node mid-flight: every
 #      job submitted before the kill reaches done on the survivors,
 #   3. post-kill resubmits of the same sweep to a *different* entry node

@@ -3,7 +3,8 @@
 # (make heal-smoke).
 #
 # Boots a token-authenticated 3-node fabric where node c joins mid-sweep
-# (join-time ring handover), SIGKILLs c mid-flight of a second sweep, then
+# (an idle joiner that steals queued work), SIGKILLs c mid-flight of a
+# second sweep, then
 # restarts it over its original durable cache directory and verifies the
 # self-healing contract end to end:
 #   1. every job from both sweeps completes on the survivors with
@@ -89,7 +90,7 @@ wait_members "$srv_a" 2
 echo "2-node authenticated fabric: ok"
 
 # Sweep 1 fired at node a without waiting; node c joins while it is in
-# flight, so queued work whose keys c now owns hands over to the joiner.
+# flight and, idle, may steal queued work from a or b.
 for seed in 31 32 33; do
     "$dir/emcctl" -server "$srv_a" submit \
         -bench mcf,mcf,mcf,mcf -n 50000 -seed "$seed" -emc >/dev/null
