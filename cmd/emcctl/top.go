@@ -16,13 +16,13 @@ import (
 
 // top is the live sweep dashboard: it consumes the server's NDJSON stats
 // stream (/api/v1/stats/stream) and redraws a terminal view per frame —
-// per-shard queue depth, running jobs with phase and ETA, cache hit and
-// coalesce rates, per-node fabric rows in cluster mode, and the watchdog
-// verdict. A dropped stream (server restart, network blip) reconnects with
-// the client's jittered backoff, resuming with the remaining frame budget;
-// only c.retries consecutive failures give up. -plain appends frames
-// instead of clearing the screen (logs, CI); -frames bounds the session
-// (smoke tests).
+// queue depth, per-worker-lane running and hung jobs (the SHARD table),
+// running jobs with phase and ETA, cache hit and coalesce rates, per-node
+// fabric rows in cluster mode, and the watchdog verdict. A dropped stream
+// (server restart, network blip) reconnects with the client's jittered
+// backoff, resuming with the remaining frame budget; only c.retries
+// consecutive failures give up. -plain appends frames instead of clearing
+// the screen (logs, CI); -frames bounds the session (smoke tests).
 func (c *client) top(args []string) {
 	fs := flag.NewFlagSet("top", flag.ExitOnError)
 	interval := fs.Duration("interval", time.Second, "refresh period")
@@ -134,9 +134,9 @@ func renderTop(f *service.StatsFrame, et *etaTracker) string {
 	}
 
 	if len(st.Shards) > 0 {
-		fmt.Fprintf(&b, "\n%-6s %7s %8s %5s\n", "SHARD", "QUEUED", "RUNNING", "HUNG")
+		fmt.Fprintf(&b, "\n%-6s %8s %5s\n", "SHARD", "RUNNING", "HUNG")
 		for _, sh := range st.Shards {
-			fmt.Fprintf(&b, "%-6d %7d %8d %5d\n", sh.Shard, sh.Queued, sh.Running, sh.Hung)
+			fmt.Fprintf(&b, "%-6d %8d %5d\n", sh.Shard, sh.Running, sh.Hung)
 		}
 	}
 

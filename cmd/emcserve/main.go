@@ -1,7 +1,8 @@
-// Command emcserve runs the simulation service: the sharded job scheduler
-// and content-addressed result cache from internal/service, behind an HTTP
-// API. Sweep drivers submit configurations as JSON jobs; identical
-// configurations coalesce in flight and hit the cache afterwards.
+// Command emcserve runs the simulation service: the job scheduler (a worker
+// pool sharing one fair queue) and content-addressed result cache from
+// internal/service, behind an HTTP API. Sweep drivers submit configurations
+// as JSON jobs; identical configurations coalesce in flight and hit the
+// cache afterwards.
 //
 // Examples:
 //
@@ -54,7 +55,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (use :0 for an ephemeral port)")
-	workers := flag.Int("workers", 0, "worker goroutines / queue shards (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "worker goroutines, all popping one shared queue (0 = GOMAXPROCS)")
 	queueCap := flag.Int("queue-cap", 64, "max queued jobs before submissions get 429")
 	cacheCap := flag.Int("cache-cap", 256, "result cache entries (LRU)")
 	retries := flag.Int("max-retries", 2, "retries after a worker panic before a job fails")

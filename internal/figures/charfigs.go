@@ -71,7 +71,7 @@ func (s *Suite) Fig2() (*Table, error) {
 		base, ideal := results[i], results[i+1]
 		t.Rows = append(t.Rows, Row{Label: names[i/2], Values: []float64{
 			100 * base.DependentMissFraction(),
-			geoSpeedup(ideal, base),
+			avgIPCRatio(ideal, base),
 		}})
 	}
 	return t, nil

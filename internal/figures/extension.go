@@ -39,7 +39,7 @@ func (s *Suite) ExtRunahead() (*Table, error) {
 		base := results[i*4]
 		row := Row{Label: w.name}
 		for k := 1; k < 4; k++ {
-			row.Values = append(row.Values, geoSpeedup(results[i*4+k], base))
+			row.Values = append(row.Values, avgIPCRatio(results[i*4+k], base))
 		}
 		t.Rows = append(t.Rows, row)
 	}

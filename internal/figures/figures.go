@@ -10,6 +10,7 @@ package figures
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"strings"
@@ -335,8 +336,26 @@ func mean(vs []float64) float64 {
 	return s / float64(len(vs))
 }
 
-// geoSpeedup returns the ratio of average IPCs (our speedup metric).
-func geoSpeedup(a, b *sim.Result) float64 {
+// gmean returns the geometric mean of vs, the average for speedup ratios:
+// {0.5, 2} averages to 1, where the arithmetic mean says 1.25. Any ratio
+// <= 0 (a run with no IPC) makes it 0.
+func gmean(vs []float64) float64 {
+	if len(vs) == 0 {
+		return 0
+	}
+	logs := 0.0
+	for _, v := range vs {
+		if v <= 0 {
+			return 0
+		}
+		logs += math.Log(v)
+	}
+	return math.Exp(logs / float64(len(vs)))
+}
+
+// avgIPCRatio is the speedup metric of every figure: a's mean per-core IPC
+// over b's (a ratio of arithmetic means, not a geometric mean).
+func avgIPCRatio(a, b *sim.Result) float64 {
 	if b.AvgIPC() == 0 {
 		return 0
 	}

@@ -1,6 +1,7 @@
 package figures
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -11,6 +12,26 @@ func tinyOpts() Options {
 	o.InstrPerCore = 3000
 	o.InstrPerCore8 = 2000
 	return o
+}
+
+// TestGmean: the rows labelled gmean average speedup ratios geometrically —
+// a 2x slowdown and a 2x speedup average to 1, not to the arithmetic 1.25.
+func TestGmean(t *testing.T) {
+	vs := []float64{0.5, 2}
+	if got := gmean(vs); math.Abs(got-1) > 1e-12 {
+		t.Fatalf("gmean(%v) = %v, want 1", vs, got)
+	}
+	if got := mean(vs); got != 1.25 {
+		t.Fatalf("mean(%v) = %v, want 1.25", vs, got)
+	}
+	if got := gmean([]float64{1, 1.21}); math.Abs(got-1.1) > 1e-12 {
+		t.Fatalf("gmean({1, 1.21}) = %v, want 1.1", got)
+	}
+	for _, vs := range [][]float64{nil, {1.5, 0}} {
+		if got := gmean(vs); got != 0 {
+			t.Fatalf("gmean(%v) = %v, want 0", vs, got)
+		}
+	}
 }
 
 func TestTableRendering(t *testing.T) {

@@ -39,7 +39,7 @@ func (s *Suite) Fig12() (*Table, error) {
 		for c := range pfConfigs {
 			base, emc := results[idx], results[idx+1]
 			idx += 2
-			sp := geoSpeedup(emc, base)
+			sp := avgIPCRatio(emc, base)
 			row.Values = append(row.Values, sp)
 			cols[c] = append(cols[c], sp)
 		}
@@ -47,7 +47,7 @@ func (s *Suite) Fig12() (*Table, error) {
 	}
 	avg := Row{Label: "gmean"}
 	for c := range pfConfigs {
-		avg.Values = append(avg.Values, mean(cols[c]))
+		avg.Values = append(avg.Values, gmean(cols[c]))
 	}
 	t.Rows = append(t.Rows, avg)
 	return t, nil
@@ -82,7 +82,7 @@ func (s *Suite) Fig13() (*Table, error) {
 		for range pfConfigs {
 			base, emc := results[idx], results[idx+1]
 			idx += 2
-			row.Values = append(row.Values, geoSpeedup(emc, base))
+			row.Values = append(row.Values, avgIPCRatio(emc, base))
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -120,7 +120,7 @@ func (s *Suite) Fig14() (*Table, error) {
 		for c := 0; c < 4; c++ {
 			base, emc := results[idx], results[idx+1]
 			idx += 2
-			sp := geoSpeedup(emc, base)
+			sp := avgIPCRatio(emc, base)
 			row.Values = append(row.Values, sp)
 			cols[c] = append(cols[c], sp)
 		}
@@ -128,7 +128,7 @@ func (s *Suite) Fig14() (*Table, error) {
 	}
 	avg := Row{Label: "gmean"}
 	for c := 0; c < 4; c++ {
-		avg.Values = append(avg.Values, mean(cols[c]))
+		avg.Values = append(avg.Values, gmean(cols[c]))
 	}
 	t.Rows = append(t.Rows, avg)
 	return t, nil

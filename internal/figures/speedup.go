@@ -60,6 +60,6 @@ func (s *Suite) WeightedSpeedup() (*Table, error) {
 		ratios = append(ratios, ratio)
 		t.Rows = append(t.Rows, Row{Label: w.name, Values: []float64{b, e, ratio}})
 	}
-	t.Rows = append(t.Rows, Row{Label: "gmean", Values: []float64{0, 0, mean(ratios)}})
+	t.Rows = append(t.Rows, Row{Label: "gmean", Values: []float64{0, 0, gmean(ratios)}})
 	return t, nil
 }

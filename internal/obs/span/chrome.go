@@ -18,12 +18,12 @@ const ChromePidBase = 10000
 // same "JSON Object Format" envelope as the simulator's trace export, so
 // cmd/tracecheck validates both and the traceEvents arrays merge cleanly).
 //
-// Mapping: one process for the service (label), one thread per worker
-// shard, and one async nestable event per job: "b" at submit, an instant
-// "n" step at each recorded phase boundary, "e" at finish. Timestamps are
-// microseconds on the recorder's monotonic base. Running jobs are not
-// exported — an unterminated async span would fail validation; snapshot
-// again after the sweep drains.
+// Mapping: one process for the service (label), one thread per worker lane
+// (named "shard N"), and one async nestable event per job: "b" at submit, an
+// instant "n" step at each recorded phase boundary, "e" at finish.
+// Timestamps are microseconds on the recorder's monotonic base. Running jobs
+// are not exported — an unterminated async span would fail validation;
+// snapshot again after the sweep drains.
 func WriteChrome(w io.Writer, label string, spans []Span) error {
 	bw := bufio.NewWriterSize(w, 1<<16)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {

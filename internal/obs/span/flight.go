@@ -45,7 +45,7 @@ type Dump struct {
 	JobID    string `json:"jobId"`
 	Key      string `json:"key"`
 	Client   string `json:"client"`
-	Shard    int    `json:"shard"`
+	Shard    int    `json:"shard"`  // worker lane
 	Reason   string `json:"reason"` // hung | panic | failed
 	State    string `json:"state"`  // job state at dump time
 	Cached   bool   `json:"cached,omitempty"`

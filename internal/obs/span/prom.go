@@ -13,10 +13,10 @@ import (
 var phaseBuckets = []float64{0.001, 0.005, 0.025, 0.1, 0.5, 2.5, 10, 60}
 
 // phaseMetric is the exported histogram name (seconds spent per lifecycle
-// phase, labelled by phase and shard).
+// phase, labelled by phase and shard, the worker lane that ran the job).
 const phaseMetric = "emcsim_service_phase_seconds"
 
-// PhaseHist is the per-phase, per-shard duration histogram set exported on
+// PhaseHist is the per-phase, per-lane duration histogram set exported on
 // /metrics. It implements obs.Collector; the service registers it with its
 // metrics Registry so the span pipeline and the gauge groups share one
 // exposition endpoint.
@@ -28,7 +28,7 @@ type PhaseHist struct {
 	totals []uint64
 }
 
-// NewPhaseHist builds histograms for shards worker shards.
+// NewPhaseHist builds histograms for shards worker lanes.
 func NewPhaseHist(shards int) *PhaseHist {
 	if shards < 1 {
 		shards = 1
@@ -65,7 +65,7 @@ func (h *PhaseHist) Observe(p Phase, shard int, seconds float64) {
 
 // WritePrometheus renders the histograms in Prometheus text exposition
 // format (cumulative _bucket series with le labels, plus _sum and _count).
-// Shards with no observations for a phase are omitted to keep the scrape
+// Lanes with no observations for a phase are omitted to keep the scrape
 // small. Implements obs.Collector.
 func (h *PhaseHist) WritePrometheus(w io.Writer) error {
 	h.mu.Lock()

@@ -32,7 +32,7 @@ type Kind uint8
 // middle, and hung/retry events annotate runs that misbehave.
 const (
 	EvSubmit    Kind = iota // job accepted by Submit
-	EvAdmit                 // worker popped the job off its shard queue
+	EvAdmit                 // a worker popped the job off the queue (arg = worker lane)
 	EvAttempt               // one simulation attempt began (arg = attempt #)
 	EvProgress              // RunHandle heartbeat (arg = cycles, arg2 = retired)
 	EvRetry                 // an attempt panicked and will be retried (arg = attempt #)
@@ -119,7 +119,7 @@ const NoAdmit int64 = -1
 type Span struct {
 	JobID  string
 	Client string
-	Shard  int
+	Shard  int // worker lane that ran the job, in [0, workers)
 
 	// Outcome is the terminal state name ("done", "failed", "cancelled").
 	Outcome string

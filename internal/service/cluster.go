@@ -111,7 +111,7 @@ func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fres
 	s.seq++
 	id := fmt.Sprintf("j%d", s.seq)
 	if res, ok := s.cache.get(key); ok {
-		j := newJob(id, key, client, shardOf(key, len(s.queues)), true, cfg, s.rec)
+		j := newJob(id, key, client, true, cfg, s.rec)
 		j.cached = true
 		s.jobs[id] = j
 		s.order = append(s.order, j)
@@ -129,7 +129,7 @@ func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fres
 		s.publish()
 		return prev, false, nil
 	}
-	j = newJob(id, key, client, shardOf(key, len(s.queues)), true, cfg, s.rec)
+	j = newJob(id, key, client, true, cfg, s.rec)
 	s.jobs[id] = j
 	s.order = append(s.order, j)
 	s.inflight[key] = j
@@ -140,10 +140,11 @@ func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fres
 }
 
 // StartRouted transitions a routed job to running (the remote dispatch is
-// about to begin). It returns false when cancellation already arrived; the
-// caller must then finish the job via FinishRouted with sim.ErrCancelled.
+// about to begin) in lane 0, since no local worker runs it. It returns false
+// when cancellation already arrived; the caller must then finish the job via
+// FinishRouted with sim.ErrCancelled.
 func (s *Service) StartRouted(j *Job) bool {
-	return j.beginRunning()
+	return j.beginRunning(0)
 }
 
 // FinishRouted drives a routed job to its terminal state with a result
@@ -164,34 +165,22 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 	s.publish()
 }
 
-// TakeQueued removes one queued job for delegation to a thief node, scanning
-// shards deepest-first. Jobs that must not leave the node (uncacheable — no
-// canonical identity to replicate under — or already cancel-requested) are
-// not delegated; they are executed locally on a fresh goroutine instead, and
-// the scan continues. ok=false means nothing stealable is queued.
+// TakeQueued removes one queued job for delegation to a thief node. Jobs
+// that must not leave the node (uncacheable — no canonical identity to
+// replicate under — or already cancel-requested) are not delegated; they are
+// executed locally on a fresh goroutine instead, and the next job is tried.
+// ok=false means nothing stealable is queued.
 func (s *Service) TakeQueued() (j *Job, ok bool) {
 	for {
-		deepest, depth := -1, 0
-		for i, q := range s.queues {
-			if d := q.len(); d > depth {
-				deepest, depth = i, d
-			}
-		}
-		if deepest < 0 {
-			return nil, false
-		}
-		j, ok := s.queues[deepest].tryPop()
+		j, ok := s.queue.tryPop()
 		if !ok {
-			continue // raced with the shard's own worker; rescan
+			return nil, false
 		}
 		s.queued.Add(-1)
 		if j.cacheable && !j.cancelRequested() {
 			return j, true
 		}
-		go func(j *Job) {
-			s.execute(j)
-			s.publish()
-		}(j)
+		go s.ExecuteNow(j)
 	}
 }
 
@@ -199,8 +188,9 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 // result the thief computed and delivered.
 // Cancellation that raced in while the job was delegated wins: the job
 // finalizes cancelled and the result is discarded (it is already cached).
+// The job ran on the thief, so it reports lane 0.
 func (s *Service) FinishStolen(j *Job, res *sim.Result) {
-	if !j.beginRunning() {
+	if !j.beginRunning(0) {
 		s.finishJob(j, StateCancelled, nil, sim.ErrCancelled)
 		s.publish()
 		return
@@ -229,7 +219,7 @@ func (s *Service) RunStolen(client, key string, cfg sim.Config) (*sim.Result, er
 		return res, nil
 	}
 	s.seq++
-	j := newJob(fmt.Sprintf("j%d", s.seq), key, client, shardOf(key, len(s.queues)), true, cfg, s.rec)
+	j := newJob(fmt.Sprintf("j%d", s.seq), key, client, true, cfg, s.rec)
 	s.jobs[j.id] = j
 	s.order = append(s.order, j)
 	if _, ok := s.inflight[key]; !ok {
@@ -242,12 +232,13 @@ func (s *Service) RunStolen(client, key string, cfg sim.Config) (*sim.Result, er
 	return res, err
 }
 
-// ExecuteNow runs j to a terminal state on the calling goroutine — the
-// re-dispatch path when a job's owner died and ownership fell back to this
-// node, and the reclaim path when a thief never reported back. Safe to call
-// on a job that StartRouted already marked running.
+// ExecuteNow runs j to a terminal state on the calling goroutine, in the
+// least busy worker lane — the re-dispatch path when a job's owner died and
+// ownership fell back to this node, and the reclaim path when a thief never
+// reported back. Safe to call on a job that StartRouted already marked
+// running.
 func (s *Service) ExecuteNow(j *Job) {
-	s.execute(j)
+	s.execute(j, s.idleLane())
 	s.publish()
 }
 

@@ -69,7 +69,7 @@ func (r *JobRequest) Config() (sim.Config, error) {
 //	GET  /api/v1/jobs/{id}/result    finished job's report JSON
 //	GET  /api/v1/jobs/{id}/progress  NDJSON Status stream until terminal
 //	POST /api/v1/jobs/{id}/cancel    request cancellation
-//	GET  /api/v1/stats               service counters (incl. per-shard)
+//	GET  /api/v1/stats               service counters (incl. per-lane)
 //	GET  /api/v1/stats/stream        NDJSON StatsFrame stream (emcctl top)
 //	GET  /api/v1/trace               Chrome trace_event JSON of finished spans
 //	GET  /metrics                    Prometheus text (reg, when non-nil)
@@ -228,7 +228,7 @@ func (s *Service) handleCancel(w http.ResponseWriter, r *http.Request) {
 }
 
 // StatsFrame is one sample of the live-dashboard NDJSON stream: the service
-// counters (with per-shard breakdown) plus every non-terminal job's Status.
+// counters (with per-lane breakdown) plus every non-terminal job's Status.
 // emcctl top renders these.
 type StatsFrame struct {
 	Time   time.Time `json:"time"`

@@ -1,5 +1,5 @@
 // Package service is the simulation-job subsystem: a bounded, per-client
-// fair job queue feeding a sharded worker pool, a content-addressed result
+// fair job queue shared by a pool of workers, a content-addressed result
 // cache keyed by sim.Config.Fingerprint, and (in http.go) the HTTP API the
 // emcserve command exposes.
 //
@@ -44,7 +44,7 @@ type Job struct {
 	id        string
 	key       string // cache key (fingerprint + observability variant)
 	client    string
-	shard     int
+	shard     int // lane of the worker that ran the job (0 until it runs)
 	cacheable bool
 	cfg       sim.Config
 
@@ -83,7 +83,7 @@ type Status struct {
 	ID       string `json:"id"`
 	Client   string `json:"client"`
 	Key      string `json:"key"`
-	Shard    int    `json:"shard"`
+	Shard    int    `json:"shard"` // worker lane that ran the job
 	State    State  `json:"state"`
 	Cached   bool   `json:"cached"`
 	Attempts int    `json:"attempts"`
@@ -100,9 +100,9 @@ type Status struct {
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
 }
 
-func newJob(id, key, client string, shard int, cacheable bool, cfg sim.Config, rec *span.Recorder) *Job {
+func newJob(id, key, client string, cacheable bool, cfg sim.Config, rec *span.Recorder) *Job {
 	j := &Job{
-		id: id, key: key, client: client, shard: shard, cacheable: cacheable,
+		id: id, key: key, client: client, cacheable: cacheable,
 		cfg: cfg, state: StateQueued, submitted: time.Now(),
 		admitAt: span.NoAdmit,
 		done:    make(chan struct{}),
@@ -111,7 +111,7 @@ func newJob(id, key, client string, shard int, cacheable bool, cfg sim.Config, r
 		j.rec = rec
 		j.ring = rec.AcquireRing()
 		j.submitAt = rec.Now()
-		j.ring.Record(j.submitAt, span.EvSubmit, uint64(shard), 0)
+		j.ring.Record(j.submitAt, span.EvSubmit, 0, 0)
 	}
 	return j
 }
@@ -223,8 +223,8 @@ func (j *Job) setProgress(p sim.Progress) {
 // hungCheck is the watchdog probe: for a running job it compares the time
 // since the last heartbeat against timeout and updates the hung flag.
 // Detection only — the run is left alone (see DESIGN.md §11). It returns the
-// current verdict and whether it changed.
-func (j *Job) hungCheck(now time.Time, timeout time.Duration) (hung, changed bool) {
+// current verdict, whether it changed, and the job's lane.
+func (j *Job) hungCheck(now time.Time, timeout time.Duration) (hung, changed bool, lane int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	was := j.hung
@@ -241,7 +241,7 @@ func (j *Job) hungCheck(now time.Time, timeout time.Duration) (hung, changed boo
 			j.record(span.EvHungClear, 0, 0)
 		}
 	}
-	return j.hung, j.hung != was
+	return j.hung, j.hung != was, j.shard
 }
 
 // requestCancel marks the job for cancellation and, when a run is in
@@ -270,14 +270,16 @@ func (j *Job) cancelRequested() bool {
 	return j.cancelReq
 }
 
-// beginRunning transitions queued -> running unless cancellation already
-// arrived; it returns false in that case and the caller finalizes.
-func (j *Job) beginRunning() bool {
+// beginRunning transitions queued -> running in the given worker lane unless
+// cancellation already arrived; it returns false in that case and the caller
+// finalizes.
+func (j *Job) beginRunning(lane int) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.cancelReq {
 		return false
 	}
+	j.shard = lane
 	j.state = StateRunning
 	j.started = time.Now()
 	if j.rec != nil {

@@ -2,9 +2,10 @@ package service
 
 import "sync"
 
-// fairQueue is one shard's job queue: FIFO per client, round-robin across
-// clients, so one client's burst cannot starve another's single job.
-// Capacity (backpressure) is enforced globally by the Service, not here.
+// fairQueue is the service's one job queue, popped by every worker: FIFO per
+// client, round-robin across clients, so one client's burst cannot starve
+// another's single job. Capacity (backpressure) is enforced by the Service,
+// not here.
 //
 // After close, pop keeps draining whatever is queued and returns ok=false
 // only once the queue is empty — graceful drain pops jobs to completion,
@@ -58,7 +59,7 @@ func (q *fairQueue) pop() (*Job, bool) {
 }
 
 // tryPop removes one job without blocking — the work-stealing donor path.
-// ok=false means the shard is empty right now.
+// ok=false means the queue is empty right now.
 func (q *fairQueue) tryPop() (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -96,11 +97,4 @@ func (q *fairQueue) close() {
 	q.closed = true
 	q.cond.Broadcast()
 	q.mu.Unlock()
-}
-
-// len returns the number of queued jobs.
-func (q *fairQueue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
 }

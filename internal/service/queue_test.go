@@ -7,7 +7,7 @@ import (
 )
 
 func qjob(id, client string) *Job {
-	return newJob(id, "k-"+id, client, 0, true, sim.Config{}, nil)
+	return newJob(id, "k-"+id, client, true, sim.Config{}, nil)
 }
 
 // TestFairQueueRoundRobin: FIFO per client, round-robin across clients — a
@@ -32,8 +32,8 @@ func TestFairQueueRoundRobin(t *testing.T) {
 			t.Fatalf("pop %d: got %s, want %s", i, j.id, w)
 		}
 	}
-	if q.len() != 0 {
-		t.Fatalf("queue should be empty, len=%d", q.len())
+	if j, ok := q.tryPop(); ok {
+		t.Fatalf("queue should be empty, popped %s", j.id)
 	}
 }
 

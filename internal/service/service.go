@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -68,11 +67,11 @@ func (e *panicError) Unwrap() error {
 
 // Config sizes a Service.
 type Config struct {
-	// Workers is the number of worker goroutines; each owns one queue
-	// shard. Defaults to GOMAXPROCS.
+	// Workers is the number of worker goroutines, all popping one shared
+	// queue. Defaults to GOMAXPROCS.
 	Workers int
-	// QueueCap bounds the total number of queued (not yet running) jobs
-	// across all shards; Submit returns ErrQueueFull beyond it. Default 64.
+	// QueueCap bounds the number of queued (not yet running) jobs; Submit
+	// returns ErrQueueFull beyond it. Default 64.
 	QueueCap int
 	// CacheCap bounds the result cache entry count (LRU). Default 256.
 	CacheCap int
@@ -87,7 +86,7 @@ type Config struct {
 	// process restart and are reloaded on boot (corrupt records are
 	// quarantined, not served). Empty = in-memory only.
 	CacheDir string
-	// HungTimeout, when non-zero, arms the shard watchdog: a running job
+	// HungTimeout, when non-zero, arms the watchdog: a running job
 	// whose progress heartbeat is older than this is marked hung in its
 	// Status and counted in Stats.Hung / emcsim_service_hung_jobs.
 	// Detection only — the job is not killed.
@@ -177,8 +176,8 @@ type Stats struct {
 	// SpansDropped counts finished spans evicted by the retention cap.
 	SpansDropped uint64 `json:"spansDropped"`
 
-	// Shards is the per-shard breakdown (queue depth, running, hung) behind
-	// the aggregate numbers above — the emcctl top dashboard's row source.
+	// Shards is the per-worker-lane breakdown (running, hung) behind the
+	// aggregate numbers above — the emcctl top dashboard's row source.
 	Shards []ShardStat `json:"shards,omitempty"`
 
 	// Nodes is the fabric view when this service runs inside a cluster node
@@ -187,26 +186,24 @@ type Stats struct {
 	Nodes []NodeStat `json:"nodes,omitempty"`
 }
 
-// ShardStat is one worker shard's live state.
+// ShardStat is one worker lane's live state. Worker i runs its jobs in lane
+// i; a job run off the pool (ExecuteNow, RunStolen) takes the least busy
+// lane, so Running can exceed 1.
 type ShardStat struct {
 	Shard   int `json:"shard"`
-	Queued  int `json:"queued"`
 	Running int `json:"running"`
 	Hung    int `json:"hung"`
 }
 
-// Service is the simulation-job scheduler: a sharded worker pool over
-// per-shard fair queues, fronted by the content-addressed result cache.
-//
-// Sharding is by cache key, so identical configurations always land on the
-// same worker: a sweep matrix partitions deterministically across the pool
-// and duplicate submissions serialize behind their first run instead of
-// racing it.
+// Service is the simulation-job scheduler: a worker pool over one fair
+// queue, fronted by the content-addressed result cache. Any idle worker
+// takes the next queued job; duplicate submissions never race their first
+// run, because they coalesce onto it before they would be queued.
 type Service struct {
-	cfg    Config
-	queues []*fairQueue
-	cache  *resultCache
-	store  *durableStore // nil without Config.CacheDir
+	cfg   Config
+	queue *fairQueue
+	cache *resultCache
+	store *durableStore // nil without Config.CacheDir
 
 	queued         atomic.Int64
 	running        atomic.Int64
@@ -220,11 +217,11 @@ type Service struct {
 	retryExhausted atomic.Uint64
 	hung           atomic.Int64
 
-	// Span pipeline: always-on recorder; per-shard gauges sized at Open so
+	// Span pipeline: always-on recorder; per-lane gauges sized at Open so
 	// Stats never scans the job table; flight-dump counters.
 	rec            *span.Recorder
-	shardRunning   []atomic.Int64
-	shardHung      []atomic.Int64
+	laneRunning    []atomic.Int64
+	laneHung       []atomic.Int64
 	dumpSeq        atomic.Uint64
 	flightDumps    atomic.Uint64
 	flightDumpErrs atomic.Uint64
@@ -281,15 +278,16 @@ func Open(cfg Config) (*Service, error) {
 		}
 	}
 	s := &Service{
-		cfg:          cfg,
-		cache:        newResultCache(cfg.CacheCap, store),
-		store:        store,
-		jobs:         map[string]*Job{},
-		inflight:     map[string]*Job{},
-		watchStop:    make(chan struct{}),
-		rec:          span.NewRecorder(span.Options{RingEvents: cfg.FlightEvents, Retain: cfg.SpanRetain}),
-		shardRunning: make([]atomic.Int64, cfg.Workers),
-		shardHung:    make([]atomic.Int64, cfg.Workers),
+		cfg:         cfg,
+		queue:       newFairQueue(),
+		cache:       newResultCache(cfg.CacheCap, store),
+		store:       store,
+		jobs:        map[string]*Job{},
+		inflight:    map[string]*Job{},
+		watchStop:   make(chan struct{}),
+		rec:         span.NewRecorder(span.Options{RingEvents: cfg.FlightEvents, Retain: cfg.SpanRetain}),
+		laneRunning: make([]atomic.Int64, cfg.Workers),
+		laneHung:    make([]atomic.Int64, cfg.Workers),
 	}
 	if store != nil {
 		if err := store.load(s.cache.seed); err != nil {
@@ -310,9 +308,6 @@ func Open(cfg Config) (*Service, error) {
 		hist := span.NewPhaseHist(cfg.Workers)
 		s.rec.SetHist(hist)
 		cfg.Metrics.AddCollector(hist)
-	}
-	for i := 0; i < cfg.Workers; i++ {
-		s.queues = append(s.queues, newFairQueue())
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -344,13 +339,6 @@ func cacheKey(cfg *sim.Config) (key string, cacheable bool) {
 	return fp, true
 }
 
-// shardOf maps a cache key onto a worker shard.
-func shardOf(key string, shards int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(shards))
-}
-
 // Submit schedules cfg for client. Terminal fast paths: a cached result
 // returns an already-done job; an identical in-flight submission returns
 // the existing job (coalescing — note a cancel then cancels it for every
@@ -373,13 +361,12 @@ func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 	s.seq++
 	id := fmt.Sprintf("j%d", s.seq)
 	if !cacheable {
-		// No canonical identity: never cached, never coalesced, but still
-		// deterministically sharded by its unique id.
+		// No canonical identity: never cached, never coalesced.
 		key = "uncacheable:" + id
 	}
 	if cacheable {
 		if res, ok := s.cache.get(key); ok {
-			j := newJob(id, key, client, shardOf(key, len(s.queues)), true, cfg, s.rec)
+			j := newJob(id, key, client, true, cfg, s.rec)
 			j.cached = true
 			s.jobs[id] = j
 			s.order = append(s.order, j)
@@ -398,7 +385,7 @@ func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 			return prev, nil
 		}
 	}
-	// Reserve a queue slot (global backpressure across shards).
+	// Reserve a queue slot (backpressure).
 	//simlint:leakok CAS retry loop; an iteration repeats only when another goroutine made progress
 	for {
 		n := s.queued.Load()
@@ -410,8 +397,7 @@ func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 			break
 		}
 	}
-	shard := shardOf(key, len(s.queues))
-	j := newJob(id, key, client, shard, cacheable, cfg, s.rec)
+	j := newJob(id, key, client, cacheable, cfg, s.rec)
 	s.jobs[id] = j
 	s.order = append(s.order, j)
 	if cacheable {
@@ -420,7 +406,7 @@ func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 	s.submitted.Add(1)
 	s.mu.Unlock()
 
-	if !s.queues[shard].push(j) {
+	if !s.queue.push(j) {
 		// Raced with Close: undo the reservation and reject.
 		s.queued.Add(-1)
 		s.finishJob(j, StateCancelled, nil, ErrDraining)
@@ -475,7 +461,7 @@ func (s *Service) Cancel(id string) error {
 func (s *Service) Stats() Stats {
 	h, m, ev, entries := s.cache.stats()
 	st := Stats{
-		Workers:    len(s.queues),
+		Workers:    s.cfg.Workers,
 		QueueDepth: int(s.queued.Load()),
 		Running:    int(s.running.Load()),
 		Submitted:  s.submitted.Load(),
@@ -503,13 +489,12 @@ func (s *Service) Stats() Stats {
 	st.FlightDumps = s.flightDumps.Load()
 	st.FlightDumpErrs = s.flightDumpErrs.Load()
 	st.SpansDropped = s.rec.Dropped()
-	st.Shards = make([]ShardStat, len(s.queues))
-	for i := range s.queues {
+	st.Shards = make([]ShardStat, s.cfg.Workers)
+	for i := range st.Shards {
 		st.Shards[i] = ShardStat{
 			Shard:   i,
-			Queued:  s.queues[i].len(),
-			Running: int(s.shardRunning[i].Load()),
-			Hung:    int(s.shardHung[i].Load()),
+			Running: int(s.laneRunning[i].Load()),
+			Hung:    int(s.laneHung[i].Load()),
 		}
 	}
 	if fn := s.clusterStats.Load(); fn != nil {
@@ -562,9 +547,7 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
 	s.mu.Unlock()
-	for _, q := range s.queues {
-		q.close()
-	}
+	s.queue.close()
 	done := make(chan struct{})
 	go func() {
 		s.wg.Wait()
@@ -589,9 +572,7 @@ func (s *Service) Close() error {
 	for _, j := range jobs {
 		j.requestCancel()
 	}
-	for _, q := range s.queues {
-		q.close()
-	}
+	s.queue.close()
 	s.wg.Wait()
 	s.shutdownAux()
 	s.publish()
@@ -641,13 +622,13 @@ func (s *Service) scanHung(now time.Time) {
 	jobs := append([]*Job(nil), s.order...)
 	s.mu.Unlock()
 	var hung int64
-	perShard := make([]int64, len(s.queues))
+	perLane := make([]int64, s.cfg.Workers)
 	changed := false
 	for _, j := range jobs {
-		h, ch := j.hungCheck(now, s.cfg.HungTimeout)
+		h, ch, lane := j.hungCheck(now, s.cfg.HungTimeout)
 		if h {
 			hung++
-			perShard[j.shard]++
+			perLane[lane]++
 		}
 		changed = changed || ch
 		if h && ch {
@@ -658,8 +639,8 @@ func (s *Service) scanHung(now time.Time) {
 		}
 	}
 	s.hung.Store(hung)
-	for i := range perShard {
-		s.shardHung[i].Store(perShard[i])
+	for i := range perLane {
+		s.laneHung[i].Store(perLane[i])
 	}
 	if changed {
 		s.publish()
@@ -697,33 +678,47 @@ func (s *Service) dumpFlight(j *Job, reason string, cause error) {
 	}
 }
 
-// worker owns shard i: it pops jobs until the shard closes and empties.
+// worker i pops jobs off the shared queue, running them in lane i, until the
+// queue closes and empties.
 func (s *Service) worker(i int) {
 	defer s.wg.Done()
 	for {
-		j, ok := s.queues[i].pop()
+		j, ok := s.queue.pop()
 		if !ok {
 			return
 		}
 		s.queued.Add(-1)
-		s.execute(j)
+		s.execute(j, i)
 		s.publish()
 	}
 }
 
-// execute runs one job to a terminal state, retrying bounded times after
-// worker panics. The recover boundary is runOnce, so a panicking simulation
-// never takes the worker goroutine down.
-func (s *Service) execute(j *Job) {
-	if !j.beginRunning() {
+// idleLane picks the lane for a job run off the pool, on its caller's
+// goroutine: the one with the fewest running jobs, so every executed job's
+// lane stays in [0, Workers).
+func (s *Service) idleLane() int {
+	lane := 0
+	for i := range s.laneRunning {
+		if s.laneRunning[i].Load() < s.laneRunning[lane].Load() {
+			lane = i
+		}
+	}
+	return lane
+}
+
+// execute runs one job in lane to a terminal state, retrying bounded times
+// after worker panics. The recover boundary is runOnce, so a panicking
+// simulation never takes the worker goroutine down.
+func (s *Service) execute(j *Job, lane int) {
+	if !j.beginRunning(lane) {
 		s.finishJob(j, StateCancelled, nil, sim.ErrCancelled)
 		return
 	}
 	s.running.Add(1)
-	s.shardRunning[j.shard].Add(1)
+	s.laneRunning[lane].Add(1)
 	defer func() {
 		s.running.Add(-1)
-		s.shardRunning[j.shard].Add(-1)
+		s.laneRunning[lane].Add(-1)
 	}()
 	//simlint:leakok every arm returns; the only continue is bounded by MaxRetries
 	for attempt := 1; ; attempt++ {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -396,8 +397,9 @@ func TestCloseCancelsRunning(t *testing.T) {
 	}
 }
 
-// TestShardingIsDeterministic: equal cache keys map to equal shards.
-func TestShardingIsDeterministic(t *testing.T) {
+// TestEqualConfigsShareCacheKey: two equal configs built separately derive
+// the same cache key, so they coalesce and hit the cache.
+func TestEqualConfigsShareCacheKey(t *testing.T) {
 	cfg := tinyCfg(1)
 	k1, ok1 := cacheKey(&cfg)
 	cfg2 := tinyCfg(1)
@@ -405,12 +407,66 @@ func TestShardingIsDeterministic(t *testing.T) {
 	if !ok1 || !ok2 || k1 != k2 {
 		t.Fatalf("equal configs must share a cache key: %q %q", k1, k2)
 	}
-	for _, shards := range []int{1, 2, 3, 8} {
-		if shardOf(k1, shards) != shardOf(k2, shards) {
-			t.Fatalf("shardOf not deterministic for %d shards", shards)
+}
+
+// TestWorkersShareOneQueue: an idle worker takes a queued job no matter
+// which job is running elsewhere. Jobs j1 and j3 are uncacheable, so their
+// keys are "uncacheable:j1" and "uncacheable:j3"; hashing keys onto per-worker
+// queues would put both on the same queue of two, and j3 would wait behind
+// the blocked j1 while the other worker idled.
+func TestWorkersShareOneQueue(t *testing.T) {
+	s := New(Config{Workers: 2, QueueCap: 8})
+	defer s.Close()
+	release := make(chan struct{})
+	defer close(release) // runs before Close: unpark the blocked workers
+	started := make(chan string, 2)
+	blocker := func(id string) sim.Config {
+		var once sync.Once // CoreTweak runs once per core
+		cfg := tinyCfg(99)
+		cfg.CoreTweak = func(*cpu.Config) {
+			once.Do(func() { started <- id })
+			<-release
 		}
-		if s := shardOf(k1, shards); s < 0 || s >= shards {
-			t.Fatalf("shard %d out of range [0,%d)", s, shards)
+		return cfg
+	}
+	timeout := time.After(10 * time.Second)
+	awaitStart := func(id string) {
+		t.Helper()
+		select {
+		case got := <-started:
+			if got != id {
+				t.Fatalf("started %s, want %s", got, id)
+			}
+		case <-timeout:
+			t.Fatalf("%s never started: Stats %+v", id, s.Stats())
 		}
+	}
+
+	j1, err := s.Submit("t", blocker("j1"))
+	if err != nil || j1.ID() != "j1" {
+		t.Fatalf("first submit: %v, %v", j1, err)
+	}
+	awaitStart("j1")
+	// j2 runs to completion on the second worker and consumes its id.
+	j2, err := s.Submit("t", tinyCfg(1))
+	if err != nil || j2.ID() != "j2" {
+		t.Fatalf("second submit: %v, %v", j2, err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := j2.Wait(ctx); err != nil {
+		t.Fatalf("j2: %v (Stats %+v)", err, s.Stats())
+	}
+	j3, err := s.Submit("t", blocker("j3"))
+	if err != nil || j3.ID() != "j3" {
+		t.Fatalf("third submit: %v, %v", j3, err)
+	}
+	awaitStart("j3")
+	st := s.Stats()
+	if st.Running != 2 || st.QueueDepth != 0 {
+		t.Fatalf("want 2 running and none queued, got running=%d queued=%d", st.Running, st.QueueDepth)
+	}
+	if l1, l3 := j1.Status().Shard, j3.Status().Shard; l1 == l3 || l1 < 0 || l1 > 1 || l3 < 0 || l3 > 1 {
+		t.Fatalf("running jobs share lane or leave [0,2): j1=%d j3=%d", l1, l3)
 	}
 }

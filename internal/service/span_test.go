@@ -140,7 +140,7 @@ func TestHungJobFlightDump(t *testing.T) {
 		t.Fatal("goroutine profile is empty or malformed")
 	}
 
-	// Per-shard stats must attribute the hang to the blocked shard.
+	// Per-lane stats must attribute the hang to the blocked job's lane.
 	st := s.Stats()
 	if len(st.Shards) != 1 || st.Shards[0].Hung != 1 || st.Shards[0].Running != 1 {
 		t.Fatalf("shard stats = %+v, want 1 running+hung on shard 0", st.Shards)
@@ -250,7 +250,7 @@ func TestProgressStreamChunkedFraming(t *testing.T) {
 }
 
 // TestStatsStreamAndTraceEndpoints: the dashboard stream frames parse and
-// carry per-shard stats; /api/v1/trace 409s when empty, then exports
+// carry per-lane stats; /api/v1/trace 409s when empty, then exports
 // balanced Chrome spans at service pids.
 func TestStatsStreamAndTraceEndpoints(t *testing.T) {
 	s := New(Config{Workers: 2, QueueCap: 8})
