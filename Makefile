@@ -63,7 +63,7 @@ chaos:
 	EMCSIM_CHAOS_SCHEDULES=50 $(GO) test -race -run TestChaosSchedules -count=1 ./internal/service/
 
 # Multi-node chaos: 25 seeded fault schedules through a 3-node fabric under
-# the race detector (forwarding/steal-delivery/steal failpoints, a network
+# the race detector (forwarding/fetch/fetch-tear/steal failpoints, a network
 # partition window, node kills mid-sweep), plus 25 self-healing schedules
 # (join mid-sweep, kill-and-restart with anti-entropy backfill, flapping
 # peers through the circuit breakers). Deterministic per seed; see

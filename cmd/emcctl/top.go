@@ -141,8 +141,8 @@ func renderTop(f *service.StatsFrame, et *etaTracker) string {
 	}
 
 	if len(st.Nodes) > 0 {
-		fmt.Fprintf(&b, "\n%-10s %-8s %7s %8s %5s %6s %9s %6s %6s %8s\n",
-			"NODE", "STATE", "QUEUED", "RUNNING", "HUNG", "FWD", "STOLEN", "REPL", "TORN", "BEAT")
+		fmt.Fprintf(&b, "\n%-10s %-8s %7s %8s %5s %6s %9s %6s %8s\n",
+			"NODE", "STATE", "QUEUED", "RUNNING", "HUNG", "FWD", "STOLEN", "TORN", "BEAT")
 		for i := range st.Nodes {
 			nd := &st.Nodes[i]
 			beat := "-" // the self row has no heartbeat to age
@@ -161,9 +161,9 @@ func renderTop(f *service.StatsFrame, et *etaTracker) string {
 					state = "syncing"
 				}
 			}
-			fmt.Fprintf(&b, "%-10s %-8s %7d %8d %5d %6d %9s %6d %6d %8s\n",
+			fmt.Fprintf(&b, "%-10s %-8s %7d %8d %5d %6d %9s %6d %8s\n",
 				nd.Node, state, nd.Queued, nd.Running, nd.Hung, nd.Forwarded,
-				fmt.Sprintf("%d/%d", nd.StolenIn, nd.StolenOut), nd.Replicated, nd.ReplTorn, beat)
+				fmt.Sprintf("%d/%d", nd.StolenIn, nd.StolenOut), nd.Torn, beat)
 		}
 	}
 

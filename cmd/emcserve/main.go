@@ -24,7 +24,9 @@
 // fabric (see internal/cluster and DESIGN.md §15): submissions to any node
 // route to the key's consistent-hash owner, the entry node fetches the
 // result as a durable EMCR record, anti-entropy converges the durable
-// caches, and idle nodes (a freshly joined one too) steal queued work:
+// caches, and idle nodes (a freshly joined one too) steal queued work — the
+// victim forwards a queued job to the thief and follows it like any other
+// forwarded job:
 //
 //	emcserve -addr 127.0.0.1:8081 -node-id a
 //	emcserve -addr 127.0.0.1:8082 -node-id b -join http://127.0.0.1:8081

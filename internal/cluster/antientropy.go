@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/fault"
-	"repro/internal/service"
 )
 
 // Anti-entropy failpoints (see internal/fault): antientropy.digest fails a
@@ -138,9 +137,8 @@ func (n *Node) antiEntropyRound(peer string) {
 	}
 }
 
-// aeBackfill fetches one missing durable record from peer, validates the
-// frame end to end, and seeds it into the local cache (write-through to
-// disk when configured).
+// aeBackfill fetches one missing durable record from peer and hands it to
+// acceptRecord, which validates it end to end and seeds the local cache.
 func (n *Node) aeBackfill(peer, key string) bool {
 	var frame []byte
 	err := n.viaBreaker(peer, func() error {
@@ -151,10 +149,6 @@ func (n *Node) aeBackfill(peer, key string) bool {
 	if err != nil {
 		return false
 	}
-	k, res, err := service.DecodeRecord(frame)
-	if err != nil || k != key {
-		return false
-	}
-	n.svc.SeedResult(key, res)
-	return true
+	_, err = n.acceptRecord(key, frame)
+	return err == nil
 }

@@ -97,10 +97,7 @@ func armClusterChaos(t *testing.T, rng *rand.Rand) string {
 		arm(fault.SiteClusterForward, prob(0.05+0.15*rng.Float64()))
 	}
 	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterReplicateSend, prob(0.2+0.3*rng.Float64()))
-	}
-	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterReplicateRecv, prob(0.2+0.3*rng.Float64()))
+		arm(fault.SiteClusterFetchRecv, prob(0.2+0.3*rng.Float64()))
 	}
 	if rng.Float64() < 0.4 {
 		arm(fault.SiteClusterFetch, prob(0.3))
@@ -155,7 +152,6 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 				SuspectAfter:      40 * time.Millisecond,
 				PollInterval:      2 * time.Millisecond,
 				StealThreshold:    1 + rng.Intn(2),
-				DelegationTimeout: 500 * time.Millisecond,
 			}
 		})
 	faults := armClusterChaos(t, rng)

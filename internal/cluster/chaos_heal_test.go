@@ -40,8 +40,8 @@ func TestClusterHealSchedules(t *testing.T) {
 }
 
 // armHealChaos arms a random subset of the self-healing failpoints. None of
-// these can fail a job — a lost steal delivery reclaims, a failed backfill
-// retries next round — so the schedule asserts every job ends done.
+// these can fail a job — a failed backfill retries next round — so the
+// schedule asserts every job ends done.
 func armHealChaos(t *testing.T, rng *rand.Rand) string {
 	desc := ""
 	arm := func(name string, trig fault.Trigger) {
@@ -60,9 +60,6 @@ func armHealChaos(t *testing.T, rng *rand.Rand) string {
 	}
 	if rng.Float64() < 0.5 {
 		arm(fault.SiteClusterAntiEntropyFetch, prob(0.2+0.2*rng.Float64()))
-	}
-	if rng.Float64() < 0.4 {
-		arm(fault.SiteClusterReplicateSend, prob(0.2+0.3*rng.Float64()))
 	}
 	return desc
 }
@@ -88,7 +85,6 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			SuspectAfter:        40 * time.Millisecond,
 			PollInterval:        2 * time.Millisecond,
 			StealThreshold:      1 + rng.Intn(2),
-			DelegationTimeout:   500 * time.Millisecond,
 			AntiEntropyInterval: time.Duration(10+rng.Intn(15)) * time.Millisecond,
 			Weight:              1 + i%2, // heterogeneous ring on purpose
 			BreakerThreshold:    3,

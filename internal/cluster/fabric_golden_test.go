@@ -52,14 +52,14 @@ func TestFabricFigureBytesIdentical(t *testing.T) {
 
 	// The fabric must actually have fabric'd: round-robin entry means ~2/3
 	// of submissions hit a non-owner and were forwarded.
-	var forwarded, received cluster.Counters
+	var total cluster.Counters
 	for _, n := range f.Nodes {
 		c := n.Counters()
-		forwarded.Forwarded += c.Forwarded
-		received.Received += c.Received
+		total.Forwarded += c.Forwarded
+		total.Fetched += c.Fetched
 	}
-	if forwarded.Forwarded == 0 || received.Received == 0 {
-		t.Fatalf("sweep never exercised routing (forwarded=%d received=%d)", forwarded.Forwarded, received.Received)
+	if total.Forwarded == 0 || total.Fetched == 0 {
+		t.Fatalf("sweep never exercised routing (forwarded=%d fetched=%d)", total.Forwarded, total.Fetched)
 	}
 	for i, n := range f.Nodes {
 		st := n.Service().Stats()

@@ -122,9 +122,6 @@ func TestAntiEntropyBackfill(t *testing.T) {
 	if got := f.Nodes[1].Counters().Backfilled; got < jobs {
 		t.Fatalf("node1 backfilled %d records, want >= %d", got, jobs)
 	}
-	if f.Nodes[1].Counters().ReplRecv != 0 {
-		t.Fatal("a delivered result reached node1 — test premise broken")
-	}
 }
 
 // TestBreakerDegradesFlappingPeer: an unreachable peer trips the circuit

@@ -20,8 +20,9 @@ import (
 )
 
 // peerIDHeader carries the calling node's id on inter-node requests, so the
-// receiver can credit the caller's suspect timer: any successful RPC from a
-// peer is liveness evidence as good as a heartbeat.
+// receiver can credit the caller's suspect timer (any successful RPC from a
+// peer is liveness evidence as good as a heartbeat) and knows whom to
+// forward a stolen job to.
 const peerIDHeader = "X-Emc-Node"
 
 // NewHandler wraps the service HTTP API with the fabric protocol. Client
@@ -31,9 +32,9 @@ const peerIDHeader = "X-Emc-Node"
 //
 //	POST /api/v1/cluster/submit     forwarded job intake (SubmitRequest)
 //	GET  /api/v1/cluster/record     ?key= -> durable EMCR frame bytes
-//	POST /api/v1/cluster/replicate  stolen job's EMCR frame body
 //	GET  /api/v1/cluster/ping       Health JSON
-//	POST /api/v1/cluster/steal      one StolenJob JSON, or 204 when declined
+//	POST /api/v1/cluster/steal      200 when a job is forwarded to the caller
+//	                                (named by X-Emc-Node), 204 when declined
 //	POST /api/v1/cluster/join       Member JSON -> member list JSON
 //	GET  /api/v1/cluster/members    member list JSON
 //	GET  /api/v1/cluster/digest     anti-entropy Digest JSON
@@ -78,7 +79,6 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs", n.httpSubmit)
 	mux.HandleFunc("POST /api/v1/cluster/submit", guard(n.httpClusterSubmit))
 	mux.HandleFunc("GET /api/v1/cluster/record", guard(n.httpRecord))
-	mux.HandleFunc("POST /api/v1/cluster/replicate", guard(n.httpReplicate))
 	mux.HandleFunc("GET /api/v1/cluster/ping", guard(n.httpPing))
 	mux.HandleFunc("POST /api/v1/cluster/steal", guard(n.httpSteal))
 	mux.HandleFunc("POST /api/v1/cluster/join", guard(n.httpJoin))
@@ -170,33 +170,16 @@ func (n *Node) httpRecord(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (n *Node) httpReplicate(w http.ResponseWriter, r *http.Request) {
-	frame, err := io.ReadAll(r.Body)
-	if err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
-		return
-	}
-	if err := n.HandleReplicate(frame); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
-		return
-	}
-	httpJSON(w, http.StatusOK, struct{}{})
-}
-
 func (n *Node) httpPing(w http.ResponseWriter, _ *http.Request) {
 	httpJSON(w, http.StatusOK, n.HandlePing())
 }
 
-func (n *Node) httpSteal(w http.ResponseWriter, _ *http.Request) {
-	sj, err := n.HandleSteal()
-	switch {
-	case err != nil:
-		httpJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-	case sj == nil:
+func (n *Node) httpSteal(w http.ResponseWriter, r *http.Request) {
+	if !n.HandleSteal(r.Header.Get(peerIDHeader)) {
 		w.WriteHeader(http.StatusNoContent)
-	default:
-		httpJSON(w, http.StatusOK, sj)
+		return
 	}
+	w.WriteHeader(http.StatusOK)
 }
 
 func (n *Node) httpJoin(w http.ResponseWriter, r *http.Request) {
@@ -242,7 +225,8 @@ type HTTPTransport struct {
 	// the counterpart of the handler's -cluster-token guard.
 	Token string
 	// Self is this node's id, announced in the peer-id header so receivers
-	// credit our suspect timer on any successful RPC.
+	// credit our suspect timer on any successful RPC and can forward a
+	// stolen job back to us.
 	Self string
 }
 
@@ -372,15 +356,6 @@ func (t *HTTPTransport) Fetch(ctx context.Context, node, key string) ([]byte, er
 	return frame, nil
 }
 
-func (t *HTTPTransport) Replicate(ctx context.Context, node string, frame []byte) error {
-	base, err := t.base(node)
-	if err != nil {
-		return err
-	}
-	_, err = t.do(ctx, http.MethodPost, base+"/api/v1/cluster/replicate", "application/octet-stream", frame, nil)
-	return err
-}
-
 func (t *HTTPTransport) Ping(ctx context.Context, node string) (Health, error) {
 	base, err := t.base(node)
 	if err != nil {
@@ -393,20 +368,15 @@ func (t *HTTPTransport) Ping(ctx context.Context, node string) (Health, error) {
 	return h, nil
 }
 
-func (t *HTTPTransport) Steal(ctx context.Context, node string) (*StolenJob, error) {
+// Steal names the caller through the peer-id header (Self); a transport
+// without Self is always declined.
+func (t *HTTPTransport) Steal(ctx context.Context, node string) (bool, error) {
 	base, err := t.base(node)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	var sj StolenJob
-	code, err := t.do(ctx, http.MethodPost, base+"/api/v1/cluster/steal", "", nil, &sj)
-	if err != nil {
-		return nil, err
-	}
-	if code == http.StatusNoContent || sj.Key == "" {
-		return nil, nil
-	}
-	return &sj, nil
+	code, err := t.do(ctx, http.MethodPost, base+"/api/v1/cluster/steal", "", nil, nil)
+	return err == nil && code == http.StatusOK, err
 }
 
 func (t *HTTPTransport) Join(ctx context.Context, node string, mem Member) ([]Member, error) {

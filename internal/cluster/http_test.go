@@ -262,25 +262,10 @@ func TestHTTPTransportErrorClassification(t *testing.T) {
 	if _, err := tr.Fetch(ctx, "a", "no-such-key"); err != cluster.ErrNoRecord {
 		t.Fatalf("missing record classified %v, want ErrNoRecord", err)
 	}
-	// A steal against an idle node declines with (nil, nil) over 204.
-	sj, err := tr.Steal(ctx, "a")
-	if err != nil || sj != nil {
-		t.Fatalf("idle steal = (%v, %v), want (nil, nil)", sj, err)
-	}
-	// A corrupt replica is a permanent, non-retryable error.
-	cfg := tinyCfg(1)
-	key, _ := service.CacheKey(&cfg)
-	frame, err := service.EncodeRecord(key, runTiny(t, cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame[len(frame)/2] ^= 0xFF
-	err = tr.Replicate(ctx, "a", frame)
-	if err == nil || err == cluster.ErrUnreachable || err == cluster.ErrBusy {
-		t.Fatalf("torn replica classified %v, want permanent error", err)
-	}
-	if c := a.node.Counters(); c.ReplTorn != 1 {
-		t.Fatalf("torn counter %d, want 1", c.ReplTorn)
+	// A steal against an idle node declines with (false, nil) over 204.
+	ok, err := tr.Steal(ctx, "a")
+	if err != nil || ok {
+		t.Fatalf("idle steal = (%v, %v), want (false, nil)", ok, err)
 	}
 }
 

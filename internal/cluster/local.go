@@ -162,14 +162,6 @@ func (c *localConn) Fetch(ctx context.Context, node, key string) ([]byte, error)
 	return n.HandleFetch(key)
 }
 
-func (c *localConn) Replicate(ctx context.Context, node string, frame []byte) error {
-	n, err := c.conn(node)
-	if err != nil {
-		return err
-	}
-	return n.HandleReplicate(frame)
-}
-
 func (c *localConn) Ping(ctx context.Context, node string) (Health, error) {
 	n, err := c.conn(node)
 	if err != nil {
@@ -178,12 +170,12 @@ func (c *localConn) Ping(ctx context.Context, node string) (Health, error) {
 	return n.HandlePing(), nil
 }
 
-func (c *localConn) Steal(ctx context.Context, node string) (*StolenJob, error) {
+func (c *localConn) Steal(ctx context.Context, node string) (bool, error) {
 	n, err := c.conn(node)
 	if err != nil {
-		return nil, err
+		return false, err
 	}
-	return n.HandleSteal()
+	return n.HandleSteal(c.from), nil
 }
 
 func (c *localConn) Join(ctx context.Context, node string, mem Member) ([]Member, error) {

@@ -13,16 +13,14 @@ import (
 )
 
 // Cluster failpoints (see internal/fault): forward makes one routing RPC
-// fail as unreachable (the partition model, driving re-dispatch);
-// replicate.send drops a thief's delivery of a stolen job's result (the
-// victim's reclaim covers it); replicate.recv tears one byte of a received
-// frame (the CRC check must reject it); fetch fails a peer-fetch attempt;
-// heartbeat skips one probe; steal refuses to hand out a job.
+// fail as unreachable (the partition model, driving re-dispatch); fetch
+// fails a peer-fetch attempt; fetch.recv tears one byte of a fetched or
+// backfilled frame (the CRC check must reject it); heartbeat skips one
+// probe; steal refuses to hand out a job.
 var (
 	fpForward   = fault.Register(fault.SiteClusterForward)
-	fpReplSend  = fault.Register(fault.SiteClusterReplicateSend)
-	fpReplRecv  = fault.Register(fault.SiteClusterReplicateRecv)
 	fpFetch     = fault.Register(fault.SiteClusterFetch)
+	fpFetchRecv = fault.Register(fault.SiteClusterFetchRecv)
 	fpHeartbeat = fault.Register(fault.SiteClusterHeartbeat)
 	fpSteal     = fault.Register(fault.SiteClusterSteal)
 )
@@ -57,9 +55,6 @@ type Options struct {
 	// StealThreshold is the minimum queue depth at which a peer becomes a
 	// steal victim (default 2).
 	StealThreshold int
-	// DelegationTimeout bounds how long a victim waits for a thief to
-	// deliver before reclaiming the job (default 30s).
-	DelegationTimeout time.Duration
 	// AntiEntropyInterval is the cadence of the anti-entropy loop: each tick
 	// exchanges digests with one live peer round-robin and backfills missing
 	// durable records (default 30s).
@@ -88,9 +83,6 @@ func (o *Options) defaults() {
 	if o.StealThreshold <= 0 {
 		o.StealThreshold = 2
 	}
-	if o.DelegationTimeout <= 0 {
-		o.DelegationTimeout = 30 * time.Second
-	}
 	if o.AntiEntropyInterval <= 0 {
 		o.AntiEntropyInterval = 30 * time.Second
 	}
@@ -105,26 +97,17 @@ func (o *Options) defaults() {
 	}
 }
 
-// delegation is one queued job handed to a thief, with its reclaim timer.
-type delegation struct {
-	j     *service.Job
-	timer *time.Timer
-}
-
 // Counters is a node's cluster-counter snapshot (tests, smoke checks).
 type Counters struct {
 	Forwarded     uint64 // fresh jobs this node routed to a remote owner
-	Received      uint64 // forwarded jobs accepted as owner
 	Redispatched  uint64 // forwards re-routed after an owner died
-	LocalFallback uint64 // routed jobs that ended up executing here
-	ReplSent      uint64 // stolen jobs' results delivered to their victims
-	ReplRecv      uint64 // delivered results accepted (CRC-verified) from thieves
-	ReplTorn      uint64 // delivered results rejected by CRC verification
+	LocalFallback uint64 // routed jobs (not stolen ones) that ended up executing here
+	ReplSent      uint64 // stolen-out jobs whose result this victim fetched back
+	Torn          uint64 // fetched or backfilled frames rejected by CRC verification
 	Fetched       uint64 // records fetched from peers
-	FetchServed   uint64 // records served to fetching peers
-	StolenIn      uint64 // jobs stolen from victims and run here
-	StolenOut     uint64 // queued jobs handed out to thieves
-	Reclaimed     uint64 // delegations reclaimed after thief silence
+	StolenIn      uint64 // steals a victim accepted (the job arrives as a forward)
+	StolenOut     uint64 // queued jobs forwarded to thieves
+	Reclaimed     uint64 // stolen-out jobs that fell back to run on this victim
 	Backfilled    uint64 // records backfilled via anti-entropy sync
 	BreakerTrips  uint64 // circuit-breaker opens, summed over peers
 }
@@ -142,9 +125,10 @@ type Node struct {
 	ring    *Ring
 	members *membership
 
-	mu        sync.Mutex
-	delegated map[string][]delegation
-	health    map[string]Health // last heartbeat payload per peer
+	// mu guards health and orders Close's cancel against the wg.Add of a
+	// steal's forward.
+	mu     sync.Mutex
+	health map[string]Health // last heartbeat payload per peer
 
 	brMu     sync.Mutex
 	breakers map[string]*breaker // per-peer circuit breakers
@@ -159,14 +143,11 @@ type Node struct {
 	started bool
 
 	forwarded     atomic.Uint64
-	received      atomic.Uint64
 	redispatched  atomic.Uint64
 	localFallback atomic.Uint64
 	replSent      atomic.Uint64
-	replRecv      atomic.Uint64
-	replTorn      atomic.Uint64
+	torn          atomic.Uint64
 	fetched       atomic.Uint64
-	fetchServed   atomic.Uint64
 	stolenIn      atomic.Uint64
 	stolenOut     atomic.Uint64
 	reclaimed     atomic.Uint64
@@ -179,16 +160,15 @@ func New(svc *service.Service, opts Options) *Node {
 	opts.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		id:        opts.ID,
-		opts:      opts,
-		svc:       svc,
-		ring:      NewRing(0),
-		members:   newMembership(),
-		delegated: map[string][]delegation{},
-		health:    map[string]Health{},
-		breakers:  map[string]*breaker{},
-		ctx:       ctx,
-		cancel:    cancel,
+		id:       opts.ID,
+		opts:     opts,
+		svc:      svc,
+		ring:     NewRing(0),
+		members:  newMembership(),
+		health:   map[string]Health{},
+		breakers: map[string]*breaker{},
+		ctx:      ctx,
+		cancel:   cancel,
 	}
 	n.ring.AddWeighted(n.id, opts.Weight)
 	n.members.upsert(n.selfMember(), true, time.Now())
@@ -269,14 +249,11 @@ func (n *Node) Members() []Member { return n.members.list() }
 func (n *Node) Counters() Counters {
 	return Counters{
 		Forwarded:     n.forwarded.Load(),
-		Received:      n.received.Load(),
 		Redispatched:  n.redispatched.Load(),
 		LocalFallback: n.localFallback.Load(),
 		ReplSent:      n.replSent.Load(),
-		ReplRecv:      n.replRecv.Load(),
-		ReplTorn:      n.replTorn.Load(),
+		Torn:          n.torn.Load(),
 		Fetched:       n.fetched.Load(),
-		FetchServed:   n.fetchServed.Load(),
 		StolenIn:      n.stolenIn.Load(),
 		StolenOut:     n.stolenOut.Load(),
 		Reclaimed:     n.reclaimed.Load(),
@@ -296,23 +273,15 @@ func (n *Node) Start() {
 	go n.antiEntropy()
 }
 
-// Close stops the loops and synchronously reclaims every outstanding
-// delegation so no caller is left waiting on a thief that will never
-// report. It does not close the wrapped service — the owner does that.
+// Close stops the loops and waits for every routed job this node drives to
+// give up: one still following a peer — a forwarded job or a stolen-out one
+// alike — fails with ErrNodeClosed. It does not close the wrapped service —
+// the owner does that.
 func (n *Node) Close() {
-	n.cancel()
-	n.wg.Wait()
 	n.mu.Lock()
-	var all []delegation
-	for k, dels := range n.delegated {
-		all = append(all, dels...)
-		delete(n.delegated, k)
-	}
+	n.cancel()
 	n.mu.Unlock()
-	for _, d := range all {
-		d.timer.Stop()
-		n.svc.ExecuteNow(d.j)
-	}
+	n.wg.Wait()
 }
 
 // sleepInterval blocks for one PollInterval or until the node starts
@@ -350,7 +319,7 @@ func (n *Node) Submit(client string, cfg sim.Config) (*service.Job, error) {
 	if fresh {
 		n.forwarded.Add(1)
 		n.wg.Add(1)
-		go n.routeJob(j, owner)
+		go n.routeJob(j, owner, false)
 	}
 	return j, nil
 }
@@ -440,8 +409,10 @@ func (n *Node) viaBreaker(peer string, fn func() error) error {
 // mirror progress and cancellation, fetch the result bytes; when an owner
 // dies, fail over to the next ring owner; as the last resort run locally
 // (after trying a peer fetch — an entry node that fetched the result
-// before the owner died may hold it).
-func (n *Node) routeJob(j *service.Job, owner string) {
+// before the owner died may hold it). A stolen job takes the same path with
+// its thief as the first owner, so a dead thief fails over like a dead owner
+// and a thief that never answers falls back to the victim.
+func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 	defer n.wg.Done()
 	if !n.svc.StartRouted(j) {
 		n.svc.FinishRouted(j, nil, sim.ErrCancelled)
@@ -450,12 +421,21 @@ func (n *Node) routeJob(j *service.Job, owner string) {
 	for hop := 0; hop < maxHops && owner != n.id; hop++ {
 		done, next := n.runRemote(j, owner)
 		if done {
+			if stolen {
+				if _, err, _ := j.Result(); err == nil {
+					n.replSent.Add(1) // the thief's result reached this victim
+				}
+			}
 			return
 		}
 		n.redispatched.Add(1)
 		owner = next
 	}
-	n.localFallback.Add(1)
+	if stolen {
+		n.reclaimed.Add(1)
+	} else {
+		n.localFallback.Add(1)
+	}
 	if res, ok := n.fetchFromPeers(j.Key()); ok {
 		n.svc.FinishRouted(j, res, nil)
 		return
@@ -537,7 +517,7 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 func (n *Node) finishRemote(ctx context.Context, j *service.Job, owner string, st service.Status) bool {
 	switch st.State {
 	case service.StateDone:
-		if res, ok := n.fetchRecord(ctx, owner, j.Key()); ok {
+		if res, err := n.fetchRecord(ctx, owner, j.Key()); err == nil {
 			n.svc.FinishRouted(j, res, nil)
 			return true
 		}
@@ -611,7 +591,7 @@ func isUnreachable(err error) bool {
 
 // fetchRecord pulls the durable frame for key from one peer, CRC-verifies
 // it, and seeds the local cache on success.
-func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, bool) {
+func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, error) {
 	var frame []byte
 	err := n.viaBreaker(node, func() error {
 		if fpFetch.Fire() {
@@ -622,25 +602,47 @@ func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, 
 		return err
 	})
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
-	k, res, err := service.DecodeRecord(frame)
-	if err != nil || k != key {
-		return nil, false
+	res, err := n.acceptRecord(key, frame)
+	if err != nil {
+		return nil, err
 	}
 	n.fetched.Add(1)
-	n.svc.SeedResult(key, res)
-	return res, true
+	return res, nil
 }
 
 // fetchFromPeers tries every live peer in id order.
 func (n *Node) fetchFromPeers(key string) (*sim.Result, bool) {
 	for _, p := range n.members.alivePeers(n.id) {
-		if res, ok := n.fetchRecord(context.Background(), p.ID, key); ok {
+		if res, err := n.fetchRecord(context.Background(), p.ID, key); err == nil {
 			return res, true
 		}
 	}
 	return nil, false
+}
+
+// acceptRecord is the receive side of every result that crosses nodes —
+// peer fetch and anti-entropy backfill: verify the frame end to end, then
+// seed the local cache (write-through to disk when configured). A torn frame
+// is rejected and counted; a corrupt byte never reaches the cache.
+func (n *Node) acceptRecord(key string, frame []byte) (*sim.Result, error) {
+	if len(frame) > 0 && fpFetchRecv.Fire() {
+		// Tear the copy mid-frame; the verification below must reject it.
+		torn := append([]byte(nil), frame...)
+		torn[len(torn)/2] ^= 0xFF
+		frame = torn
+	}
+	k, res, err := service.DecodeRecord(frame)
+	if err != nil {
+		n.torn.Add(1)
+		return nil, fmt.Errorf("cluster: record rejected: %w", err)
+	}
+	if k != key {
+		return nil, fmt.Errorf("cluster: fetched record for %q answers key %q", key, k)
+	}
+	n.svc.SeedResult(key, res)
+	return res, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -659,7 +661,6 @@ func (n *Node) HandleSubmit(req SubmitRequest) (service.Status, error) {
 	if err != nil {
 		return service.Status{}, err
 	}
-	n.received.Add(1)
 	return j.Status(), nil
 }
 
@@ -699,35 +700,7 @@ func (n *Node) HandleFetch(key string) ([]byte, error) {
 	if !ok {
 		return nil, ErrNoRecord
 	}
-	frame, err := service.EncodeRecord(key, res)
-	if err != nil {
-		return nil, err
-	}
-	n.fetchServed.Add(1)
-	return frame, nil
-}
-
-// HandleReplicate applies a thief's delivery of a stolen job's result, a
-// durable frame: CRC-verify, seed the local cache (write-through to disk
-// when configured), and complete the delegated jobs waiting on the key.
-// Torn frames are rejected and counted — a corrupt byte can never reach the
-// cache; the victim's reclaim timer then covers the job.
-func (n *Node) HandleReplicate(frame []byte) error {
-	if len(frame) > 0 && fpReplRecv.Fire() {
-		// Tear the copy mid-frame; the verification below must reject it.
-		torn := append([]byte(nil), frame...)
-		torn[len(torn)/2] ^= 0xFF
-		frame = torn
-	}
-	key, res, err := service.DecodeRecord(frame)
-	if err != nil {
-		n.replTorn.Add(1)
-		return fmt.Errorf("cluster: replica rejected: %w", err)
-	}
-	n.replRecv.Add(1)
-	n.svc.SeedResult(key, res)
-	n.completeDelegated(key, res)
-	return nil
+	return service.EncodeRecord(key, res)
 }
 
 // HandlePing answers a heartbeat with this node's load and sync state.
@@ -739,26 +712,32 @@ func (n *Node) HandlePing() Health {
 	}
 }
 
-// HandleSteal hands one queued job to a thief, arming the reclaim timer: if
-// the thief's delivery does not complete the job within
-// DelegationTimeout, the victim re-executes it locally (determinism makes a
-// thief that finished late a benign duplicate).
-func (n *Node) HandleSteal() (*StolenJob, error) {
-	if fpSteal.Fire() {
-		return nil, nil
+// HandleSteal answers a steal from thief: it takes one queued job and forwards
+// it to the thief through routeJob, the path every forwarded job takes, so
+// the victim follows it by status wait and fetches its result. It declines
+// (false) when the thief is unnamed, nothing is stealable, or the node is
+// closing.
+func (n *Node) HandleSteal(thief string) bool {
+	if fpSteal.Fire() || thief == "" {
+		return false
+	}
+	n.mu.Lock()
+	closing := n.ctx.Err() != nil
+	if !closing {
+		n.wg.Add(1)
+	}
+	n.mu.Unlock()
+	if closing {
+		return false
 	}
 	j, ok := n.svc.TakeQueued()
 	if !ok {
-		return nil, nil
+		n.wg.Done()
+		return false
 	}
-	n.mu.Lock()
-	n.delegated[j.Key()] = append(n.delegated[j.Key()], delegation{
-		j:     j,
-		timer: time.AfterFunc(n.opts.DelegationTimeout, func() { n.reclaim(j) }),
-	})
-	n.mu.Unlock()
 	n.stolenOut.Add(1)
-	return &StolenJob{Key: j.Key(), Client: j.Client(), Cfg: j.Config()}, nil
+	go n.routeJob(j, thief, true)
+	return true
 }
 
 // HandleJoin admits a member announced by a peer (or by the member itself),
@@ -788,44 +767,6 @@ func (n *Node) HandleJoin(mem Member) []Member {
 		}()
 	}
 	return n.members.list()
-}
-
-// completeDelegated resolves delegated jobs whose result just arrived.
-func (n *Node) completeDelegated(key string, res *sim.Result) {
-	n.mu.Lock()
-	dels := n.delegated[key]
-	delete(n.delegated, key)
-	n.mu.Unlock()
-	for _, d := range dels {
-		d.timer.Stop()
-		n.svc.FinishStolen(d.j, res)
-	}
-}
-
-// reclaim re-executes a delegated job whose thief never reported back.
-func (n *Node) reclaim(j *service.Job) {
-	n.mu.Lock()
-	dels := n.delegated[j.Key()]
-	rest := dels[:0]
-	found := false
-	for _, d := range dels {
-		if d.j == j {
-			found = true
-			continue
-		}
-		rest = append(rest, d)
-	}
-	if len(rest) == 0 {
-		delete(n.delegated, j.Key())
-	} else {
-		n.delegated[j.Key()] = rest
-	}
-	n.mu.Unlock()
-	if !found {
-		return
-	}
-	n.reclaimed.Add(1)
-	n.svc.ExecuteNow(j)
 }
 
 // ---------------------------------------------------------------------------
@@ -873,12 +814,13 @@ func (n *Node) heartbeatRound() {
 	n.maybeSteal()
 }
 
-// maybeSteal pulls one job from the most loaded live peer when this node
-// has a free worker and nothing queued — skew smoothing, not load
-// balancing: the ring already spreads keys, stealing only absorbs hot-spot
-// bursts, and it is how a freshly joined node picks up queued work. A node
-// whose workers are all busy does not steal even with an empty queue: the
-// stolen job would only wait here instead of there.
+// maybeSteal asks the most loaded live peer for one job when this node has
+// a free worker and nothing queued — skew smoothing, not load balancing:
+// the ring already spreads keys, stealing only absorbs hot-spot bursts, and
+// it is how a freshly joined node picks up queued work. A node whose
+// workers are all busy does not steal even with an empty queue: the stolen
+// job would only wait here instead of there. An accepted steal arrives as
+// an ordinary forwarded Submit from the victim.
 func (n *Node) maybeSteal() {
 	if !n.svc.Idle() {
 		return
@@ -894,43 +836,14 @@ func (n *Node) maybeSteal() {
 	if victim == "" {
 		return
 	}
-	var sj *StolenJob
-	err := n.viaBreaker(victim, func() error {
+	var accepted bool
+	_ = n.viaBreaker(victim, func() error { // a failed steal is a declined one
 		var err error
-		sj, err = n.tr.Steal(context.Background(), victim)
+		accepted, err = n.tr.Steal(context.Background(), victim)
 		return err
 	})
-	if err != nil || sj == nil {
-		return
-	}
-	n.wg.Add(1)
-	go n.runStolen(victim, sj)
-}
-
-// runStolen executes one stolen job at once on this goroutine and delivers
-// the result back to the victim, whose delegated copy it completes. The job
-// never enters this node's queue, so it is never stolen again. A failed run
-// or a lost delivery leaves the victim to reclaim on its delegation timeout.
-func (n *Node) runStolen(victim string, sj *StolenJob) {
-	defer n.wg.Done()
-	if key, ok := service.CacheKey(&sj.Cfg); !ok || key != sj.Key {
-		return // the config did not survive its encoding
-	}
-	n.stolenIn.Add(1)
-	res, err := n.svc.RunStolen("steal/"+victim, sj.Key, sj.Cfg)
-	if err != nil || fpReplSend.Fire() {
-		return
-	}
-	//simlint:dettaintok res is the simulator's deterministic Result; the taint is Job.submitted scheduling metadata, which EncodeRecord never frames
-	frame, err := service.EncodeRecord(sj.Key, res)
-	if err != nil {
-		return
-	}
-	err = n.viaBreaker(victim, func() error {
-		return n.tr.Replicate(context.Background(), victim, frame)
-	})
-	if err == nil {
-		n.replSent.Add(1)
+	if accepted {
+		n.stolenIn.Add(1)
 	}
 }
 
@@ -945,8 +858,7 @@ func (n *Node) nodeStats(local *service.Stats) []service.NodeStat {
 		Redispatched: n.redispatched.Load(),
 		StolenIn:     n.stolenIn.Load(),
 		StolenOut:    n.stolenOut.Load(),
-		Replicated:   n.replRecv.Load(),
-		ReplTorn:     n.replTorn.Load(),
+		Torn:         n.torn.Load(),
 		Fetched:      n.fetched.Load(),
 		Backfilled:   n.backfilled.Load(),
 		BreakerTrips: n.breakerTrips(),

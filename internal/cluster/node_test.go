@@ -1,5 +1,5 @@
 // Fabric unit tests: routing, cluster-wide coalescing, failover, stealing,
-// steal delivery, and membership — all over the in-process LocalTransport.
+// torn-fetch rejection, and membership — all over the in-process LocalTransport.
 // Failpoints are process-global, so no t.Parallel anywhere in this package.
 package cluster_test
 
@@ -47,7 +47,6 @@ func fastOpts(int) cluster.Options {
 		HeartbeatInterval: 10 * time.Millisecond,
 		SuspectAfter:      60 * time.Millisecond,
 		PollInterval:      2 * time.Millisecond,
-		DelegationTimeout: 2 * time.Second,
 	}
 }
 
@@ -138,8 +137,8 @@ func TestRoutedSubmitForwardsToOwner(t *testing.T) {
 	if c := f.Nodes[0].Counters(); c.Forwarded != 1 {
 		t.Fatalf("entry node forwarded %d jobs, want 1 (%+v)", c.Forwarded, c)
 	}
-	if c := f.Nodes[1].Counters(); c.Received != 1 {
-		t.Fatalf("owner received %d forwards, want 1 (%+v)", c.Received, c)
+	if n := f.Nodes[1].Service().Stats().Submitted; n != 1 {
+		t.Fatalf("owner accepted %d submissions, want the 1 forward", n)
 	}
 	if m := f.Nodes[1].Service().Stats().Executed; m != 1 {
 		t.Fatalf("owner executed %d runs, want 1", m)
@@ -210,8 +209,8 @@ func TestDuplicateSubmissionsCoalesceClusterWide(t *testing.T) {
 	if got := sumExecuted(f); got != 1 {
 		t.Fatalf("%d actual executions across the fabric, want exactly 1", got)
 	}
-	if c := f.Nodes[2].Counters(); c.Received == 0 {
-		t.Fatalf("owner never received a forward (%+v)", c)
+	if f.Nodes[2].Service().Stats().Submitted == 0 {
+		t.Fatal("owner never received a forward")
 	}
 }
 
@@ -400,10 +399,10 @@ func TestNoStealWhileWorkersBusy(t *testing.T) {
 	}
 }
 
-// TestTornReplicaRejected: a replica corrupted in flight must be rejected by
-// the CRC check, counted, and kept out of the cache; the retransmit seeds
-// cleanly.
-func TestTornReplicaRejected(t *testing.T) {
+// TestTornFetchRejected: a record torn on its way from a peer must be
+// rejected by the CRC check, counted, and kept out of the cache; the
+// refetch seeds cleanly.
+func TestTornFetchRejected(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
 	f := newFabric(t, 2, nil)
@@ -414,38 +413,39 @@ func TestTornReplicaRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	f.Nodes[0].Service().SeedResult(key, res)
 
-	fp, ok := fault.Lookup(fault.SiteClusterReplicateRecv)
+	fp, ok := fault.Lookup(fault.SiteClusterFetchRecv)
 	if !ok {
-		t.Fatal("replicate.recv failpoint not registered")
+		t.Fatal("fetch.recv failpoint not registered")
 	}
 	fp.Enable(fault.Trigger{Once: true})
-	if err := f.Nodes[1].HandleReplicate(frame); err == nil {
-		t.Fatal("torn replica accepted")
+	if _, err := f.Nodes[1].FetchRecord("node0", key); err == nil {
+		t.Fatal("torn record accepted")
 	} else if !errors.Is(err, service.ErrRecordCorrupt) {
-		t.Fatalf("torn replica rejected with the wrong error: %v", err)
+		t.Fatalf("torn record rejected with the wrong error: %v", err)
 	}
-	if c := f.Nodes[1].Counters(); c.ReplTorn != 1 || c.ReplRecv != 0 {
+	if c := f.Nodes[1].Counters(); c.Torn != 1 || c.Fetched != 0 {
 		t.Fatalf("torn counters wrong: %+v", c)
 	}
 	if _, ok := f.Nodes[1].Service().PeekResult(key); ok {
-		t.Fatal("torn replica reached the cache")
+		t.Fatal("torn record reached the cache")
 	}
 
-	// The retransmit (failpoint disarmed by Once) seeds bit-identically.
-	if err := f.Nodes[1].HandleReplicate(frame); err != nil {
-		t.Fatalf("clean replica rejected: %v", err)
+	// The refetch (failpoint disarmed by Once) seeds bit-identically.
+	if _, err := f.Nodes[1].FetchRecord("node0", key); err != nil {
+		t.Fatalf("clean record rejected: %v", err)
 	}
 	got, ok := f.Nodes[1].Service().PeekResult(key)
 	if !ok {
-		t.Fatal("clean replica not seeded")
+		t.Fatal("clean record not seeded")
 	}
 	reframe, err := service.EncodeRecord(key, got)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(reframe, frame) {
-		t.Fatal("seeded replica re-encodes to different bytes")
+		t.Fatal("seeded record re-encodes to different bytes")
 	}
 }
 
@@ -551,7 +551,7 @@ func TestCloseInterruptsStatusWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "owner to accept the forward", func() bool {
-		return f.Nodes[1].Counters().Received == 1
+		return f.Nodes[1].Service().Stats().Submitted == 1
 	})
 	time.Sleep(20 * time.Millisecond) // let the entry node enter its wait
 
@@ -564,6 +564,50 @@ func TestCloseInterruptsStatusWait(t *testing.T) {
 	defer cancel()
 	if _, err := j.Wait(ctx); !errors.Is(err, cluster.ErrNodeClosed) {
 		t.Fatalf("routed job ended %v, want ErrNodeClosed", err)
+	}
+}
+
+// TestCloseFailsStolenOutJob: a stolen job is a routed job on its victim,
+// so closing the victim mid-run cuts its status wait short and fails the
+// job with ErrNodeClosed, as for any forward.
+func TestCloseFailsStolenOutJob(t *testing.T) {
+	fault.DisableAll()
+	release := make(chan struct{})
+	defer close(release)
+	f := newFabricOpts(t, 2, func(i int) service.Config {
+		return service.Config{Workers: 1, QueueCap: 64}
+	}, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.StealThreshold = 1
+		o.PollInterval = 30 * time.Second
+		return o
+	})
+	blocker := tinyCfg(99)
+	blocker.CoreTweak = func(*cpu.Config) { <-release }
+	if _, err := f.Nodes[0].Submit("blocker", blocker); err != nil {
+		t.Fatal(err)
+	}
+	j, err := f.Nodes[0].Submit("t", ownedCfg(t, 2, 0, 30_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "node1 to run the stolen job", func() bool {
+		return f.Nodes[1].Service().Stats().Running == 1
+	})
+	time.Sleep(20 * time.Millisecond) // let the victim enter its wait
+
+	start := time.Now()
+	f.Nodes[0].Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Fatalf("Close took %v with a stolen job outstanding", d)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if _, err := j.Wait(ctx); !errors.Is(err, cluster.ErrNodeClosed) {
+		t.Fatalf("stolen-out job ended %v, want ErrNodeClosed", err)
+	}
+	if c := f.Nodes[0].Counters(); c.StolenOut != 1 || c.Reclaimed != 0 {
+		t.Fatalf("victim counters %+v, want one steal and no reclaim", c)
 	}
 }
 

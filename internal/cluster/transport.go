@@ -64,13 +64,6 @@ type Health struct {
 	Syncing bool `json:"syncing,omitempty"`
 }
 
-// StolenJob is one queued unit of work a victim handed to a thief.
-type StolenJob struct {
-	Key    string     `json:"key"`
-	Client string     `json:"client"`
-	Cfg    sim.Config `json:"config"`
-}
-
 // digestBuckets is the anti-entropy digest width: the content-addressed
 // keyspace folds into this many buckets by ringHash(key). 64 keeps the
 // digest a few hundred bytes while a single differing record still isolates
@@ -113,14 +106,13 @@ type Transport interface {
 	Cancel(ctx context.Context, node, jobID string) error
 	// Fetch retrieves the durable EMCR frame for key from a peer's cache.
 	Fetch(ctx context.Context, node, key string) ([]byte, error)
-	// Replicate delivers a stolen job's result, as a durable EMCR frame, to
-	// the victim it was stolen from (the receiver CRC-verifies before
-	// seeding and completing the delegated job).
-	Replicate(ctx context.Context, node string, frame []byte) error
 	// Ping probes a peer's liveness and load.
 	Ping(ctx context.Context, node string) (Health, error)
-	// Steal asks a peer for one queued job; (nil, nil) means it declined.
-	Steal(ctx context.Context, node string) (*StolenJob, error)
+	// Steal asks a peer to forward one of its queued jobs to the caller,
+	// which the transport names to the peer. The reply carries no job: true
+	// means the peer accepted and the job follows as an ordinary forwarded
+	// Submit; false means it declined.
+	Steal(ctx context.Context, node string) (bool, error)
 	// Join announces mem to a peer and returns the peer's member list.
 	Join(ctx context.Context, node string, mem Member) ([]Member, error)
 	// Digest fetches a peer's anti-entropy summary of its durable records.

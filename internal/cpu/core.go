@@ -118,6 +118,10 @@ const (
 	stDone
 )
 
+var entryStateNames = [...]string{"empty", "waiting", "ready", "issued", "done"}
+
+func (s entryState) String() string { return entryStateNames[s] }
+
 type srcKind uint8
 
 const (
@@ -390,6 +394,27 @@ func (c *Core) ROBOccupancy() int { return c.robCount }
 
 // MSHROccupancy returns the number of outstanding L1 miss entries.
 func (c *Core) MSHROccupancy() int { return c.msh.Len() }
+
+// HeadInfo describes the oldest in-flight instruction: its op, pipeline
+// state, and for a memory op the physical line it addresses.
+type HeadInfo struct {
+	Op    isa.Op
+	State string
+	Line  uint64
+}
+
+// ROBHead reports the ROB head (deadlock diagnostics); ok=false when the ROB
+// is empty.
+func (c *Core) ROBHead() (h HeadInfo, ok bool) {
+	if c.robCount == 0 {
+		return HeadInfo{}, false
+	}
+	h = HeadInfo{Op: c.ops[c.robHead], State: c.st[c.robHead].String()}
+	if h.Op == isa.OpLoad || h.Op == isa.OpStore {
+		h.Line = cache.LineAddr(c.slot(int32(c.robHead)).paddr)
+	}
+	return h, true
+}
 
 // Finished reports whether the trace is exhausted and the pipeline drained.
 // The condition is monotone — once the trace is done and the window, store

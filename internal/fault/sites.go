@@ -42,21 +42,18 @@ const (
 	// as the owner being unreachable, driving the re-dispatch path — the
 	// fabric's partition model.
 	SiteClusterForward = "cluster/forward"
-	// SiteClusterReplicateSend fires before a thief delivers a stolen job's
-	// result to its victim (the delivery is dropped; the victim's reclaim
-	// timer must cover).
-	SiteClusterReplicateSend = "cluster/replicate.send"
-	// SiteClusterReplicateRecv fires while applying a received replica; a
-	// firing tears one byte of the frame, which the CRC check must reject.
-	SiteClusterReplicateRecv = "cluster/replicate.recv"
 	// SiteClusterFetch fires on the peer-fetch read path (fetching a durable
 	// record from a peer instead of recomputing).
 	SiteClusterFetch = "cluster/fetch"
+	// SiteClusterFetchRecv fires while accepting a record a peer sent (a
+	// peer fetch or an anti-entropy backfill); a firing tears one byte of the
+	// frame, which the CRC check must reject.
+	SiteClusterFetchRecv = "cluster/fetch.recv"
 	// SiteClusterHeartbeat fires in the heartbeat loop, skipping that round's
 	// probe of one peer — heartbeat loss without a real partition.
 	SiteClusterHeartbeat = "cluster/heartbeat"
-	// SiteClusterSteal fires on the work-stealing donor path, refusing to
-	// hand out a queued job.
+	// SiteClusterSteal fires on the work-stealing victim path, refusing to
+	// forward a queued job to the thief.
 	SiteClusterSteal = "cluster/steal"
 
 	// SiteClusterAntiEntropyDigest fires on the anti-entropy digest

@@ -30,8 +30,7 @@ func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
 
 // EncodeRecord frames a completed result as a durable EMCR record — the
 // exact byte format the on-disk cache uses, reused verbatim as the
-// peer-fetch, backfill, and steal-delivery wire format (a record is valid
-// anywhere).
+// peer-fetch and backfill wire format (a record is valid anywhere).
 func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
 	return encodeDurableRecord(&durableRecord{Key: key, Result: res})
 }
@@ -63,8 +62,9 @@ func (s *Service) SeedResult(key string, res *sim.Result) {
 
 // Idle reports whether a worker is free and nothing is queued — the
 // condition under which the steal protocol lets a node take a peer's work.
-// Jobs run on the calling goroutine (ExecuteNow, RunStolen) count as
-// running, so a node busy with stolen work does not steal more.
+// Jobs run on the calling goroutine (ExecuteNow) count as running, and a
+// stolen job arrives through Submit and so is queued or running, so a node
+// busy with stolen work does not steal more.
 func (s *Service) Idle() bool {
 	return s.queued.Load() == 0 && s.running.Load() < int64(s.cfg.Workers)
 }
@@ -130,6 +130,7 @@ func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fres
 		return prev, false, nil
 	}
 	j = newJob(id, key, client, true, cfg, s.rec)
+	j.remote = true
 	s.jobs[id] = j
 	s.order = append(s.order, j)
 	s.inflight[key] = j
@@ -165,11 +166,13 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 	s.publish()
 }
 
-// TakeQueued removes one queued job for delegation to a thief node. Jobs
-// that must not leave the node (uncacheable — no canonical identity to
-// replicate under — or already cancel-requested) are not delegated; they are
-// executed locally on a fresh goroutine instead, and the next job is tried.
-// ok=false means nothing stealable is queued.
+// TakeQueued removes one queued job for a thief node; the caller forwards
+// it and follows it as a routed job (StartRouted/FinishRouted), so from here
+// on Submit never coalesces onto it. Jobs that must not leave the node
+// (uncacheable — no canonical identity to route under — or already
+// cancel-requested) are not handed out; they are executed locally on a
+// fresh goroutine instead, and the next job is tried. ok=false means
+// nothing stealable is queued.
 func (s *Service) TakeQueued() (j *Job, ok bool) {
 	for {
 		j, ok := s.queue.tryPop()
@@ -178,66 +181,24 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 		}
 		s.queued.Add(-1)
 		if j.cacheable && !j.cancelRequested() {
+			s.mu.Lock()
+			j.remote = true
+			s.mu.Unlock()
 			return j, true
 		}
 		go s.ExecuteNow(j)
 	}
 }
 
-// FinishStolen completes a job previously handed out by TakeQueued with the
-// result the thief computed and delivered.
-// Cancellation that raced in while the job was delegated wins: the job
-// finalizes cancelled and the result is discarded (it is already cached).
-// The job ran on the thief, so it reports lane 0.
-func (s *Service) FinishStolen(j *Job, res *sim.Result) {
-	if !j.beginRunning(0) {
-		s.finishJob(j, StateCancelled, nil, sim.ErrCancelled)
-		s.publish()
-		return
-	}
-	if j.cacheable {
-		s.cache.put(j.key, res)
-	}
-	s.finishJob(j, StateDone, res, nil)
-	s.publish()
-}
-
-// RunStolen runs cfg, taken from a peer's queue, to a terminal state on the
-// calling goroutine and returns its outcome. The job is never queued, so no
-// peer can steal it back, and it never coalesces onto an in-flight job for
-// key: that job may be this node's routed copy, which follows the victim's
-// delegated copy and so waits on exactly this run. A cached result answers
-// at once without a job.
-func (s *Service) RunStolen(client, key string, cfg sim.Config) (*sim.Result, error) {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, ErrDraining
-	}
-	if res, ok := s.cache.get(key); ok {
-		s.mu.Unlock()
-		return res, nil
-	}
-	s.seq++
-	j := newJob(fmt.Sprintf("j%d", s.seq), key, client, true, cfg, s.rec)
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
-	if _, ok := s.inflight[key]; !ok {
-		s.inflight[key] = j
-	}
-	s.submitted.Add(1)
-	s.mu.Unlock()
-	s.ExecuteNow(j)
-	res, err, _ := j.Result()
-	return res, err
-}
-
 // ExecuteNow runs j to a terminal state on the calling goroutine, in the
-// least busy worker lane — the re-dispatch path when a job's owner died and
-// ownership fell back to this node, and the reclaim path when a thief never
-// reported back. Safe to call on a job that StartRouted already marked
-// running.
+// least busy worker lane — the fallback when a routed or stolen-out job's
+// owner or thief is gone and the job lands back on this node. Safe to call
+// on a job that StartRouted already marked running; from here on the job
+// runs locally, so Submit may coalesce onto it again.
 func (s *Service) ExecuteNow(j *Job) {
+	s.mu.Lock()
+	j.remote = false
+	s.mu.Unlock()
 	s.execute(j, s.idleLane())
 	s.publish()
 }
@@ -263,8 +224,7 @@ type NodeStat struct {
 	Redispatched uint64 `json:"redispatched,omitempty"`
 	StolenIn     uint64 `json:"stolenIn,omitempty"`
 	StolenOut    uint64 `json:"stolenOut,omitempty"`
-	Replicated   uint64 `json:"replicated,omitempty"`
-	ReplTorn     uint64 `json:"replTorn,omitempty"`
+	Torn         uint64 `json:"torn,omitempty"`
 	Fetched      uint64 `json:"fetched,omitempty"`
 	Backfilled   uint64 `json:"backfilled,omitempty"`
 	BreakerTrips uint64 `json:"breakerTrips,omitempty"`

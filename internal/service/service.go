@@ -187,7 +187,7 @@ type Stats struct {
 }
 
 // ShardStat is one worker lane's live state. Worker i runs its jobs in lane
-// i; a job run off the pool (ExecuteNow, RunStolen) takes the least busy
+// i; a job run off the pool (ExecuteNow) takes the least busy
 // lane, so Running can exceed 1.
 type ShardStat struct {
 	Shard   int `json:"shard"`
@@ -344,6 +344,11 @@ func cacheKey(cfg *sim.Config) (key string, cacheable bool) {
 // the existing job (coalescing — note a cancel then cancels it for every
 // submitter). Otherwise the job is queued, subject to backpressure
 // (ErrQueueFull) and drain state (ErrDraining).
+//
+// Submit never coalesces onto a job this node follows on a peer (a routed
+// job, or a queued one forwarded to a thief): a peer forwards work here to
+// have it run here, and that peer may be the one the remote job waits on —
+// coalescing would close a wait cycle. Such a submission runs locally.
 func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 	if client == "" {
 		client = "default"
@@ -377,7 +382,7 @@ func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 			s.publish()
 			return j, nil
 		}
-		if prev, ok := s.inflight[key]; ok {
+		if prev, ok := s.inflight[key]; ok && !prev.remote {
 			s.coalesced.Add(1)
 			s.mu.Unlock()
 			prev.recordCoalesce()

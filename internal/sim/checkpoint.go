@@ -186,14 +186,7 @@ func ResumeFrom(cfg Config, cp *Checkpoint, interval uint64, fn ProgressFunc) (*
 		return nil, err
 	}
 	for s.now < cp.Cycle {
-		done := true
-		for _, c := range s.cores {
-			if !c.Finished() {
-				done = false
-				break
-			}
-		}
-		if done {
+		if !s.unfinished() {
 			return nil, fmt.Errorf("%w: run finished at cycle %d before checkpoint cycle %d",
 				ErrCheckpointDiverged, s.now, cp.Cycle)
 		}
@@ -201,6 +194,9 @@ func ResumeFrom(cfg Config, cp *Checkpoint, interval uint64, fn ProgressFunc) (*
 			return nil, fmt.Errorf("sim: exceeded MaxCycles=%d replaying to checkpoint", cfg.MaxCycles)
 		}
 		s.step()
+		if s.stalled {
+			return nil, s.deadlockError()
+		}
 	}
 	if s.now != cp.Cycle {
 		return nil, fmt.Errorf("%w: replay landed on cycle %d, checkpoint at %d",

@@ -131,6 +131,7 @@ func (s *System) mcComplete(mc *mcNode, dr *dram.Request) {
 
 	// Timing segments onto every waiter.
 	stamp := func(r *memReq) {
+		r.mcOut = false
 		r.dramIssued = dr.IssuedAt
 		r.dramDone = s.now
 		if r.trace != nil {

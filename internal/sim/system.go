@@ -38,6 +38,10 @@ type memReq struct {
 
 	llcMiss bool
 	ideal   bool // served by the ideal-dependent-hit mode
+	// mcOut marks a slice launcher whose mReqToMC is on the ring or pending
+	// at its MC: set when the slice sends it, cleared when the DRAM read
+	// completes. While it is set the slice entry stays open (see sliceFill).
+	mcOut bool
 
 	// trace is the sampled lifecycle record (nil when tracing is off or the
 	// request was not sampled); it is finished when the request returns to
@@ -131,7 +135,7 @@ type mcNode struct {
 	emc       *emc.EMC
 	pending   map[uint64]*mcPending
 	retryQ    []*dram.Request
-	retryHead int // consumed prefix of retryQ
+	retryHead int          // consumed prefix of retryQ
 	magicQ    []*cpu.Chain // MagicChains diagnostic mode
 }
 
@@ -207,6 +211,10 @@ type System struct {
 
 	now     uint64
 	skipped uint64 // cycles fast-forwarded by the event-horizon scheduler
+	// stalled is set by step when the horizon is empty while a core is
+	// unfinished: nothing can ever happen again, so runLoop reports the
+	// deadlock instead of skipping to MaxCycles.
+	stalled bool
 	st      RunStats
 
 	activeChains map[*cpu.Chain]int // chain -> MC hosting it
@@ -495,17 +503,7 @@ func (s *System) Run() (*Result, error) { return s.runLoop(nil) }
 // snapshots), so a handled run that is never cancelled stays bit-identical
 // to a plain Run.
 func (s *System) runLoop(h *RunHandle) (*Result, error) {
-	for {
-		done := true
-		for _, c := range s.cores {
-			if !c.Finished() {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
+	for s.unfinished() {
 		if s.now >= s.cfg.MaxCycles {
 			return nil, fmt.Errorf("sim: exceeded MaxCycles=%d (deadlock?)", s.cfg.MaxCycles)
 		}
@@ -524,8 +522,50 @@ func (s *System) runLoop(h *RunHandle) (*Result, error) {
 		// atomic load; see internal/fault and DESIGN.md §11.1).
 		fpCycle.MustPanic()
 		s.step()
+		if s.stalled {
+			return nil, s.deadlockError()
+		}
 	}
 	return s.collect(), nil
+}
+
+// unfinished reports whether some core still has work.
+//
+//simlint:noalloc
+func (s *System) unfinished() bool {
+	for _, c := range s.cores {
+		if !c.Finished() {
+			return true
+		}
+	}
+	return false
+}
+
+// deadlockError describes a run whose event horizon is empty with a core
+// unfinished: the first stuck core, its ROB head, and where the line that
+// head waits on is outstanding (if anywhere).
+func (s *System) deadlockError() error {
+	for i, c := range s.cores {
+		if c.Finished() {
+			continue
+		}
+		head, ok := c.ROBHead()
+		if !ok {
+			return fmt.Errorf("sim: deadlock at cycle %d: core %d unfinished with an empty ROB", s.now, i)
+		}
+		where := "no slice outstanding entry"
+		if w, ok := s.sliceOf(head.Line).outstanding[head.Line]; ok {
+			where = fmt.Sprintf("slice %d outstanding (%d waiters)", s.sliceOf(head.Line).id, len(w.reqs))
+		}
+		if _, ok := s.mcOf(head.Line).pending[head.Line]; ok {
+			where += fmt.Sprintf(", MC %d pending", s.mcOf(head.Line).id)
+		} else {
+			where += ", no MC pending entry"
+		}
+		return fmt.Errorf("sim: deadlock at cycle %d: core %d ROB head is a %s in state %s waiting on line %#x (%s)",
+			s.now, i, head.Op, head.State, head.Line, where)
+	}
+	return fmt.Errorf("sim: deadlock at cycle %d with every core finished", s.now)
 }
 
 // Step advances one cycle (exported for tests).
@@ -633,6 +673,10 @@ func (s *System) step() {
 	// no-ops — jump to h-1 and credit the cores' per-cycle stall counters.
 	if !s.cfg.DisableCycleSkip {
 		if h := s.horizon(); h > s.now+1 {
+			if h == noEvent && s.unfinished() {
+				s.stalled = true
+				return
+			}
 			target := h - 1
 			if target > s.cfg.MaxCycles {
 				target = s.cfg.MaxCycles
@@ -943,8 +987,7 @@ func (s *System) sliceLookup(sl *llcSlice, r *memReq) {
 			w.reqs = append(w.reqs, r)
 			return
 		}
-		sl.outstanding[r.line] = s.allocWaiters(r)
-		s.sendCtrl(sl.stop, s.mcOf(r.line).stop, msg{kind: mReqToMC, req: r})
+		s.launchFill(sl, r)
 		return
 	}
 	if !r.fromEMC {
@@ -967,13 +1010,20 @@ func (s *System) sliceLookup(sl *llcSlice, r *memReq) {
 		w.reqs = append(w.reqs, r)
 		return
 	}
-	sl.outstanding[r.line] = s.allocWaiters(r)
 	if r.fromEMC {
 		// The launcher lands in both this slice's outstanding set and the
 		// MC's pending entry, and is filled through both: once directly at
 		// the EMC, once via the slice's mEMCLLCData forward.
 		r.refs++
 	}
+	s.launchFill(sl, r)
+}
+
+// launchFill opens the slice's outstanding entry for r's line with r as its
+// launcher and sends r to the line's MC.
+func (s *System) launchFill(sl *llcSlice, r *memReq) {
+	sl.outstanding[r.line] = s.allocWaiters(r)
+	r.mcOut = true
 	s.sendCtrl(sl.stop, s.mcOf(r.line).stop, msg{kind: mReqToMC, req: r})
 }
 
@@ -1003,8 +1053,7 @@ func (s *System) issuePrefetch(core int, line uint64) {
 	if s.tr != nil {
 		r.trace = s.tr.Start(obs.SrcPrefetch, core, line, 0, false, s.now)
 	}
-	sl.outstanding[line] = s.allocWaiters(r)
-	s.sendCtrl(sl.stop, s.mcOf(line).stop, msg{kind: mReqToMC, req: r})
+	s.launchFill(sl, r)
 }
 
 // sliceFill inserts a filled line, maintains the inclusive directory, and
@@ -1023,11 +1072,19 @@ func (s *System) sliceFill(sl *llcSlice, r *memReq) {
 		sl.c.SetEMCBit(addr, true)
 	}
 	w := sl.outstanding[r.line]
-	delete(sl.outstanding, r.line)
 	if w == nil {
 		s.freeReq(r) // EMC-only fill with no slice waiters
 		return
 	}
+	if lead := w.reqs[0]; lead != r && lead.mcOut {
+		// An EMC-only fill from another DRAM read of this line overtook the
+		// launcher's own request, still on the ring or pending at the MC.
+		// Closing the entry here would free the launcher while that request
+		// still references it; its own fill closes the entry instead.
+		s.freeReq(r)
+		return
+	}
+	delete(sl.outstanding, r.line)
 	fwdSelf := false
 	for _, wr := range w.reqs {
 		if wr.prefetch {
