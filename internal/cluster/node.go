@@ -651,13 +651,14 @@ func (n *Node) acceptRecord(key string, frame []byte) (*sim.Result, error) {
 // HandleSubmit is the owner-side intake for a forwarded job. The key is
 // recomputed from the config and must match the sender's — a mismatch means
 // the config did not survive its encoding and the job must not run under
-// the forwarded identity.
+// the forwarded identity. The job never coalesces onto one this node follows
+// on a peer (service.SubmitForwarded), so a forward cannot close a wait cycle.
 func (n *Node) HandleSubmit(req SubmitRequest) (service.Status, error) {
 	key, ok := service.CacheKey(&req.Cfg)
 	if !ok || key != req.Key {
 		return service.Status{}, fmt.Errorf("cluster: forwarded key %q does not match config (computed %q)", req.Key, key)
 	}
-	j, err := n.svc.Submit(req.Client, req.Cfg)
+	j, err := n.svc.SubmitForwarded(req.Client, req.Cfg)
 	if err != nil {
 		return service.Status{}, err
 	}

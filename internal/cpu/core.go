@@ -396,10 +396,11 @@ func (c *Core) ROBOccupancy() int { return c.robCount }
 func (c *Core) MSHROccupancy() int { return c.msh.Len() }
 
 // HeadInfo describes the oldest in-flight instruction: its op, pipeline
-// state, and for a memory op the physical line it addresses.
+// state, and for a memory op (Mem) the physical line it addresses.
 type HeadInfo struct {
 	Op    isa.Op
 	State string
+	Mem   bool
 	Line  uint64
 }
 
@@ -411,6 +412,7 @@ func (c *Core) ROBHead() (h HeadInfo, ok bool) {
 	}
 	h = HeadInfo{Op: c.ops[c.robHead], State: c.st[c.robHead].String()}
 	if h.Op == isa.OpLoad || h.Op == isa.OpStore {
+		h.Mem = true
 		h.Line = cache.LineAddr(c.slot(int32(c.robHead)).paddr)
 	}
 	return h, true

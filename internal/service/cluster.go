@@ -168,8 +168,8 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 
 // TakeQueued removes one queued job for a thief node; the caller forwards
 // it and follows it as a routed job (StartRouted/FinishRouted), so from here
-// on Submit never coalesces onto it. Jobs that must not leave the node
-// (uncacheable — no canonical identity to route under — or already
+// on SubmitForwarded never coalesces onto it. Jobs that must not leave the
+// node (uncacheable — no canonical identity to route under — or already
 // cancel-requested) are not handed out; they are executed locally on a
 // fresh goroutine instead, and the next job is tried. ok=false means
 // nothing stealable is queued.
@@ -194,7 +194,7 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 // least busy worker lane — the fallback when a routed or stolen-out job's
 // owner or thief is gone and the job lands back on this node. Safe to call
 // on a job that StartRouted already marked running; from here on the job
-// runs locally, so Submit may coalesce onto it again.
+// runs locally, so SubmitForwarded may coalesce onto it again.
 func (s *Service) ExecuteNow(j *Job) {
 	s.mu.Lock()
 	j.remote = false

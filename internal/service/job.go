@@ -49,8 +49,8 @@ type Job struct {
 	cfg       sim.Config
 	// remote marks a job this node follows on a peer — a routed job, or a
 	// queued one forwarded to a thief — until it falls back to run here.
-	// Guarded by the Service's mu, not the job's: Submit reads it under that
-	// lock when it decides whether to coalesce.
+	// Guarded by the Service's mu, not the job's: SubmitForwarded reads it
+	// under that lock when it decides whether to coalesce.
 	remote bool
 
 	mu        sync.Mutex

@@ -344,12 +344,20 @@ func cacheKey(cfg *sim.Config) (key string, cacheable bool) {
 // the existing job (coalescing — note a cancel then cancels it for every
 // submitter). Otherwise the job is queued, subject to backpressure
 // (ErrQueueFull) and drain state (ErrDraining).
-//
-// Submit never coalesces onto a job this node follows on a peer (a routed
-// job, or a queued one forwarded to a thief): a peer forwards work here to
-// have it run here, and that peer may be the one the remote job waits on —
-// coalescing would close a wait cycle. Such a submission runs locally.
 func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
+	return s.submit(client, cfg, false)
+}
+
+// SubmitForwarded is Submit for a job a peer forwarded here. It never
+// coalesces onto a job this node follows on a peer (a routed job, or a
+// queued one forwarded to a thief): the peer forwarded the job to have it
+// run here, and that peer may be the one the remote job waits on —
+// coalescing would close a wait cycle. Such a submission runs locally.
+func (s *Service) SubmitForwarded(client string, cfg sim.Config) (*Job, error) {
+	return s.submit(client, cfg, true)
+}
+
+func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, error) {
 	if client == "" {
 		client = "default"
 	}
@@ -382,7 +390,7 @@ func (s *Service) Submit(client string, cfg sim.Config) (*Job, error) {
 			s.publish()
 			return j, nil
 		}
-		if prev, ok := s.inflight[key]; ok && !prev.remote {
+		if prev, ok := s.inflight[key]; ok && !(forwarded && prev.remote) {
 			s.coalesced.Add(1)
 			s.mu.Unlock()
 			prev.recordCoalesce()

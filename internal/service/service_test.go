@@ -180,6 +180,43 @@ func TestCoalescing(t *testing.T) {
 	}
 }
 
+// TestForwardedSubmitNeverCoalescesOntoRemoteJob: while this node follows
+// a key on a peer (a routed job), a forwarded submission of that key runs
+// here as a fresh job, but a local client's submission still coalesces onto
+// the routed job.
+func TestForwardedSubmitNeverCoalescesOntoRemoteJob(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 8})
+	defer s.Close()
+
+	cfg := tinyCfg(1)
+	key, _ := CacheKey(&cfg)
+	routed, fresh, err := s.NewRoutedJob("t", key, cfg)
+	if err != nil || !fresh {
+		t.Fatalf("NewRoutedJob: fresh=%v err=%v", fresh, err)
+	}
+	local, err := s.Submit("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if local != routed {
+		t.Fatal("a local submission should coalesce onto the routed job")
+	}
+	fwd, err := s.SubmitForwarded("t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fwd == routed {
+		t.Fatal("a forwarded submission coalesced onto a job followed on a peer")
+	}
+	if _, err := fwd.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Coalesced != 1 || st.Executed != 1 {
+		t.Fatalf("want 1 coalesced and 1 executed, got %+v", st)
+	}
+	s.FinishRouted(routed, nil, sim.ErrCancelled)
+}
+
 // TestBackpressure: QueueCap bounds queued jobs; Submit beyond it fails fast
 // with ErrQueueFull and succeeds again once the queue drains.
 func TestBackpressure(t *testing.T) {

@@ -135,7 +135,7 @@ type mcNode struct {
 	emc       *emc.EMC
 	pending   map[uint64]*mcPending
 	retryQ    []*dram.Request
-	retryHead int          // consumed prefix of retryQ
+	retryHead int // consumed prefix of retryQ
 	magicQ    []*cpu.Chain // MagicChains diagnostic mode
 }
 
@@ -552,6 +552,10 @@ func (s *System) deadlockError() error {
 		head, ok := c.ROBHead()
 		if !ok {
 			return fmt.Errorf("sim: deadlock at cycle %d: core %d unfinished with an empty ROB", s.now, i)
+		}
+		if !head.Mem {
+			return fmt.Errorf("sim: deadlock at cycle %d: core %d ROB head is a %s in state %s",
+				s.now, i, head.Op, head.State)
 		}
 		where := "no slice outstanding entry"
 		if w, ok := s.sliceOf(head.Line).outstanding[head.Line]; ok {
