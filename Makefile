@@ -1,14 +1,20 @@
 GO ?= go
 
-.PHONY: all build vet lint lint-canary test race bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster kill-smoke cluster-smoke heal-smoke clean
+.PHONY: all build vet fmt-check lint lint-canary test race bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster kill-smoke cluster-smoke heal-smoke clean
 
 all: build test
 
 build:
 	$(GO) build ./...
 
-vet:
+vet: fmt-check
 	$(GO) vet ./...
+
+# Formatting gate: every Go file outside testdata/ (analyzer fixtures keep
+# their deliberate layouts) and the bench build directory must be gofmt-clean.
+fmt-check:
+	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -path '*/testdata' -prune -o -name '*.go' -print)); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 # Custom static analysis (cmd/simlint): determinism, zero-alloc, failpoint
 # registry, atomic-hygiene, determinism-taint, lock-order, goroutine-leak,

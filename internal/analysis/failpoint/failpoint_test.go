@@ -3,8 +3,8 @@ package failpoint_test
 import (
 	"testing"
 
-	"repro/internal/analysis/framework/analysistest"
 	"repro/internal/analysis/failpoint"
+	"repro/internal/analysis/framework/analysistest"
 )
 
 // TestFixtures loads the fixture fault package and a consumer package in

@@ -326,9 +326,9 @@ func TestWorkStealing(t *testing.T) {
 }
 
 // TestNoStealWhileWorkersBusy: a node whose only worker is busy does not
-// steal, even with an empty queue: the stolen job could only wait there,
-// or bounce between two busy nodes until the victim's DelegationTimeout
-// reclaimed it. Both nodes park their single worker on a blocker while
+// steal, even with an empty queue: the stolen job would only wait there
+// instead of on the victim, or bounce between two busy nodes as forwarded
+// submits. Both nodes park their single worker on a blocker while
 // node0 has one cacheable job queued; the job stays put and completes on
 // node0 once its blocker is released, while node1's worker is still busy.
 func TestNoStealWhileWorkersBusy(t *testing.T) {

@@ -102,7 +102,8 @@ type MissInfo struct {
 // Uncore is the core's window onto the rest of the chip; the system
 // simulator implements it. Fills come back via Core.Fill.
 type Uncore interface {
-	// LoadMiss requests a cache-line fill.
+	// LoadMiss requests a cache-line fill. m points into the core's own
+	// scratch and is valid only for the duration of the call.
 	LoadMiss(m *MissInfo)
 	// StoreWrite propagates a retired write-through store toward the LLC.
 	StoreWrite(coreID int, lineAddr uint64, vaddr uint64)
@@ -306,6 +307,8 @@ type Core struct {
 	fetchHold        int32 // rob slot of unresolved mispredicted branch, -1
 	fetchBlockedTill uint64
 
+	miss MissInfo // the request Uncore.LoadMiss is handed (no per-miss heap copy)
+
 	pendingFetch *isa.Uop // uop fetched but not yet dispatched (stall)
 	fetchBuf     isa.Uop  // backing store for fetched uops (no per-uop heap copy)
 
@@ -315,6 +318,17 @@ type Core struct {
 	chains           []*Chain // active: generated, shipped, not yet resolved
 	lastChainAttempt uint64
 	conflicted       []*Chain // chains caught by late memory disambiguation
+
+	// Chain-walk scratch (generateChain). walkMark[slot] == walkEpoch marks
+	// a member of the current walk, and walkEPR[slot] is its EMC register
+	// (the RRT); bumping walkEpoch empties both. walkUops and walkLiveIns
+	// are the walk's vectors, reused across walks. Only cores with the EMC
+	// enabled walk, so only they allocate the per-slot arrays.
+	walkMark    []uint32
+	walkEPR     []uint8
+	walkEpoch   uint32
+	walkUops    []ChainUop
+	walkLiveIns []uint64
 
 	ra           RunaheadConfig
 	lastRunahead uint64
@@ -370,6 +384,10 @@ func New(cfg Config, feed trace.Reader, pt *vm.PageTable, uncore Uncore) *Core {
 	}
 	for i := range c.renameMap {
 		c.renameMap[i] = -1
+	}
+	if cfg.EMCEnabled {
+		c.walkMark = make([]uint32, cfg.ROBSize)
+		c.walkEPR = make([]uint8, cfg.ROBSize)
 	}
 	c.depMax = 1<<uint(cfg.DepCounterBits) - 1
 	c.ra = cfg.Runahead

@@ -68,14 +68,15 @@ func (c *Core) issueLoad(idx int32) bool {
 	m.Waiters = append(m.Waiters, uint64(idx))
 	if !merged {
 		c.Stats.L1MissRequests++
-		c.uncore.LoadMiss(&MissInfo{
+		c.miss = MissInfo{
 			CoreID:    c.cfg.ID,
 			LineAddr:  line,
 			VAddr:     e.vaddr,
 			PC:        e.u.PC,
 			IssuedAt:  c.now,
 			Dependent: e.srcTaint[0],
-		})
+		}
+		c.uncore.LoadMiss(&c.miss)
 	}
 	return true
 }

@@ -235,13 +235,14 @@ func (c *Core) runaheadTouch(vaddr uint64, delay uint64) (onChip, poisonDst bool
 		// Already in flight; the demand fill will cover it.
 		return false, true
 	}
-	c.uncore.LoadMiss(&MissInfo{
+	c.miss = MissInfo{
 		CoreID:   c.cfg.ID,
 		LineAddr: line,
 		VAddr:    vaddr,
 		IssuedAt: c.now + delay,
 		Prefetch: true,
-	})
+	}
+	c.uncore.LoadMiss(&c.miss)
 	return false, true
 }
 

@@ -93,7 +93,7 @@ type Action struct {
 	VAddr    uint64
 	PAddr    uint64
 	PC       uint64
-	Values   []uint64 // ActChainDone: live-outs, indexed like Chain.Uops
+	Values   []uint64 // ActChainDone: live-outs, indexed like Chain.Uops (aliases Chain.LiveOuts)
 	Reason   AbortReason
 	MissPage uint64 // ActChainAbort/AbortTLBMiss: faulting virtual address
 }
@@ -191,6 +191,10 @@ type EMC struct {
 	// order FillMem wakes same-line waiters in).
 	pend []pendingMem
 
+	// acts is the action scratch Tick, FillMem and AbortContext reset and
+	// return: a returned slice is valid until the next of those calls.
+	acts []Action
+
 	Stats Stats
 }
 
@@ -258,11 +262,9 @@ func (e *EMC) BusyContexts() int {
 // context triggers immediately. Returns false when no context is free.
 func (e *EMC) InstallChain(ch *cpu.Chain, pte *vm.PTE, sourceVPage uint64, sourceOutstanding bool, now uint64) bool {
 	var ctx *context
-	idx := -1
 	for i := range e.ctxs {
 		if !e.ctxs[i].busy {
 			ctx = &e.ctxs[i]
-			idx = i
 			break
 		}
 	}
@@ -270,7 +272,6 @@ func (e *EMC) InstallChain(ch *cpu.Chain, pte *vm.PTE, sourceVPage uint64, sourc
 		e.Stats.ChainsRejected++
 		return false
 	}
-	_ = idx
 	// Reset in place, recycling the slot's state/vals/lsq backing arrays
 	// (chains are <=16 uops, so these stabilize after the first installs).
 	st, vs, lsq := ctx.state[:0], ctx.vals[:0], ctx.lsq[:0]
@@ -353,10 +354,12 @@ func pcHash(pc uint64) uint64 {
 }
 
 // FillMem delivers data for an EMC-issued memory request (from the LLC path
-// or DRAM path). actualMiss records whether the line really missed the LLC,
-// training the predictor's accuracy stats.
+// or DRAM path). The returned actions are valid until the next Tick,
+// FillMem or AbortContext on this EMC.
+//
+//simlint:noalloc
 func (e *EMC) FillMem(lineAddr uint64, now uint64) []Action {
-	var acts []Action
+	e.acts = e.acts[:0]
 	// Wake this line's waiters in issue order, compacting survivors in place.
 	w := 0
 	for _, p := range e.pend {
@@ -370,26 +373,33 @@ func (e *EMC) FillMem(lineAddr uint64, now uint64) []Action {
 			continue
 		}
 		ctx.memBusy--
-		acts = append(acts, e.completeUop(p.ctx, p.uop, now)...)
+		e.completeUop(p.ctx, p.uop, now)
 	}
 	e.pend = e.pend[:w]
 	e.dcache.Insert(lineAddr<<cache.LineShift, false)
-	return acts
+	return e.acts
 }
 
 // AbortContext aborts the chain occupying the context that runs the given
-// chain (core-detected conflicts arrive from outside).
+// chain (core-detected conflicts arrive from outside). The returned actions
+// are valid until the next Tick, FillMem or AbortContext on this EMC.
 func (e *EMC) AbortContext(ch *cpu.Chain, reason AbortReason, now uint64) []Action {
+	e.acts = e.acts[:0]
 	for i := range e.ctxs {
 		ctx := &e.ctxs[i]
 		if ctx.busy && ctx.chain == ch {
-			return e.abort(i, reason, 0, now)
+			e.abort(i, reason, 0)
+			break
 		}
 	}
-	return nil
+	return e.acts
 }
 
-func (e *EMC) abort(ci int, reason AbortReason, missPage uint64, now uint64) []Action {
+// abort frees context ci and appends the ActChainAbort bouncing its chain
+// back to the core.
+//
+//simlint:noalloc
+func (e *EMC) abort(ci int, reason AbortReason, missPage uint64) {
 	ctx := &e.ctxs[ci]
 	ch := ctx.chain
 	core := ctx.core
@@ -413,8 +423,8 @@ func (e *EMC) abort(ci int, reason AbortReason, missPage uint64, now uint64) []A
 		}
 	}
 	e.pend = e.pend[:w]
-	return []Action{{Kind: ActChainAbort, Ctx: ci, Core: core, Chain: ch,
-		Reason: reason, MissPage: missPage}}
+	e.acts = append(e.acts, Action{Kind: ActChainAbort, Ctx: ci, Core: core, Chain: ch, //simlint:allocok acts scratch reaches steady-state capacity
+		Reason: reason, MissPage: missPage})
 }
 
 // NoEvent is the NextEvent sentinel: no context can make progress until an
@@ -457,9 +467,12 @@ func (e *EMC) NextEvent(now uint64) uint64 {
 }
 
 // Tick advances EMC execution one cycle, returning the externally visible
-// actions (memory requests, LSQ messages, completions, aborts).
+// actions (memory requests, LSQ messages, completions, aborts). The returned
+// slice is valid until the next Tick, FillMem or AbortContext on this EMC.
+//
+//simlint:noalloc
 func (e *EMC) Tick(now uint64) []Action {
-	var acts []Action
+	e.acts = e.acts[:0]
 	issued := 0
 	for ci := range e.ctxs {
 		ctx := &e.ctxs[ci]
@@ -468,7 +481,7 @@ func (e *EMC) Tick(now uint64) []Action {
 		}
 		// Mispredicted branch inside the chain: detected after trigger.
 		if ctx.chain.HasMispredict {
-			acts = append(acts, e.abort(ci, AbortMispredict, 0, now)...)
+			e.abort(ci, AbortMispredict, 0)
 			continue
 		}
 		// The source uop (index 0) completes the moment the context
@@ -497,10 +510,8 @@ func (e *EMC) Tick(now uint64) []Action {
 			if ctx.state[i] != uWaiting || !e.ready(ctx, i) {
 				continue
 			}
-			a, aborted := e.issueUop(ci, i, now)
-			acts = append(acts, a...)
-			if aborted {
-				break
+			if e.issueUop(ci, i) {
+				break // aborted
 			}
 			issued++
 		}
@@ -509,10 +520,10 @@ func (e *EMC) Tick(now uint64) []Action {
 		}
 		// Completion check.
 		if ctx.allDone() {
-			acts = append(acts, e.finishChain(ci, now)...)
+			e.finishChain(ci, now)
 		}
 	}
-	return acts
+	return e.acts
 }
 
 func (c *context) allDone() bool {
@@ -545,17 +556,20 @@ func (e *EMC) srcVal(ctx *context, cu *cpu.ChainUop, s int) uint64 {
 	return 0
 }
 
-// issueUop executes chain uop i of context ci. Memory ops may leave it
+// issueUop executes chain uop i of context ci, appending its actions to
+// e.acts, and reports whether the context aborted. Memory ops may leave it
 // uIssued pending a fill; everything else completes combinationally for the
 // purposes of this model (1-cycle ALU, result visible next ready check).
-func (e *EMC) issueUop(ci, i int, now uint64) (acts []Action, aborted bool) {
+//
+//simlint:noalloc
+func (e *EMC) issueUop(ci, i int) (aborted bool) {
 	ctx := &e.ctxs[ci]
 	cu := &ctx.chain.Uops[i]
 	u := &cu.U
 	e.Stats.UopsExecuted++
 	switch u.Op.Class() {
 	case isa.ClassLoad:
-		return e.issueLoad(ci, i, now)
+		return e.issueLoad(ci, i)
 	case isa.ClassStore:
 		vaddr := isa.AddrOf(u, e.srcVal(ctx, cu, 0))
 		if vaddr != u.Addr {
@@ -565,14 +579,15 @@ func (e *EMC) issueUop(ci, i int, now uint64) (acts []Action, aborted bool) {
 		if len(ctx.lsq) >= e.cfg.LSQSize {
 			// LSQ full: retry next cycle.
 			e.Stats.UopsExecuted--
-			return nil, false
+			return false
 		}
-		ctx.lsq = append(ctx.lsq, lsqEntry{vaddr: vaddr, val: val})
+		ctx.lsq = append(ctx.lsq, lsqEntry{vaddr: vaddr, val: val}) //simlint:allocok bounded by LSQSize; the context recycles its lsq backing array
 		ctx.state[i] = uDone
 		ctx.vals[i] = val
 		e.Stats.StoresExecuted++
-		return []Action{{Kind: ActMemExecuted, Ctx: ci, Core: ctx.core,
-			Chain: ctx.chain, UopIdx: i, VAddr: vaddr}}, false
+		e.acts = append(e.acts, Action{Kind: ActMemExecuted, Ctx: ci, Core: ctx.core, //simlint:allocok acts scratch reaches steady-state capacity
+			Chain: ctx.chain, UopIdx: i, VAddr: vaddr})
+		return false
 	default:
 		v := isa.EvalUop(u, e.srcVal(ctx, cu, 0), e.srcVal(ctx, cu, 1))
 		ctx.state[i] = uDone
@@ -581,11 +596,16 @@ func (e *EMC) issueUop(ci, i int, now uint64) (acts []Action, aborted bool) {
 			ctx.prf[cu.DstEPR] = v
 			ctx.prfReady[cu.DstEPR] = true
 		}
-		return nil, false
+		return false
 	}
 }
 
-func (e *EMC) issueLoad(ci, i int, now uint64) (acts []Action, aborted bool) {
+// issueLoad executes chain load i of context ci: LSQ forwarding, the EMC
+// TLB and data cache, then an LLC or direct DRAM request. It appends its
+// actions to e.acts and reports whether the context aborted.
+//
+//simlint:noalloc
+func (e *EMC) issueLoad(ci, i int) (aborted bool) {
 	ctx := &e.ctxs[ci]
 	cu := &ctx.chain.Uops[i]
 	u := &cu.U
@@ -597,7 +617,7 @@ func (e *EMC) issueLoad(ci, i int, now uint64) (acts []Action, aborted bool) {
 		}
 	}
 	e.Stats.LoadsExecuted++
-	acts = append(acts, Action{Kind: ActMemExecuted, Ctx: ci, Core: ctx.core,
+	e.acts = append(e.acts, Action{Kind: ActMemExecuted, Ctx: ci, Core: ctx.core, //simlint:allocok acts scratch reaches steady-state capacity
 		Chain: ctx.chain, UopIdx: i, VAddr: vaddr})
 
 	// EMC LSQ forwarding from an earlier in-chain store.
@@ -606,15 +626,15 @@ func (e *EMC) issueLoad(ci, i int, now uint64) (acts []Action, aborted bool) {
 			e.Stats.LSQForwards++
 			ctx.state[i] = uDone
 			e.writeResult(ctx, i, ctx.lsq[j].val)
-			return acts, false
+			return false
 		}
 	}
 
 	// Translation: no page walks at the EMC — miss aborts (§4.1.4).
 	paddr, ok := e.tlbs[ctx.core].Lookup(vaddr)
 	if !ok {
-		acts = append(acts, e.abort(ci, AbortTLBMiss, vaddr, now)...)
-		return acts, true
+		e.abort(ci, AbortTLBMiss, vaddr)
+		return true
 	}
 
 	// EMC data cache.
@@ -622,7 +642,7 @@ func (e *EMC) issueLoad(ci, i int, now uint64) (acts []Action, aborted bool) {
 		e.Stats.CacheHits++
 		ctx.state[i] = uDone
 		e.writeResult(ctx, i, u.Value)
-		return acts, false
+		return false
 	}
 	e.Stats.CacheMisses++
 
@@ -630,17 +650,17 @@ func (e *EMC) issueLoad(ci, i int, now uint64) (acts []Action, aborted bool) {
 	line := cache.LineAddr(paddr)
 	ctx.state[i] = uIssued
 	ctx.memBusy++
-	e.pend = append(e.pend, pendingMem{ctx: ci, uop: i, line: line})
+	e.pend = append(e.pend, pendingMem{ctx: ci, uop: i, line: line}) //simlint:allocok pend is preallocated to pendCap in New
+	kind := ActLLCRequest
 	if e.PredictMiss(ctx.core, u.PC) {
 		e.Stats.DRAMRequests++
-		acts = append(acts, Action{Kind: ActDRAMRequest, Ctx: ci, Core: ctx.core,
-			Chain: ctx.chain, UopIdx: i, VAddr: vaddr, PAddr: paddr, PC: u.PC})
+		kind = ActDRAMRequest
 	} else {
 		e.Stats.LLCRequests++
-		acts = append(acts, Action{Kind: ActLLCRequest, Ctx: ci, Core: ctx.core,
-			Chain: ctx.chain, UopIdx: i, VAddr: vaddr, PAddr: paddr, PC: u.PC})
 	}
-	return acts, false
+	e.acts = append(e.acts, Action{Kind: kind, Ctx: ci, Core: ctx.core, //simlint:allocok acts scratch reaches steady-state capacity
+		Chain: ctx.chain, UopIdx: i, VAddr: vaddr, PAddr: paddr, PC: u.PC})
+	return false
 }
 
 func (e *EMC) writeResult(ctx *context, i int, v uint64) {
@@ -653,27 +673,32 @@ func (e *EMC) writeResult(ctx *context, i int, v uint64) {
 }
 
 // completeUop finishes a pending memory uop after its fill arrives.
-func (e *EMC) completeUop(ci, i int, now uint64) []Action {
+//
+//simlint:noalloc
+func (e *EMC) completeUop(ci, i int, now uint64) {
 	ctx := &e.ctxs[ci]
 	ctx.state[i] = uDone
 	e.writeResult(ctx, i, ctx.chain.Uops[i].U.Value)
 	if ctx.allDone() {
-		return e.finishChain(ci, now)
+		e.finishChain(ci, now)
 	}
-	return nil
 }
 
-// finishChain emits the live-outs and frees the context.
-func (e *EMC) finishChain(ci int, now uint64) []Action {
+// finishChain writes the live-outs into the chain's own LiveOuts buffer,
+// appends the ActChainDone carrying them, and frees the context.
+//
+//simlint:noalloc
+func (e *EMC) finishChain(ci int, now uint64) {
 	ctx := &e.ctxs[ci]
 	ch := ctx.chain
-	vals := make([]uint64, len(ctx.vals))
-	copy(vals, ctx.vals)
+	// Chains from the core's walk carry a LiveOuts block of exactly
+	// len(Uops); a hand-built chain without one gets it here, once.
+	ch.LiveOuts = append(ch.LiveOuts[:0], ctx.vals...) //simlint:allocok generated chains carry exact-size LiveOuts capacity
 	e.Stats.ChainsDone++
 	e.Stats.ChainLatencySum += now - ctx.trigAt
-	e.Stats.LiveOutsSent += uint64(len(vals))
+	e.Stats.LiveOutsSent += uint64(len(ch.LiveOuts))
 	core := ctx.core
 	ctx.busy = false
 	ctx.chain = nil
-	return []Action{{Kind: ActChainDone, Ctx: ci, Core: core, Chain: ch, Values: vals}}
+	e.acts = append(e.acts, Action{Kind: ActChainDone, Ctx: ci, Core: core, Chain: ch, Values: ch.LiveOuts}) //simlint:allocok acts scratch reaches steady-state capacity
 }

@@ -111,6 +111,16 @@ func TestFig15Through22Shapes(t *testing.T) {
 	if meanRow.Values[2] <= 0 {
 		t.Errorf("Fig18 mean saving %.1f%%, want > 0", meanRow.Values[2])
 	}
+	// The mean row averages the latency columns too (no placeholder zeros).
+	for col, name := range []string{"core", "emc"} {
+		var vs []float64
+		for _, r := range f18.Rows[:len(f18.Rows)-1] {
+			vs = append(vs, r.Values[col])
+		}
+		if got := meanRow.Values[col]; got <= 0 || got != mean(vs) {
+			t.Errorf("Fig18 mean %s latency = %v, want the nonzero mean %v", name, got, mean(vs))
+		}
+	}
 	f22, err := s.Fig22()
 	if err != nil {
 		t.Fatal(err)
@@ -146,6 +156,17 @@ func TestExtRunaheadAndWS(t *testing.T) {
 	for _, r := range ws.Rows[:len(ws.Rows)-1] {
 		if r.Values[0] <= 0 || r.Values[0] > 4 {
 			t.Errorf("%s: baseline WS %.3f out of (0,4]", r.Label, r.Values[0])
+		}
+	}
+	// The gmean row covers the WS columns too (no placeholder zeros).
+	gmeanRow := ws.Rows[len(ws.Rows)-1]
+	for col, name := range []string{"baseline", "emc"} {
+		var vs []float64
+		for _, r := range ws.Rows[:len(ws.Rows)-1] {
+			vs = append(vs, r.Values[col])
+		}
+		if got := gmeanRow.Values[col]; got <= 0 || got != gmean(vs) {
+			t.Errorf("WS gmean %s = %v, want the nonzero gmean %v", name, got, gmean(vs))
 		}
 	}
 }

@@ -50,16 +50,19 @@ func (s *Suite) WeightedSpeedup() (*Table, error) {
 		Columns: []string{"baseline", "emc", "ratio"},
 		Notes:   "4.0 = no contention; the EMC's gain under this metric parallels the IPC-based Fig. 12",
 	}
-	var ratios []float64
+	var bases, emcs, ratios []float64
 	for i, w := range h10() {
 		b, e := ws(base[i]), ws(emc[i])
 		ratio := 0.0
 		if b > 0 {
 			ratio = e / b
 		}
+		bases = append(bases, b)
+		emcs = append(emcs, e)
 		ratios = append(ratios, ratio)
 		t.Rows = append(t.Rows, Row{Label: w.name, Values: []float64{b, e, ratio}})
 	}
-	t.Rows = append(t.Rows, Row{Label: "gmean", Values: []float64{0, 0, gmean(ratios)}})
+	t.Rows = append(t.Rows, Row{Label: "gmean",
+		Values: []float64{gmean(bases), gmean(emcs), gmean(ratios)}})
 	return t, nil
 }

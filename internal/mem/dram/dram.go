@@ -176,6 +176,12 @@ type Controller struct {
 	// Batch-scheduler state.
 	batchLive int   // marked requests not yet issued
 	coreRank  []int // lower = higher priority within batch
+	// formBatch scratch, reused across batches: marked requests per
+	// (core, channel, bank), marked requests per ranked core, and the
+	// rank order.
+	batchQuota map[batchKey]int
+	batchCount []int
+	batchOrder []coreCount
 
 	// gen counts observable state changes (enqueues, issues, refreshes,
 	// completions, drain flips). It versions the NextEvent memo and the
@@ -327,6 +333,7 @@ func NewController(geo Geometry, t Timing, policy SchedPolicy, cores int) *Contr
 		panic("dram: bad geometry")
 	}
 	c := &Controller{geo: geo, timing: t, policy: policy, coreRank: make([]int, cores+1),
+		batchQuota: map[batchKey]int{}, batchCount: make([]int, cores+1),
 		minDoneAt: NoEvent}
 	c.channels = make([]channel, geo.Channels)
 	for i := range c.channels {
@@ -438,7 +445,7 @@ func (c *Controller) Tick(now uint64) []*Request {
 	}
 	// Batch formation: when the current batch is exhausted, mark a new one.
 	if c.policy == SchedBatch && c.batchLive == 0 {
-		c.formBatch() //simlint:allocok per-batch (not per-cycle) work: its maps amortize to ~0 allocs/op over the batch's cycles
+		c.formBatch()
 	}
 	for i := range c.channels {
 		c.refresh(&c.channels[i], now)
@@ -474,9 +481,15 @@ func (c *Controller) Tick(now uint64) []*Request {
 	return done
 }
 
+type batchKey struct{ core, ch, bank int }
+
+type coreCount struct{ core, n int }
+
 // formBatch marks up to 5 oldest requests per (core, bank) across all
 // channels, then ranks cores by their marked-request count (fewest first —
 // shortest job first, the PAR-BS heuristic).
+//
+//simlint:noalloc
 func (c *Controller) formBatch() {
 	const perCoreBank = 5
 	queued := 0
@@ -487,17 +500,18 @@ func (c *Controller) formBatch() {
 		return
 	}
 	c.gen++
-	counts := make(map[int]int)
-	type key struct{ core, ch, bank int }
-	quota := make(map[key]int)
+	clear(c.batchQuota)
+	clear(c.batchCount)
 	any := false
 	for chI := range c.channels {
 		for _, r := range c.channels[chI].readQ {
-			k := key{r.CoreID, chI, r.bank}
-			if quota[k] < perCoreBank {
-				quota[k]++
+			k := batchKey{r.CoreID, chI, r.bank}
+			if c.batchQuota[k] < perCoreBank {
+				c.batchQuota[k]++
 				r.marked = true
-				counts[r.CoreID]++
+				if r.CoreID >= 0 && r.CoreID < len(c.batchCount) {
+					c.batchCount[r.CoreID]++
+				}
 				c.batchLive++
 				any = true
 			}
@@ -510,18 +524,15 @@ func (c *Controller) formBatch() {
 	for core := range c.coreRank {
 		c.coreRank[core] = 1 << 30
 	}
-	type cc struct{ core, n int }
-	var order []cc
-	// The insertion sort below imposes a total (n, core) order, erasing the
-	// map iteration order; hand-rolled instead of sort.Slice to keep the
-	// batch-rebuild path closure-free.
-	//simlint:ordered
-	for core, n := range counts {
-		if core >= 0 && core < len(c.coreRank) {
-			order = append(order, cc{core, n})
+	order := c.batchOrder[:0]
+	for core, n := range c.batchCount {
+		if n > 0 {
+			order = append(order, coreCount{core, n}) //simlint:allocok bounded by the core count; scratch capacity is reused
 		}
 	}
-	// Insertion sort by (n, core) for determinism.
+	c.batchOrder = order
+	// Insertion sort by (n, core); hand-rolled instead of sort.Slice to keep
+	// the batch-rebuild path closure-free.
 	for i := 1; i < len(order); i++ {
 		for j := i; j > 0 && (order[j].n < order[j-1].n ||
 			(order[j].n == order[j-1].n && order[j].core < order[j-1].core)); j-- {

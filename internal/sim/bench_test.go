@@ -75,3 +75,49 @@ func BenchmarkStepStream(b *testing.B) {
 	}
 	b.ReportMetric(float64(sys.Now()-start)/float64(b.N), "cycles/op")
 }
+
+// chaseOpCycles is one BenchmarkStepChase op: enough simulated cycles that
+// every op spans several chain walks on 4x mcf.
+const chaseOpCycles = 1000
+
+// BenchmarkStepChase measures the chain path on the paper's 4x mcf EMC
+// point: full-window stalls trigger dataflow walks, chains ship to the EMC,
+// execute there and return their live-outs. It warms until every core has
+// shipped a chain, so the walk's scratch and the EMC's action buffer have
+// reached their working size. One op advances chaseOpCycles simulated
+// cycles; allocs/op is then the allocations of a few walks, so one extra
+// allocation per walk moves it (see `make bench` and benchjson -diff-allocs).
+func BenchmarkStepChase(b *testing.B) {
+	sys := benchSystem(b, []string{"mcf", "mcf", "mcf", "mcf"},
+		func(c *Config) { c.EMCEnabled = true })
+	for !everyCoreShipped(sys) {
+		sys.Step()
+	}
+	chains := func() (n uint64) {
+		for _, c := range sys.cores {
+			n += c.Stats.ChainsGenerated
+		}
+		return n
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	start, startChains := sys.Now(), chains()
+	for i := 0; i < b.N; i++ {
+		for end := sys.Now() + chaseOpCycles; sys.Now() < end; {
+			sys.Step()
+		}
+	}
+	b.ReportMetric(float64(sys.Now()-start)/float64(b.N), "cycles/op")
+	b.ReportMetric(float64(chains()-startChains)/float64(b.N), "chains/op")
+}
+
+// everyCoreShipped reports whether each core has handed at least one chain
+// to the EMC (generated and not cancelled before transmission).
+func everyCoreShipped(sys *System) bool {
+	for _, c := range sys.cores {
+		if c.Stats.ChainsGenerated <= c.Stats.ChainCancels {
+			return false
+		}
+	}
+	return true
+}

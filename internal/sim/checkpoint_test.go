@@ -169,11 +169,11 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 	cases := map[string][]byte{
-		"empty":      {},
-		"bad magic":  append([]byte("XXXX"), good[4:]...),
-		"truncated":  good[:len(good)-6],
-		"flipped":    append(append([]byte{}, good[:12]...), append([]byte{good[12] ^ 0xFF}, good[13:]...)...),
-		"crc":        append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^0xFF),
+		"empty":     {},
+		"bad magic": append([]byte("XXXX"), good[4:]...),
+		"truncated": good[:len(good)-6],
+		"flipped":   append(append([]byte{}, good[:12]...), append([]byte{good[12] ^ 0xFF}, good[13:]...)...),
+		"crc":       append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^0xFF),
 		"bad version": func() []byte {
 			b := append([]byte{}, good...)
 			b[4] ^= 0xFF

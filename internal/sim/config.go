@@ -102,7 +102,8 @@ type Config struct {
 	CoreTweak func(*cpu.Config) `json:"-"`
 
 	// OnChain, when set, observes every chain as it is shipped to the EMC
-	// (inspection/debugging; must not mutate the chain).
+	// (inspection/debugging). It must not mutate the chain or retain its
+	// slices: the EMC writes LiveOuts at completion.
 	OnChain func(*cpu.Chain) `json:"-"`
 }
 

@@ -31,7 +31,8 @@
 //
 // # Chain offload (§4.2–4.3 of the paper)
 //
-//	core TakeReadyChain ──mChainFlit×N──▶ MC (installChain; PTE piggyback)
+//	core TakeReadyChain ──mChainFlit×N──▶ MC (last flit carries the chain:
+//	  installChain; PTE piggyback)
 //	  no context: direct core.AbortRemoteChain (counted as a reject)
 //	EMC executes when the source line's DRAM read completes (OnDRAMFill):
 //	  each memory uop  ──mMemExec──▶ core (LSQ population; disambiguation)

@@ -90,13 +90,6 @@ type msg struct {
 	core   int
 	mc     int // origin/target MC index where relevant
 	line   uint64
-	xfer   *chainTransfer
-}
-
-// chainTransfer tracks a multi-flit chain packet.
-type chainTransfer struct {
-	chain   *cpu.Chain
-	pending int
 }
 
 type sliceEvent struct {
@@ -135,7 +128,7 @@ type mcNode struct {
 	emc       *emc.EMC
 	pending   map[uint64]*mcPending
 	retryQ    []*dram.Request
-	retryHead int // consumed prefix of retryQ
+	retryHead int          // consumed prefix of retryQ
 	magicQ    []*cpu.Chain // MagicChains diagnostic mode
 }
 
@@ -741,7 +734,7 @@ func (s *System) step() {
 	if s.cfg.EMCEnabled {
 		for i, c := range s.cores {
 			if ch := c.TakeReadyChain(s.now); ch != nil {
-				s.shipChain(i, ch) //simlint:allocok one transfer record per shipped chain, off the per-cycle steady state
+				s.shipChain(i, ch)
 			}
 			for _, ch := range c.TakeConflictedChains() {
 				if mcID, ok := s.activeChains[ch]; ok {
@@ -762,7 +755,11 @@ func (s *System) step() {
 }
 
 // shipChain sends a generated chain to the MC owning the source line's
-// channel, as multiple data-ring flits.
+// channel, as multiple data-ring flits. The ring delivers each (src, dst)
+// flow in order, so only the last flit carries the chain: its arrival
+// means the whole packet has been received (mChainDone does the same).
+//
+//simlint:noalloc
 func (s *System) shipChain(core int, ch *cpu.Chain) {
 	if s.cfg.OnChain != nil {
 		s.cfg.OnChain(ch)
@@ -772,11 +769,11 @@ func (s *System) shipChain(core int, ch *cpu.Chain) {
 	if flits < 1 {
 		flits = 1
 	}
-	xfer := &chainTransfer{chain: ch, pending: flits}
 	s.st.ChainFlits += uint64(flits)
-	for f := 0; f < flits; f++ {
-		s.sendData(s.coreStop[core], mc.stop, msg{kind: mChainFlit, chain: ch, xfer: xfer, mc: mc.id})
+	for f := 0; f < flits-1; f++ {
+		s.sendData(s.coreStop[core], mc.stop, msg{kind: mChainFlit, mc: mc.id})
 	}
+	s.sendData(s.coreStop[core], mc.stop, msg{kind: mChainFlit, chain: ch, mc: mc.id})
 }
 
 // handle dispatches a delivered ring message.
@@ -812,10 +809,10 @@ func (s *System) handle(stop int, m *msg) {
 			e.InvalidateLine(m.line)
 		}
 	case mChainFlit:
-		m.xfer.pending--
-		if m.xfer.pending == 0 {
-			s.installChain(s.mcs[m.mc], m.chain)
+		if m.chain == nil {
+			return // leading flit of a multi-flit chain packet
 		}
+		s.installChain(s.mcs[m.mc], m.chain)
 	case mChainDone:
 		if m.values == nil {
 			return // leading flit of a multi-flit live-out transfer

@@ -115,6 +115,7 @@ type Generator struct {
 	// started. Stream k owns register chaseR0+k.
 	chaseCur [chaseRegs]uint64
 	nextStrm int
+	steps    []chainStep // solveChain scratch, reused across hops
 
 	// succ records the stable next-pointer of visited chase nodes, so a
 	// revisited node leads to the same successor — the repeated-traversal
@@ -540,9 +541,14 @@ type chainStep struct {
 }
 
 // solveChain picks k invertible ops and back-computes the value a source
-// load must produce so that applying the ops forward yields target.
+// load must produce so that applying the ops forward yields target. The
+// returned steps live in the generator's scratch and are valid until the
+// next call.
 func (g *Generator) solveChain(k int, target uint64) ([]chainStep, uint64) {
-	steps := make([]chainStep, k)
+	if cap(g.steps) < k {
+		g.steps = make([]chainStep, k)
+	}
+	steps := g.steps[:k]
 	for i := range steps {
 		switch g.rng.Intn(4) {
 		case 0:

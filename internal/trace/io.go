@@ -74,7 +74,10 @@ func ReadTrace(r io.Reader) ([]isa.Uop, error) {
 	if n > maxTrace {
 		return nil, fmt.Errorf("trace: implausible uop count %d", n)
 	}
-	uops := make([]isa.Uop, 0, n)
+	// The header's count is untrusted: preallocate at most maxPrealloc uops
+	// and let a longer trace grow as its records actually arrive.
+	const maxPrealloc = 1 << 16
+	uops := make([]isa.Uop, 0, min(n, maxPrealloc))
 	var rec [recordBytes]byte
 	for i := uint64(0); i < n; i++ {
 		if _, err := io.ReadFull(br, rec[:]); err != nil {

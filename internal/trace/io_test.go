@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -45,4 +47,63 @@ func TestTraceBadInputs(t *testing.T) {
 	if _, err := ReadTrace(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated trace should fail")
 	}
+}
+
+// traceHeader returns a bare 16-byte trace header claiming n uops.
+func traceHeader(n uint64) []byte {
+	var hdr [16]byte
+	binary.LittleEndian.PutUint32(hdr[0:], traceMagic)
+	binary.LittleEndian.PutUint32(hdr[4:], traceVersion)
+	binary.LittleEndian.PutUint64(hdr[8:], n)
+	return hdr[:]
+}
+
+// TestReadTraceOversizedCount: a header claiming 2^24 uops with no records
+// behind it fails without allocating for the claimed count (it used to
+// preallocate ~900 MB before reading the first record).
+func TestReadTraceOversizedCount(t *testing.T) {
+	in := traceHeader(1 << 24)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadTrace(bytes.NewReader(in)); err == nil {
+		t.Fatal("a header with no records behind its count should fail")
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+		t.Errorf("rejecting a 16-byte input allocated %d bytes", got)
+	}
+}
+
+// FuzzReadTrace: every input ReadTrace accepts round-trips through
+// WriteTrace to the same uops.
+func FuzzReadTrace(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteTrace(&buf, Generate(MustByName("mcf"), 1, 3)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(traceHeader(0))
+	f.Add(traceHeader(1 << 24))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		uops, err := ReadTrace(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteTrace(&out, uops); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadTrace(&out)
+		if err != nil {
+			t.Fatalf("re-reading a written trace: %v", err)
+		}
+		if len(again) != len(uops) {
+			t.Fatalf("round trip: %d uops, want %d", len(again), len(uops))
+		}
+		for i := range uops {
+			if again[i] != uops[i] {
+				t.Fatalf("uop %d differs after round trip:\n  in:  %+v\n  out: %+v", i, uops[i], again[i])
+			}
+		}
+	})
 }
