@@ -37,15 +37,10 @@ func (n *Node) localDigest() Digest {
 	return d
 }
 
-// HandleDigest serves this node's anti-entropy summary to a peer.
-func (n *Node) HandleDigest() Digest { return n.localDigest() }
-
 // HandleKeys lists this node's durable record keys in one digest bucket
-// (sorted — ResultKeys is sorted and the filter preserves order).
+// (sorted — ResultKeys is sorted and the filter preserves order). The
+// handler has range-checked bucket.
 func (n *Node) HandleKeys(bucket int) []string {
-	if bucket < 0 || bucket >= digestBuckets {
-		return nil
-	}
 	var out []string
 	for _, k := range n.svc.ResultKeys() {
 		if bucketOf(k) == bucket {

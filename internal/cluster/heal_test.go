@@ -138,6 +138,11 @@ func TestBreakerDegradesFlappingPeer(t *testing.T) {
 		return o
 	})
 
+	// The reference run comes first: under -race it can outlast the 100ms
+	// cooldown, and a half-open breaker would route the job back to node1.
+	cfg := cfgOwnedBy(t, 2, 1)
+	ref := runTiny(t, cfg).Hash()
+
 	f.Transport.Partition("node0", "node1")
 	waitFor(t, 5*time.Second, "node1 degraded on node0", func() bool {
 		row, ok := peerRow(f.Nodes[0], "node1")
@@ -149,8 +154,6 @@ func TestBreakerDegradesFlappingPeer(t *testing.T) {
 
 	// A key node1 owns routes straight to local execution: the degraded
 	// owner is skipped by the ring predicate, no re-dispatch timeout burn.
-	cfg := cfgOwnedBy(t, 2, 1)
-	ref := runTiny(t, cfg).Hash()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()

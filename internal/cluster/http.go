@@ -46,8 +46,13 @@ const peerIDHeader = "X-Emc-Node"
 // endpoints stay open — the token authenticates nodes to each other, not
 // users to the service.
 //
+// Every request that names a peer in X-Emc-Node, and passes the token check
+// when one is set, credits that peer's suspect timer, whatever its route:
+// the status waits and cancels that follow a forwarded job count too.
+//
 // Everything else (status, results, stats, trace, metrics) falls through to
-// the wrapped service handler unchanged.
+// the wrapped service handler unchanged, except that a peer's status wait
+// answers 503 once this node begins closing (peerStatus).
 func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	inner := service.NewHandler(n.Service(), reg)
 	var rejected atomic.Uint64
@@ -55,21 +60,19 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	if reg != nil {
 		authGroup = reg.NewGroup(map[string]string{"component": "cluster"}, []string{"cluster_auth_rejected"})
 	}
+	want := []byte("Bearer " + token)
+	authorized := func(r *http.Request) bool {
+		return token == "" || subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), want) == 1
+	}
 	guard := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
-			if token != "" {
-				want := "Bearer " + token
-				if subtle.ConstantTimeCompare([]byte(r.Header.Get("Authorization")), []byte(want)) != 1 {
-					cnt := rejected.Add(1)
-					if authGroup != nil {
-						authGroup.Publish([]float64{float64(cnt)})
-					}
-					httpJSON(w, http.StatusUnauthorized, httpError{Error: "cluster: invalid or missing cluster token"})
-					return
+			if !authorized(r) {
+				cnt := rejected.Add(1)
+				if authGroup != nil {
+					authGroup.Publish([]float64{float64(cnt)})
 				}
-			}
-			if peer := r.Header.Get(peerIDHeader); peer != "" {
-				n.MarkPeerSeen(peer)
+				httpJSON(w, http.StatusUnauthorized, httpError{Error: "cluster: invalid or missing cluster token"})
+				return
 			}
 			h(w, r)
 		}
@@ -77,6 +80,7 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	mux := http.NewServeMux()
 	mux.Handle("/", inner)
 	mux.HandleFunc("POST /api/v1/jobs", n.httpSubmit)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", n.peerStatus(inner))
 	mux.HandleFunc("POST /api/v1/cluster/submit", guard(n.httpClusterSubmit))
 	mux.HandleFunc("GET /api/v1/cluster/record", guard(n.httpRecord))
 	mux.HandleFunc("GET /api/v1/cluster/ping", guard(n.httpPing))
@@ -85,9 +89,57 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	mux.HandleFunc("GET /api/v1/cluster/members", guard(func(w http.ResponseWriter, _ *http.Request) {
 		httpJSON(w, http.StatusOK, n.Members())
 	}))
-	mux.HandleFunc("GET /api/v1/cluster/digest", guard(n.httpDigest))
+	mux.HandleFunc("GET /api/v1/cluster/digest", guard(func(w http.ResponseWriter, _ *http.Request) {
+		httpJSON(w, http.StatusOK, n.localDigest())
+	}))
 	mux.HandleFunc("GET /api/v1/cluster/keys", guard(n.httpKeys))
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if peer := r.Header.Get(peerIDHeader); peer != "" && authorized(r) {
+			n.MarkPeerSeen(peer)
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// peerStatus serves a peer's status wait on a job it forwarded here. A
+// closing node answers 503, which the peer treats like an unreachable
+// owner: it fails over rather than read the cancellation this node's
+// closing service is about to report. Close also ends a wait in progress:
+// the service then writes nothing, and the 503 follows. Clients' status
+// requests pass straight through.
+func (n *Node) peerStatus(inner http.Handler) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Header.Get(peerIDHeader) == "" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		tw := &trackingWriter{ResponseWriter: w}
+		if n.ctx.Err() == nil {
+			ctx, cancel := context.WithCancel(r.Context())
+			defer cancel()
+			defer context.AfterFunc(n.ctx, cancel)()
+			inner.ServeHTTP(tw, r.WithContext(ctx))
+		}
+		if !tw.wrote {
+			httpJSON(w, http.StatusServiceUnavailable, httpError{Error: ErrNodeClosed.Error()})
+		}
+	}
+}
+
+// trackingWriter records whether a handler answered at all.
+type trackingWriter struct {
+	http.ResponseWriter
+	wrote bool
+}
+
+func (w *trackingWriter) WriteHeader(code int) {
+	w.wrote = true
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *trackingWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
 }
 
 type httpError struct {
@@ -191,10 +243,6 @@ func (n *Node) httpJoin(w http.ResponseWriter, r *http.Request) {
 	httpJSON(w, http.StatusOK, n.HandleJoin(mem))
 }
 
-func (n *Node) httpDigest(w http.ResponseWriter, _ *http.Request) {
-	httpJSON(w, http.StatusOK, n.HandleDigest())
-}
-
 func (n *Node) httpKeys(w http.ResponseWriter, r *http.Request) {
 	bucket, err := strconv.Atoi(r.URL.Query().Get("bucket"))
 	if err != nil || bucket < 0 || bucket >= digestBuckets {
@@ -211,9 +259,10 @@ func (n *Node) httpKeys(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------------
 // HTTP transport (the dialing side).
 
-// HTTPTransport speaks the fabric protocol between emcserve processes. Node
-// ids resolve to advertised base URLs through the membership table (the
-// node's MemberAddr method).
+// HTTPTransport is the dialing side of the fabric protocol, the only one:
+// emcserve nodes dial each other over TCP, resolving node ids to advertised
+// base URLs through the membership table (the node's MemberAddr method),
+// and an in-process fabric dials through a LocalTransport.
 type HTTPTransport struct {
 	// Client is the underlying HTTP client; NewHTTPTransport sets a
 	// 10-second timeout so a dead TCP peer fails fast enough for the
@@ -235,28 +284,34 @@ func NewHTTPTransport(resolve func(node string) (string, bool)) *HTTPTransport {
 	return &HTTPTransport{Client: &http.Client{Timeout: 10 * time.Second}, Resolve: resolve}
 }
 
-func (t *HTTPTransport) base(node string) (string, error) {
+// call performs one fabric request against node; see do.
+func (t *HTTPTransport) call(ctx context.Context, node, method, path string, in, out any) (int, error) {
 	addr, ok := t.Resolve(node)
 	if !ok || addr == "" {
-		return "", ErrUnreachable
+		return 0, ErrUnreachable
 	}
-	return strings.TrimSuffix(addr, "/"), nil
+	return t.do(ctx, method, strings.TrimSuffix(addr, "/")+path, in, out)
 }
 
-// do performs one fabric request, classifying the response: 2xx decodes
-// into out (when non-nil), 429 is ErrBusy, 503 and transport failures are
+// do performs one fabric request, sending in (when non-nil) as JSON and
+// classifying the response: 2xx decodes into out (when non-nil; a *[]byte
+// takes the raw body), 429 is ErrBusy, 503 and transport failures are
 // ErrUnreachable, everything else is a permanent error carrying the body.
-func (t *HTTPTransport) do(ctx context.Context, method, url, contentType string, body []byte, out any) (int, error) {
+func (t *HTTPTransport) do(ctx context.Context, method, url string, in, out any) (int, error) {
 	var rd io.Reader
-	if body != nil {
+	if in != nil {
+		body, err := json.Marshal(in)
+		if err != nil {
+			return 0, err
+		}
 		rd = bytes.NewReader(body)
 	}
 	req, err := http.NewRequestWithContext(ctx, method, url, rd)
 	if err != nil {
 		return 0, err
 	}
-	if contentType != "" {
-		req.Header.Set("Content-Type", contentType)
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	if t.Token != "" {
 		req.Header.Set("Authorization", "Bearer "+t.Token)
@@ -300,127 +355,80 @@ func (t *HTTPTransport) do(ctx context.Context, method, url, contentType string,
 	return resp.StatusCode, nil
 }
 
+// Submit hands a forwarded job to its owner and returns the owner's job
+// status (which may already be terminal on a cache hit).
 func (t *HTTPTransport) Submit(ctx context.Context, node string, req SubmitRequest) (service.Status, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return service.Status{}, err
-	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return service.Status{}, err
-	}
 	var st service.Status
-	if _, err := t.do(ctx, http.MethodPost, base+"/api/v1/cluster/submit", "application/json", body, &st); err != nil {
-		return service.Status{}, err
-	}
-	return st, nil
+	_, err := t.call(ctx, node, http.MethodPost, "/api/v1/cluster/submit", req, &st)
+	return st, err
 }
 
 // Status long-polls the owner's job endpoint with ?wait= in milliseconds,
 // rounded up so a sub-millisecond wait still waits.
 func (t *HTTPTransport) Status(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return service.Status{}, err
-	}
 	ms := (wait + time.Millisecond - 1) / time.Millisecond
 	var st service.Status
-	if _, err := t.do(ctx, http.MethodGet, base+"/api/v1/jobs/"+url.PathEscape(jobID)+"?wait="+strconv.FormatInt(int64(ms), 10), "", nil, &st); err != nil {
-		return service.Status{}, err
-	}
-	return st, nil
+	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/jobs/"+url.PathEscape(jobID)+"?wait="+strconv.FormatInt(int64(ms), 10), nil, &st)
+	return st, err
 }
 
+// Cancel propagates a cancellation to the owner. Best effort.
 func (t *HTTPTransport) Cancel(ctx context.Context, node, jobID string) error {
-	base, err := t.base(node)
-	if err != nil {
-		return err
-	}
-	_, err = t.do(ctx, http.MethodPost, base+"/api/v1/jobs/"+url.PathEscape(jobID)+"/cancel", "", nil, nil)
+	_, err := t.call(ctx, node, http.MethodPost, "/api/v1/jobs/"+url.PathEscape(jobID)+"/cancel", nil, nil)
 	return err
 }
 
+// Fetch retrieves the durable EMCR frame for key from a peer's cache.
 func (t *HTTPTransport) Fetch(ctx context.Context, node, key string) ([]byte, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return nil, err
-	}
 	var frame []byte
-	code, err := t.do(ctx, http.MethodGet, base+"/api/v1/cluster/record?key="+url.QueryEscape(key), "", nil, &frame)
+	code, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/record?key="+url.QueryEscape(key), nil, &frame)
 	if code == http.StatusNotFound {
 		return nil, ErrNoRecord
 	}
-	if err != nil {
-		return nil, err
-	}
-	return frame, nil
+	return frame, err
 }
 
+// Ping probes a peer's liveness and load.
 func (t *HTTPTransport) Ping(ctx context.Context, node string) (Health, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return Health{}, err
-	}
 	var h Health
-	if _, err := t.do(ctx, http.MethodGet, base+"/api/v1/cluster/ping", "", nil, &h); err != nil {
-		return Health{}, err
-	}
-	return h, nil
+	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/ping", nil, &h)
+	return h, err
 }
 
-// Steal names the caller through the peer-id header (Self); a transport
-// without Self is always declined.
+// Steal asks node to forward one of its queued jobs to this node, named
+// through the peer-id header (Self); a transport without Self is always
+// declined. The reply carries no job: true means the job follows as an
+// ordinary forwarded Submit.
 func (t *HTTPTransport) Steal(ctx context.Context, node string) (bool, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return false, err
-	}
-	code, err := t.do(ctx, http.MethodPost, base+"/api/v1/cluster/steal", "", nil, nil)
+	code, err := t.call(ctx, node, http.MethodPost, "/api/v1/cluster/steal", nil, nil)
 	return err == nil && code == http.StatusOK, err
 }
 
+// Join announces mem to a peer and returns the peer's member list.
 func (t *HTTPTransport) Join(ctx context.Context, node string, mem Member) ([]Member, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return nil, err
-	}
-	return t.JoinAddr(ctx, base, mem)
+	var members []Member
+	_, err := t.call(ctx, node, http.MethodPost, "/api/v1/cluster/join", mem, &members)
+	return members, err
 }
 
+// Digest fetches a peer's anti-entropy summary of its durable records.
 func (t *HTTPTransport) Digest(ctx context.Context, node string) (Digest, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return Digest{}, err
-	}
 	var d Digest
-	if _, err := t.do(ctx, http.MethodGet, base+"/api/v1/cluster/digest", "", nil, &d); err != nil {
-		return Digest{}, err
-	}
-	return d, nil
+	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/digest", nil, &d)
+	return d, err
 }
 
+// Keys lists a peer's durable record keys in one digest bucket.
 func (t *HTTPTransport) Keys(ctx context.Context, node string, bucket int) ([]string, error) {
-	base, err := t.base(node)
-	if err != nil {
-		return nil, err
-	}
 	var keys []string
-	if _, err := t.do(ctx, http.MethodGet, base+"/api/v1/cluster/keys?bucket="+strconv.Itoa(bucket), "", nil, &keys); err != nil {
-		return nil, err
-	}
-	return keys, nil
+	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/keys?bucket="+strconv.Itoa(bucket), nil, &keys)
+	return keys, err
 }
 
 // JoinAddr announces mem to the fabric member at baseURL directly — the
 // bootstrap path, used before the target's node id is known (-join flag).
 func (t *HTTPTransport) JoinAddr(ctx context.Context, baseURL string, mem Member) ([]Member, error) {
-	body, err := json.Marshal(mem)
-	if err != nil {
-		return nil, err
-	}
 	var members []Member
-	if _, err := t.do(ctx, http.MethodPost, strings.TrimSuffix(baseURL, "/")+"/api/v1/cluster/join", "application/json", body, &members); err != nil {
-		return nil, err
-	}
-	return members, nil
+	_, err := t.do(ctx, http.MethodPost, strings.TrimSuffix(baseURL, "/")+"/api/v1/cluster/join", mem, &members)
+	return members, err
 }

@@ -36,6 +36,16 @@ func startHTTPNode(t *testing.T, id string) *httpNode {
 // handler guards /api/v1/cluster/* and the node's own transport presents
 // the token, exactly like emcserve -cluster-token wires it.
 func startHTTPNodeAuth(t *testing.T, id, token string) *httpNode {
+	return startHTTPNodeOpts(t, id, token, cluster.Options{
+		HeartbeatInterval: 10 * time.Millisecond,
+		SuspectAfter:      60 * time.Millisecond,
+		PollInterval:      2 * time.Millisecond,
+	})
+}
+
+// startHTTPNodeOpts is startHTTPNodeAuth with explicit cluster options (ID
+// and Addr are filled in).
+func startHTTPNodeOpts(t *testing.T, id, token string, opts cluster.Options) *httpNode {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -47,13 +57,8 @@ func startHTTPNodeAuth(t *testing.T, id, token string) *httpNode {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := cluster.New(svc, cluster.Options{
-		ID:                id,
-		Addr:              url,
-		HeartbeatInterval: 10 * time.Millisecond,
-		SuspectAfter:      60 * time.Millisecond,
-		PollInterval:      2 * time.Millisecond,
-	})
+	opts.ID, opts.Addr = id, url
+	n := cluster.New(svc, opts)
 	tr := cluster.NewHTTPTransport(n.MemberAddr)
 	tr.Token = token
 	tr.Self = id
@@ -412,5 +417,55 @@ func TestHTTPTransportStatusWaits(t *testing.T) {
 	}
 	if d := time.Since(start); st.State != service.StateDone || d > 5*time.Second {
 		t.Fatalf("status wait returned %s after %v, want done as soon as the job finished", st.State, d)
+	}
+}
+
+// TestHTTPStatusWaitsCreditPeer: over real sockets, the status long-polls an
+// entry node sends to follow a forwarded job credit it on the owner. With
+// every heartbeat probe suppressed and the job outliving SuspectAfter
+// several times over, those waits alone must keep the entry node alive
+// there.
+func TestHTTPStatusWaitsCreditPeer(t *testing.T) {
+	fault.DisableAll()
+	t.Cleanup(fault.DisableAll)
+	const suspect = 200 * time.Millisecond
+	opts := cluster.Options{
+		HeartbeatInterval: 10 * time.Millisecond,
+		SuspectAfter:      suspect,
+		PollInterval:      2 * time.Millisecond,
+	}
+	entry := startHTTPNodeOpts(t, "node0", "", opts)
+	owner := startHTTPNodeOpts(t, "node1", "", opts)
+	entry.node.AddMember(cluster.Member{ID: "node1", Addr: owner.url})
+	owner.node.AddMember(cluster.Member{ID: "node0", Addr: entry.url})
+	entry.node.Start()
+	owner.node.Start()
+	waitFor(t, 10*time.Second, "both peers alive", func() bool {
+		a, okA := peerRow(entry.node, "node1")
+		b, okB := peerRow(owner.node, "node0")
+		return okA && okB && a.State == "alive" && b.State == "alive"
+	})
+
+	armSite(t, fault.SiteClusterHeartbeat, fault.Trigger{}) // no probes at all
+	j, err := entry.node.Submit("t", ownedCfg(t, 2, 1, 30_000_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		_ = entry.node.Service().Cancel(j.ID())
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		_, _ = j.Wait(ctx)
+	}()
+	waitFor(t, 10*time.Second, "owner to run the forwarded job", func() bool {
+		return owner.node.Service().Stats().Running == 1
+	})
+	for end := time.Now().Add(5 * suspect); time.Now().Before(end); time.Sleep(5 * time.Millisecond) {
+		if row, _ := peerRow(owner.node, "node0"); row.State != "alive" {
+			t.Fatalf("entry node on the owner: %+v — status waits did not credit it", row)
+		}
+	}
+	if j.Status().State.Terminal() {
+		t.Fatal("job ended inside the window: nothing was waiting on the owner")
 	}
 }

@@ -3,50 +3,73 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"sync"
-	"time"
 
 	"repro/internal/service"
 )
 
-// LocalTransport wires N in-process nodes together by direct method calls,
-// with kill and partition switches so tests and the chaos suite can model
-// node failures without processes. Kills and partitions are symmetric: a
-// down node neither receives nor emits, a cut pair is cut both ways.
+// LocalTransport is the in-process switchboard: an http.RoundTripper that
+// hands each fabric request to the NewHandler of the node its host names,
+// so in-process nodes speak the wire protocol through the handlers emcserve
+// serves. Kill and partition switches let tests and the chaos suite model
+// node failures without processes. Both are symmetric: a down node neither
+// receives nor emits, a cut pair is cut both ways. A request to a down node
+// or across a cut fails like a failed dial; Kill also fails the requests in
+// flight to the node, like a reset connection.
 type LocalTransport struct {
-	mu    sync.Mutex
-	nodes map[string]*Node
-	down  map[string]bool
-	cut   map[[2]string]bool
+	client *http.Client
+	mu     sync.Mutex
+	nodes  map[string]*endpoint
+	cut    map[[2]string]bool
+}
+
+// endpoint is one attached node as the switchboard sees it.
+type endpoint struct {
+	node *Node
+	h    http.Handler // built by the first request that reaches the node
+	up   context.Context
+	kill context.CancelFunc // cancels up: the node is down
 }
 
 // NewLocalTransport builds an empty in-process switchboard.
 func NewLocalTransport() *LocalTransport {
-	return &LocalTransport{nodes: map[string]*Node{}, down: map[string]bool{}, cut: map[[2]string]bool{}}
+	lt := &LocalTransport{nodes: map[string]*endpoint{}, cut: map[[2]string]bool{}}
+	lt.client = &http.Client{Transport: lt}
+	return lt
 }
 
-// Attach registers n and installs its per-node connection (the transport
-// must know the caller to apply partitions).
+// Attach registers n, replacing any earlier node under its id, and gives
+// it an HTTPTransport that dials through the switchboard.
 func (lt *LocalTransport) Attach(n *Node) {
+	up, kill := context.WithCancel(context.Background())
 	lt.mu.Lock()
-	lt.nodes[n.ID()] = n
+	lt.nodes[n.ID()] = &endpoint{node: n, up: up, kill: kill}
 	lt.mu.Unlock()
-	n.SetTransport(&localConn{lt: lt, from: n.ID()})
+	n.SetTransport(&HTTPTransport{Client: lt.client, Resolve: localAddr, Self: n.ID()})
 }
+
+// localAddr is the in-process address book: a node's host is its id.
+func localAddr(id string) (string, bool) { return "http://" + id, true }
 
 // Kill makes id unreachable in both directions (the node-kill model: the
 // process is gone; callers should also Close the node's service).
 func (lt *LocalTransport) Kill(id string) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	lt.down[id] = true
+	if e, ok := lt.nodes[id]; ok {
+		e.kill()
+	}
 }
 
 // Revive undoes Kill.
 func (lt *LocalTransport) Revive(id string) {
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	delete(lt.down, id)
+	if e, ok := lt.nodes[id]; ok && e.up.Err() != nil {
+		e.up, e.kill = context.WithCancel(context.Background())
+	}
 }
 
 // Partition cuts the pair a↔b in both directions.
@@ -77,129 +100,40 @@ func pairKey(a, b string) [2]string {
 	return [2]string{a, b}
 }
 
-// reach resolves the target node if the path from→to is up.
-func (lt *LocalTransport) reach(from, to string) (*Node, error) {
+// RoundTrip serves req on the handler of the node its host names, as sent
+// by the node its peer-id header names. The handler runs on the caller's
+// goroutine under a context that ends with the caller's or when the target
+// is killed.
+func (lt *LocalTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	from, to := req.Header.Get(peerIDHeader), req.URL.Host
 	lt.mu.Lock()
-	defer lt.mu.Unlock()
-	if lt.down[from] || lt.down[to] || lt.cut[pairKey(from, to)] {
+	e, src := lt.nodes[to], lt.nodes[from]
+	if e == nil || e.up.Err() != nil || (src != nil && src.up.Err() != nil) || lt.cut[pairKey(from, to)] {
+		lt.mu.Unlock()
 		return nil, ErrUnreachable
 	}
-	n, ok := lt.nodes[to]
-	if !ok {
-		return nil, ErrUnreachable
+	if e.h == nil {
+		e.h = NewHandler(e.node, nil, "")
 	}
-	return n, nil
-}
+	h, up := e.h, e.up
+	lt.mu.Unlock()
 
-// localConn is one node's view of the switchboard.
-type localConn struct {
-	lt   *LocalTransport
-	from string
-}
-
-// conn resolves the target node and, since a delivered RPC is proof the
-// caller is up, resets the receiver's suspect timer for the caller — the
-// local-transport form of "any successful RPC from a peer counts as a
-// heartbeat".
-func (c *localConn) conn(node string) (*Node, error) {
-	n, err := c.lt.reach(c.from, node)
-	if err != nil {
+	ctx, cancel := context.WithCancel(req.Context())
+	defer cancel()
+	defer context.AfterFunc(up, cancel)()
+	in := req.WithContext(ctx)
+	if in.Body == nil {
+		in.Body = http.NoBody
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, in)
+	if up.Err() != nil {
+		return nil, ErrUnreachable // killed mid-request: the connection reset
+	}
+	if err := req.Context().Err(); err != nil {
 		return nil, err
 	}
-	n.MarkPeerSeen(c.from)
-	return n, nil
-}
-
-// mapLocalErr converts receiver-side service errors into transport-level
-// classifications (what an HTTP status code would have carried).
-func mapLocalErr(err error) error {
-	switch err {
-	case nil:
-		return nil
-	case service.ErrQueueFull:
-		return ErrBusy
-	case service.ErrDraining, ErrNodeClosed:
-		return ErrUnreachable
-	default:
-		return err
-	}
-}
-
-func (c *localConn) Submit(ctx context.Context, node string, req SubmitRequest) (service.Status, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return service.Status{}, err
-	}
-	st, err := n.HandleSubmit(req)
-	if err != nil {
-		return service.Status{}, mapLocalErr(err)
-	}
-	return st, nil
-}
-
-func (c *localConn) Status(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return service.Status{}, err
-	}
-	st, err := n.HandleStatus(ctx, jobID, wait)
-	return st, mapLocalErr(err)
-}
-
-func (c *localConn) Cancel(ctx context.Context, node, jobID string) error {
-	n, err := c.conn(node)
-	if err != nil {
-		return err
-	}
-	return n.HandleCancel(jobID)
-}
-
-func (c *localConn) Fetch(ctx context.Context, node, key string) ([]byte, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return nil, err
-	}
-	return n.HandleFetch(key)
-}
-
-func (c *localConn) Ping(ctx context.Context, node string) (Health, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return Health{}, err
-	}
-	return n.HandlePing(), nil
-}
-
-func (c *localConn) Steal(ctx context.Context, node string) (bool, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return false, err
-	}
-	return n.HandleSteal(c.from), nil
-}
-
-func (c *localConn) Join(ctx context.Context, node string, mem Member) ([]Member, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return nil, err
-	}
-	return n.HandleJoin(mem), nil
-}
-
-func (c *localConn) Digest(ctx context.Context, node string) (Digest, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return Digest{}, err
-	}
-	return n.HandleDigest(), nil
-}
-
-func (c *localConn) Keys(ctx context.Context, node string, bucket int) ([]string, error) {
-	n, err := c.conn(node)
-	if err != nil {
-		return nil, err
-	}
-	return n.HandleKeys(bucket), nil
+	return rec.Result(), nil
 }
 
 // ---------------------------------------------------------------------------

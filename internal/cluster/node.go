@@ -120,13 +120,13 @@ type Node struct {
 	id   string
 	opts Options
 	svc  *service.Service
-	tr   Transport
+	tr   *HTTPTransport
 
 	ring    *Ring
 	members *membership
 
-	// mu guards health and orders Close's cancel against the wg.Add of a
-	// steal's forward.
+	// mu guards health and orders Close's cancel against every wg.Add made
+	// on behalf of a caller (enter).
 	mu     sync.Mutex
 	health map[string]Health // last heartbeat payload per peer
 
@@ -182,9 +182,9 @@ func (n *Node) ID() string { return n.id }
 // Service returns the wrapped scheduler.
 func (n *Node) Service() *service.Service { return n.svc }
 
-// SetTransport wires the inter-node RPC implementation. Must be called
-// before Start.
-func (n *Node) SetTransport(tr Transport) { n.tr = tr }
+// SetTransport wires the node's dialing side: over TCP for emcserve, through
+// a LocalTransport in-process. Must be called before Start.
+func (n *Node) SetTransport(tr *HTTPTransport) { n.tr = tr }
 
 // selfMember is this node's identity as announced through joins: id,
 // advertised address, and ring weight (gossip carries the weight so every
@@ -284,6 +284,18 @@ func (n *Node) Close() {
 	n.wg.Wait()
 }
 
+// enter adds a goroutine to wg unless Close has begun. Close cancels under
+// mu, so no Add can race its Wait.
+func (n *Node) enter() bool {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.ctx.Err() != nil {
+		return false
+	}
+	n.wg.Add(1)
+	return true
+}
+
 // sleepInterval blocks for one PollInterval or until the node starts
 // closing. It returns false when the node is stopping, so the busy-backoff
 // loop of a forward observes Close instead of sleeping through it.
@@ -317,8 +329,11 @@ func (n *Node) Submit(client string, cfg sim.Config) (*service.Job, error) {
 		return nil, err
 	}
 	if fresh {
+		if !n.enter() {
+			n.svc.FinishRouted(j, nil, ErrNodeClosed)
+			return j, nil
+		}
 		n.forwarded.Add(1)
-		n.wg.Add(1)
 		go n.routeJob(j, owner, false)
 	}
 	return j, nil
@@ -665,36 +680,6 @@ func (n *Node) HandleSubmit(req SubmitRequest) (service.Status, error) {
 	return j.Status(), nil
 }
 
-// HandleStatus answers a status wait: it returns a job's status as soon as
-// the job is terminal or wait has elapsed, whichever comes first; a zero wait
-// answers at once. A cancelled ctx (the caller gave up) also ends the wait
-// early. A closing node answers ErrNodeClosed instead, so the caller fails
-// over: once its service closes too, the status would report a
-// cancellation nobody asked for.
-func (n *Node) HandleStatus(ctx context.Context, jobID string, wait time.Duration) (service.Status, error) {
-	j, ok := n.svc.Job(jobID)
-	if !ok {
-		return service.Status{}, service.ErrNotFound
-	}
-	if wait > 0 {
-		t := time.NewTimer(wait)
-		defer t.Stop()
-		select {
-		case <-j.Done():
-		case <-t.C:
-		case <-ctx.Done():
-		case <-n.ctx.Done():
-		}
-	}
-	if n.ctx.Err() != nil {
-		return service.Status{}, ErrNodeClosed
-	}
-	return j.Status(), nil
-}
-
-// HandleCancel propagates a cancellation.
-func (n *Node) HandleCancel(jobID string) error { return n.svc.Cancel(jobID) }
-
 // HandleFetch serves the durable frame for key from the local cache.
 func (n *Node) HandleFetch(key string) ([]byte, error) {
 	res, ok := n.svc.PeekResult(key)
@@ -719,16 +704,7 @@ func (n *Node) HandlePing() Health {
 // (false) when the thief is unnamed, nothing is stealable, or the node is
 // closing.
 func (n *Node) HandleSteal(thief string) bool {
-	if fpSteal.Fire() || thief == "" {
-		return false
-	}
-	n.mu.Lock()
-	closing := n.ctx.Err() != nil
-	if !closing {
-		n.wg.Add(1)
-	}
-	n.mu.Unlock()
-	if closing {
+	if fpSteal.Fire() || thief == "" || !n.enter() {
 		return false
 	}
 	j, ok := n.svc.TakeQueued()
@@ -750,9 +726,8 @@ func (n *Node) HandleJoin(mem Member) []Member {
 	// re-announces itself comes back from the dead here, not only when its
 	// next heartbeat lands.
 	n.MarkPeerSeen(mem.ID)
-	if n.admitMember(mem) {
+	if n.admitMember(mem) && n.enter() {
 		peers := n.members.alivePeers(n.id)
-		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
 			for _, p := range peers {

@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
-	"repro/internal/service"
 	"repro/internal/sim"
 )
 
@@ -87,36 +84,4 @@ type BucketSum struct {
 type Digest struct {
 	Node    string                   `json:"node"`
 	Buckets [digestBuckets]BucketSum `json:"buckets"`
-}
-
-// Transport is the inter-node RPC surface. Two implementations exist: the
-// in-process LocalTransport (tests, chaos schedules, same-process fabrics)
-// and the HTTPTransport speaking the /api/v1/cluster endpoints between
-// emcserve processes. Node ids, not addresses, name the target — the
-// transport resolves them through the membership table.
-type Transport interface {
-	// Submit hands a forwarded job to its owner and returns the owner's
-	// job status (which may already be terminal on a cache hit).
-	Submit(ctx context.Context, node string, req SubmitRequest) (service.Status, error)
-	// Status returns a forwarded job's status on its owner once the job is
-	// terminal or wait has elapsed, whichever comes first (a long-poll; zero
-	// wait answers at once).
-	Status(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error)
-	// Cancel propagates a cancellation to the owner. Best effort.
-	Cancel(ctx context.Context, node, jobID string) error
-	// Fetch retrieves the durable EMCR frame for key from a peer's cache.
-	Fetch(ctx context.Context, node, key string) ([]byte, error)
-	// Ping probes a peer's liveness and load.
-	Ping(ctx context.Context, node string) (Health, error)
-	// Steal asks a peer to forward one of its queued jobs to the caller,
-	// which the transport names to the peer. The reply carries no job: true
-	// means the peer accepted and the job follows as an ordinary forwarded
-	// Submit; false means it declined.
-	Steal(ctx context.Context, node string) (bool, error)
-	// Join announces mem to a peer and returns the peer's member list.
-	Join(ctx context.Context, node string, mem Member) ([]Member, error)
-	// Digest fetches a peer's anti-entropy summary of its durable records.
-	Digest(ctx context.Context, node string) (Digest, error)
-	// Keys lists a peer's durable record keys in one digest bucket.
-	Keys(ctx context.Context, node string, bucket int) ([]string, error)
 }

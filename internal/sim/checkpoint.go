@@ -72,8 +72,8 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrCheckpointCorrupt, v, ckptVersion)
 	}
 	n := int(binary.LittleEndian.Uint32(data[6:10]))
-	if len(data) < 10+n+4 {
-		return nil, fmt.Errorf("%w: truncated", ErrCheckpointCorrupt)
+	if len(data) != 10+n+4 {
+		return nil, fmt.Errorf("%w: length mismatch", ErrCheckpointCorrupt)
 	}
 	payload := data[10 : 10+n]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[10+n:10+n+4]) {

@@ -172,6 +172,7 @@ func TestDecodeCheckpointCorruption(t *testing.T) {
 		"empty":     {},
 		"bad magic": append([]byte("XXXX"), good[4:]...),
 		"truncated": good[:len(good)-6],
+		"trailing":  append(append([]byte{}, good...), 0, 0),
 		"flipped":   append(append([]byte{}, good[:12]...), append([]byte{good[12] ^ 0xFF}, good[13:]...)...),
 		"crc":       append(append([]byte{}, good[:len(good)-1]...), good[len(good)-1]^0xFF),
 		"bad version": func() []byte {
