@@ -16,16 +16,17 @@ fmt-check:
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -path '*/testdata' -prune -o -name '*.go' -print)); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Custom static analysis (cmd/simlint): determinism, zero-alloc, failpoint
-# registry, atomic-hygiene, determinism-taint, lock-order, goroutine-leak,
-# and float-order invariants — the last four on the cross-package dataflow
-# IR. The driver is built through the normal go build cache, so warm runs
+# Custom static analysis (cmd/simlint), six analyzers: zero-alloc,
+# failpoint registry, atomic-hygiene, determinism (sim-state sources,
+# taint into result sinks, float order), lock-order and goroutine-leak —
+# the last three on the cross-package dataflow IR. The driver is built through the normal go build cache, so warm runs
 # cost seconds.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
 # Lint self-test: inject known violations (a wall clock flowing into a
-# Result in the cluster layer, a reversed lock pair, a leaked goroutine)
+# Result in the cluster layer, a reversed lock pair, a leaked goroutine,
+# a wall-clock read in internal/sim, a map-order float sum)
 # into a throwaway overlay of the tree and assert simlint fails on each,
 # naming the right analyzer — so a silently broken analyzer cannot pass CI
 # by reporting nothing (see scripts/lint_canary.sh).

@@ -2,33 +2,30 @@
 // analyzers. It mechanically enforces the invariants the simulator's
 // correctness story rests on:
 //
-//	nondeterminism   no wall clocks, global randomness, or order-leaking
-//	                 map iteration in simulation-state packages
 //	hotalloc         //simlint:noalloc functions contain no
 //	                 allocation-inducing constructs
 //	failpoint        fault.Register sites are unique constants from the
 //	                 internal/fault/sites.go registry
 //	atomichygiene    no mixed plain/atomic access (module-wide), no
 //	                 by-value copies of sync/atomic types
-//	dettaint         nondeterminism taint (clocks, entropy, select
-//	                 interleaving, map order) must not reach result sinks
-//	                 — tracked across package boundaries
+//	dettaint         nondeterminism (clocks, entropy, select interleaving,
+//	                 map order) stays out of simulation-state packages and
+//	                 result sinks — tracked across package boundaries —
+//	                 and float sums do not follow map or goroutine order
 //	lockorder        no cycles in the service/cluster mutex
 //	                 acquisition-order graph (potential deadlocks)
 //	goroutineleak    every service/cluster goroutine has a reachable stop
 //	                 path, so Close/Drain joins cannot hang
-//	floatdet         no float re-accumulation in map-order or
-//	                 goroutine-order dependent loops
 //
-// The last four run on the cross-package dataflow IR
-// (internal/analysis/framework/ir.go): facts propagate over the module
-// call graph, so a clock read three calls and two packages away from a
-// sim.Result still reports.
+// dettaint's sink rule, lockorder and goroutineleak run on the
+// cross-package dataflow IR (internal/analysis/framework/ir.go): facts
+// propagate over the module call graph, so a clock read three calls and
+// two packages away from a sim.Result still reports.
 //
 // Usage:
 //
 //	go run ./cmd/simlint ./...
-//	go run ./cmd/simlint -run nondeterminism,hotalloc ./internal/sim/...
+//	go run ./cmd/simlint -run dettaint,hotalloc ./internal/sim/...
 //	go run ./cmd/simlint -json ./...   # NDJSON findings for CI
 //
 // Exit status: 0 clean, 1 findings, 2 usage or load failure.
@@ -40,25 +37,21 @@ import (
 	"repro/internal/analysis/atomichygiene"
 	"repro/internal/analysis/dettaint"
 	"repro/internal/analysis/failpoint"
-	"repro/internal/analysis/floatdet"
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/goroutineleak"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/lockorder"
-	"repro/internal/analysis/nondeterminism"
 )
 
 func main() {
 	// Findings go to stdout so CI can pipe -json output straight into jq;
 	// the exit code carries the verdict either way.
 	framework.Exit(framework.Main(os.Stdout, os.Args[1:], []*framework.Analyzer{
-		nondeterminism.Analyzer,
 		hotalloc.Analyzer,
 		failpoint.Analyzer,
 		atomichygiene.Analyzer,
 		dettaint.Analyzer,
 		lockorder.Analyzer,
 		goroutineleak.Analyzer,
-		floatdet.Analyzer,
 	}))
 }

@@ -1,490 +1,104 @@
-// Package dettaint tracks nondeterminism taint across package boundaries
-// into result-affecting sinks. The nondeterminism analyzer bans clocks and
-// entropy *inside* simulation-state packages; dettaint closes the flank it
-// leaves open: a service- or cluster-layer function may legitimately read
-// the wall clock (heartbeats, timeouts), but the moment such a value flows
-// into a sim.Result, an EMCR record, a figure table, or a fingerprint
-// input, every byte-identity claim the repro makes (Fig12 across 1 vs 3
-// nodes, bit-exact resume, content-addressed caching) is silently void.
+// Package dettaint guards the simulator's bit-exact determinism: Fig12
+// tables byte-identical across 1 and 3 nodes, bit-exact checkpoint resume,
+// and content-addressed result caching all assume that a (Config, trace)
+// pair fully determines every output. One source model — wall clocks and
+// timers, the unseeded math/rand stream, crypto/rand, os.Getpid,
+// runtime.NumGoroutine — serves three rules:
 //
-// Taint sources:
+//   - In simulation-state packages (SimStatePattern) every source is a
+//     sink: any call reports, and map iterations must follow a collection
+//     discipline so Go's randomized map order cannot leak into state.
+//   - Module-wide, a tainted value must not reach a result-affecting sink:
+//     sim.Result or sim.Config fields, service.EncodeRecord, or the
+//     figures/report tables. Taint starts at sources, at values bound in a
+//     multi-way select, and at slices appended in map order and never
+//     sorted; it flows through local def-use chains and across packages
+//     through return values on the module call graph.
+//   - Module-wide, floats may not be re-accumulated in a map range or in a
+//     per-iteration goroutine: float ops are not associative, so the sum's
+//     low bits follow the visit order.
 //
-//   - wall clock and entropy: time.Now/Since/Until, the unseeded
-//     math/rand[/v2] stream, crypto/rand, os.Getpid, runtime counters;
-//   - goroutine-send interleaving: a value bound inside a multi-way select
-//     communication clause (which ready case wins is scheduler-dependent);
-//   - map iteration order: a slice appended to inside a map range and not
-//     sorted before it escapes the function.
+// The one reviewed escape is line-scoped (same line or the line above) on
+// a map range and silences all three rules for that loop:
 //
-// Taint propagates through local def-use chains (assignments, returns) and
-// across packages through function return values on the module call graph,
-// to a fixpoint. Sinks:
-//
-//   - writes to fields of sim.Result (or composite literals of it);
-//   - writes to fields of sim.Config — every Config field is a Fingerprint
-//     input, so a tainted field silently forks the content address;
-//   - arguments to service.EncodeRecord (the durable EMCR frame);
-//   - arguments to exported functions of the figures/report packages (the
-//     byte-identical tables).
-//
-// A reviewed flow carries a line-scoped escape with justification:
-//
-//	//simlint:dettaintok <why this value cannot vary run to run>
+//	//simlint:ordered    this map iteration is order-insensitive
 package dettaint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
 	"regexp"
-	"sort"
 
 	"repro/internal/analysis/framework"
 )
 
-// Sink type/package patterns. Matched as path suffixes so the fixture
-// trees (testdata/src/internal/sim) hit the same rules as the real tree.
-var (
-	resultPkgPattern = regexp.MustCompile(`internal/sim$`)
-	tablePkgPattern  = regexp.MustCompile(`internal/(figures|report)$`)
-)
-
-// encodeRecordPattern matches the durable-record encoder's FuncKey.
-var encodeRecordPattern = regexp.MustCompile(`internal/service\.EncodeRecord$`)
+// SimStatePattern selects the packages whose import paths hold
+// simulation-visible state or deterministic output: the model packages
+// (checkpoint/fingerprint bit-identity) plus figures/report (byte-identical
+// table emission, pinned by the service golden tests). Everything outside
+// it (service, obs, tooling) may read clocks as long as the value stays out
+// of the result sinks. The fixture trees embed "internal/sim" in their
+// paths on purpose so the same default applies.
+var SimStatePattern = regexp.MustCompile(`internal/(sim|cpu|emc|mem|interconnect|bpred|prefetch|vm|figures|report)(/|$)`)
 
 // Analyzer is the dettaint pass.
 var Analyzer = &framework.Analyzer{
 	Name: "dettaint",
-	Doc: "nondeterminism taint must not reach result-affecting sinks\n\n" +
-		"Wall-clock, entropy, select-interleaving, and map-order values are tracked across packages; sim.Result/Config fields, EMCR records, and figure tables must stay clean.",
+	Doc: "nondeterminism must not reach simulation state, result sinks, or float sums\n\n" +
+		"Clocks and entropy are banned in simulation-state packages, tracked across packages into sim.Result/Config fields, EMCR records, and figure tables, and float sums may not follow map or goroutine order.",
+	Run:       run,
 	RunModule: runModule,
 }
 
-// sourceCalls maps package path -> function name -> taint description.
-// A nil inner map taints every function of the package.
-var sourceCalls = map[string]map[string]string{
+// sources maps package path -> function name -> what a call reads. The "*"
+// entry makes every package-level function of the package a source.
+var sources = map[string]map[string]string{
 	"time": {
-		"Now":   "wall clock (time.Now)",
-		"Since": "wall clock (time.Since)",
-		"Until": "wall clock (time.Until)",
+		"Now":       "wall clock",
+		"Since":     "wall clock",
+		"Until":     "wall clock",
+		"After":     "wall-clock timer",
+		"AfterFunc": "wall-clock timer",
+		"Tick":      "wall-clock timer",
+		"NewTicker": "wall-clock timer",
+		"NewTimer":  "wall-clock timer",
+		"Sleep":     "wall-clock dependence",
 	},
-	"math/rand":    nil,
-	"math/rand/v2": nil,
-	"crypto/rand":  nil,
-	"os": {
-		"Getpid": "process id",
-	},
-	"runtime": {
-		"NumGoroutine": "scheduler state",
-	},
+	"math/rand":    {"*": "unseeded global random stream"},
+	"math/rand/v2": {"*": "unseeded global random stream"},
+	"crypto/rand":  {"*": "entropy"},
+	"os":           {"Getpid": "process id"},
+	"runtime":      {"NumGoroutine": "scheduler state"},
 }
 
-// randConstructors are exempt from the math/rand package taint: seeded
-// explicitly, their streams are reproducible (the repo's sanctioned
-// pattern).
+// randConstructors are the seedable constructors of math/rand[/v2]: called
+// with an explicit seed they give reproducible streams, the repo's
+// sanctioned pattern.
 var randConstructors = map[string]bool{
 	"New": true, "NewSource": true, "NewZipf": true,
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-// funcFact is the cross-package summary of one function: does its return
-// value carry taint, and from where.
-type funcFact struct {
-	reason string
-	pos    token.Pos
-}
-
-type engine struct {
-	mp *framework.ModulePass
-	// tainted maps FuncKey -> why its return value is tainted.
-	tainted map[string]funcFact
-}
-
-func runModule(mp *framework.ModulePass) error {
-	e := &engine{mp: mp, tainted: map[string]funcFact{}}
-
-	// Fixpoint: local dataflow per function computes "returns tainted"
-	// given the current cross-package facts; iterate until no function
-	// changes. Monotone (facts only get added), so it terminates; the
-	// module's call-graph depth bounds the iteration count in practice.
-	keys := e.sortedFuncKeys()
-	for changed := true; changed; {
-		changed = false
-		for _, key := range keys {
-			if _, done := e.tainted[key]; done {
-				continue
-			}
-			fir := e.mp.IR.Funcs[key]
-			if fact, isTainted := e.analyzeReturns(fir); isTainted {
-				e.tainted[key] = fact
-				changed = true
-			}
-		}
-	}
-
-	// Final pass: sink detection with the complete fact set.
-	for _, key := range keys {
-		e.checkSinks(e.mp.IR.Funcs[key])
-	}
-	return nil
-}
-
-func (e *engine) sortedFuncKeys() []string {
-	keys := make([]string, 0, len(e.mp.IR.Funcs))
-	for k := range e.mp.IR.Funcs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// localTaint computes the tainted objects of one function body to a local
-// fixpoint, returning the taint reason per object.
-func (e *engine) localTaint(fir *framework.FuncIR) map[types.Object]funcFact {
-	taintedObjs := map[types.Object]funcFact{}
-	for pass := 0; pass < 8; pass++ {
-		changed := false
-		for _, as := range fir.Assigns {
-			if _, done := taintedObjs[as.Obj]; done {
-				continue
-			}
-			var fact funcFact
-			switch {
-			case as.InSelect && as.RHS != nil && isCommReceive(as.RHS):
-				fact = funcFact{reason: "multi-way select interleaving", pos: as.Pos}
-			case as.RHS != nil:
-				var ok bool
-				fact, ok = e.exprTaint(fir, as.RHS, taintedObjs)
-				if !ok {
-					continue
-				}
-			default:
-				continue
-			}
-			taintedObjs[as.Obj] = fact
-			changed = true
-		}
-		if !changed {
-			break
-		}
-	}
-	// Map-order taint: slices appended to inside a map range, not sorted
-	// afterwards, are order-tainted.
-	for obj, pos := range e.mapOrderSlices(fir) {
-		if _, done := taintedObjs[obj]; !done {
-			taintedObjs[obj] = funcFact{reason: "map iteration order", pos: pos}
-		}
-	}
-	return taintedObjs
-}
-
-// analyzeReturns reports whether fir returns a tainted value under the
-// current cross-package facts.
-func (e *engine) analyzeReturns(fir *framework.FuncIR) (funcFact, bool) {
-	if len(fir.Returns) == 0 {
-		return funcFact{}, false
-	}
-	taintedObjs := e.localTaint(fir)
-	for _, ret := range fir.Returns {
-		for _, res := range ret.Results {
-			if fact, ok := e.exprTaint(fir, res, taintedObjs); ok {
-				return funcFact{
-					reason: fmt.Sprintf("%s returned by %s", fact.reason, framework.ShortKey(fir.Key)),
-					pos:    fact.pos,
-				}, true
-			}
-		}
-	}
-	return funcFact{}, false
-}
-
-// exprTaint reports whether expr derives from a taint source: a source
-// call, a call to a tainted function, or a read of a tainted object.
-func (e *engine) exprTaint(fir *framework.FuncIR, expr ast.Expr, taintedObjs map[types.Object]funcFact) (funcFact, bool) {
-	var found funcFact
-	ok := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if ok {
-			return false
-		}
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // a literal's body is its own dataflow domain
-		case *ast.CallExpr:
-			if reason := e.sourceCall(fir, n); reason != "" {
-				found, ok = funcFact{reason: reason, pos: n.Pos()}, true
-				return false
-			}
-			if callee := framework.CalleeOf(fir.Pkg.TypesInfo, n); callee != nil {
-				if fact, hit := e.tainted[framework.FuncKey(callee)]; hit {
-					found, ok = funcFact{reason: fact.reason, pos: n.Pos()}, true
-					return false
-				}
-			}
-		case *ast.Ident:
-			if obj := fir.Pkg.TypesInfo.ObjectOf(n); obj != nil {
-				if fact, hit := taintedObjs[obj]; hit {
-					found, ok = fact, true
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return found, ok
-}
-
-// sourceCall classifies a call as a primary taint source.
-func (e *engine) sourceCall(fir *framework.FuncIR, call *ast.CallExpr) string {
-	callee := framework.CalleeOf(fir.Pkg.TypesInfo, call)
-	if callee == nil || callee.Pkg() == nil {
+// sourceOf classifies call as a nondeterminism source, returning e.g.
+// "time.Now (wall clock)", or "" when the call is deterministic. Methods
+// are never sources: a *rand.Rand built by a seeded constructor is
+// reproducible, and time.Time arithmetic only propagates a value whose
+// origin was already a source.
+func sourceOf(info *types.Info, call *ast.CallExpr) string {
+	fn := framework.CalleeOf(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
 		return ""
 	}
-	path, name := callee.Pkg().Path(), callee.Name()
-	reasons, banned := sourceCalls[path]
-	if !banned {
+	path, name := fn.Pkg().Path(), fn.Name()
+	what, ok := sources[path][name]
+	if !ok && !randConstructors[name] {
+		what, ok = sources[path]["*"]
+	}
+	if !ok {
 		return ""
 	}
-	if reasons == nil {
-		if path == "math/rand" || path == "math/rand/v2" {
-			if randConstructors[name] {
-				return ""
-			}
-			// Methods on an explicitly-constructed generator (rand.New with
-			// a fixed seed — the repo's sanctioned pattern) are reproducible;
-			// only the package-level functions draw from the global,
-			// process-seeded stream.
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				return ""
-			}
-		}
-		return "entropy (" + path + "." + name + ")"
-	}
-	return reasons[name]
-}
-
-// isCommReceive reports whether expr is (or contains) a channel receive —
-// the shape of a select comm-clause binding.
-func isCommReceive(expr ast.Expr) bool {
-	found := false
-	ast.Inspect(expr, func(n ast.Node) bool {
-		if u, ok := n.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// mapOrderSlices finds local slices appended to inside a map range and not
-// passed to a recognized sort afterwards — order-tainted values.
-func (e *engine) mapOrderSlices(fir *framework.FuncIR) map[types.Object]token.Pos {
-	info := fir.Pkg.TypesInfo
-	out := map[types.Object]token.Pos{}
-	if fir.Body == nil {
-		return out
-	}
-	ast.Inspect(fir.Body, func(n ast.Node) bool {
-		rng, ok := n.(*ast.RangeStmt)
-		if !ok || !isMapRange(info, rng) {
-			return true
-		}
-		if e.mp.Directive(rng.Pos(), "//simlint:ordered") {
-			return true
-		}
-		ast.Inspect(rng.Body, func(b ast.Node) bool {
-			as, ok := b.(*ast.AssignStmt)
-			if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-				return true
-			}
-			id, ok := ast.Unparen(as.Lhs[0]).(*ast.Ident)
-			if !ok {
-				return true
-			}
-			call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			fn, ok := ast.Unparen(call.Fun).(*ast.Ident)
-			if !ok || fn.Name != "append" {
-				return true
-			}
-			obj := info.ObjectOf(id)
-			if obj == nil || declaredWithin(obj, rng.Body) {
-				return true
-			}
-			if !sortedAfter(info, fir.Body, obj, rng.End()) {
-				if _, seen := out[obj]; !seen {
-					out[obj] = as.Pos()
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return out
-}
-
-// sortCalls recognizes "this slice gets sorted" call sites (mirrors the
-// nondeterminism analyzer's table).
-var sortCalls = map[string]map[string]bool{
-	"sort":   {"Strings": true, "Ints": true, "Float64s": true, "Sort": true, "Stable": true, "Slice": true, "SliceStable": true},
-	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
-}
-
-func sortedAfter(info *types.Info, scope ast.Node, obj types.Object, after token.Pos) bool {
-	found := false
-	ast.Inspect(scope, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok || call.Pos() < after {
-			return true
-		}
-		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-		if !ok || len(call.Args) == 0 {
-			return true
-		}
-		fn, ok := info.ObjectOf(sel.Sel).(*types.Func)
-		if !ok || fn.Pkg() == nil || !sortCalls[fn.Pkg().Path()][fn.Name()] {
-			return true
-		}
-		if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && info.ObjectOf(id) == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// ---------------------------------------------------------------------------
-// Sinks.
-
-// checkSinks reports tainted values reaching result-affecting sinks in fir.
-func (e *engine) checkSinks(fir *framework.FuncIR) {
-	info := fir.Pkg.TypesInfo
-	taintedObjs := e.localTaint(fir)
-
-	report := func(pos token.Pos, sink string, fact funcFact) {
-		if e.mp.Directive(pos, "//simlint:dettaintok") {
-			return
-		}
-		e.mp.Reportf(pos, "%s receives a nondeterministic value — %s (source at %s): run-to-run bytes diverge; derive it from deterministic state or annotate //simlint:dettaintok <why>",
-			sink, fact.reason, e.mp.Fset.Position(fact.pos))
-	}
-
-	// Field writes into sim.Result / sim.Config.
-	for _, as := range fir.Assigns {
-		if as.LHS == nil || as.RHS == nil {
-			continue
-		}
-		sink, isSink := sinkField(info, as.LHS)
-		if !isSink {
-			continue
-		}
-		if fact, ok := e.exprTaint(fir, as.RHS, taintedObjs); ok {
-			report(as.Pos, sink, fact)
-		}
-	}
-
-	if fir.Body == nil {
-		return
-	}
-	ast.Inspect(fir.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CompositeLit:
-			// sim.Result{...} / sim.Config{...} literals.
-			tv, ok := info.Types[n]
-			if !ok || tv.Type == nil {
-				return true
-			}
-			name, pkgPath, isNamed := namedType(tv.Type)
-			if !isNamed || !resultPkgPattern.MatchString(pkgPath) || (name != "Result" && name != "Config") {
-				return true
-			}
-			for _, elt := range n.Elts {
-				val := elt
-				field := ""
-				if kv, ok := elt.(*ast.KeyValueExpr); ok {
-					val = kv.Value
-					if id, ok := kv.Key.(*ast.Ident); ok {
-						field = "." + id.Name
-					}
-				}
-				if fact, ok := e.exprTaint(fir, val, taintedObjs); ok {
-					report(val.Pos(), "sim."+name+field, fact)
-				}
-			}
-		case *ast.CallExpr:
-			callee := framework.CalleeOf(info, n)
-			if callee == nil || callee.Pkg() == nil {
-				return true
-			}
-			key := framework.FuncKey(callee)
-			sink := ""
-			switch {
-			case encodeRecordPattern.MatchString(key):
-				sink = "durable record (service.EncodeRecord)"
-			case tablePkgPattern.MatchString(callee.Pkg().Path()) && ast.IsExported(callee.Name()):
-				sink = "figure/report table (" + framework.ShortKey(key) + ")"
-			default:
-				return true
-			}
-			for _, arg := range n.Args {
-				if fact, ok := e.exprTaint(fir, arg, taintedObjs); ok {
-					report(arg.Pos(), sink, fact)
-				}
-			}
-		}
-		return true
-	})
-}
-
-// sinkField classifies an assignment LHS as a sim.Result / sim.Config
-// field write, walking selector chains (res.Stats.Cycles hits Result via
-// its base).
-func sinkField(info *types.Info, lhs ast.Expr) (string, bool) {
-	e := ast.Unparen(lhs)
-	for {
-		sel, ok := e.(*ast.SelectorExpr)
-		if !ok {
-			return "", false
-		}
-		if t := typeOf(info, sel.X); t != nil {
-			if p, isPtr := t.(*types.Pointer); isPtr {
-				t = p.Elem()
-			}
-			if name, pkgPath, isNamed := namedType(t); isNamed && resultPkgPattern.MatchString(pkgPath) {
-				if name == "Result" {
-					return "sim.Result." + sel.Sel.Name, true
-				}
-				if name == "Config" {
-					return "sim.Config." + sel.Sel.Name + " (a Fingerprint input)", true
-				}
-			}
-		}
-		e = ast.Unparen(sel.X)
-	}
-}
-
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
-}
-
-func namedType(t types.Type) (name, pkgPath string, ok bool) {
-	if p, isPtr := t.(*types.Pointer); isPtr {
-		t = p.Elem()
-	}
-	named, isNamed := t.(*types.Named)
-	if !isNamed || named.Obj().Pkg() == nil {
-		return "", "", false
-	}
-	return named.Obj().Name(), named.Obj().Pkg().Path(), true
+	return path + "." + name + " (" + what + ")"
 }
 
 func isMapRange(info *types.Info, rng *ast.RangeStmt) bool {
@@ -498,4 +112,62 @@ func isMapRange(info *types.Info, rng *ast.RangeStmt) bool {
 
 func declaredWithin(obj types.Object, scope ast.Node) bool {
 	return scope != nil && obj.Pos() >= scope.Pos() && obj.Pos() <= scope.End()
+}
+
+// sortCalls recognizes "this slice gets sorted" call sites.
+var sortCalls = map[string]map[string]bool{
+	"sort":   {"Strings": true, "Ints": true, "Float64s": true, "Sort": true, "Stable": true, "Slice": true, "SliceStable": true},
+	"slices": {"Sort": true, "SortFunc": true, "SortStableFunc": true},
+}
+
+// unsortedAppends returns the slices that rng's body appends to and that
+// no sort call after the loop within scope orders, each with its first
+// append's position. A slice declared inside the body is fresh on every
+// iteration, so map order cannot reach it.
+func unsortedAppends(info *types.Info, scope ast.Node, rng *ast.RangeStmt) map[types.Object]token.Pos {
+	out := map[types.Object]token.Pos{}
+	ast.Inspect(rng.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || len(as.Lhs) != 1 || len(as.Rhs) != 1 {
+			return true
+		}
+		id, isIdent := ast.Unparen(as.Lhs[0]).(*ast.Ident)
+		call, isCall := ast.Unparen(as.Rhs[0]).(*ast.CallExpr)
+		if !isIdent || !isCall {
+			return true
+		}
+		if fn, ok := ast.Unparen(call.Fun).(*ast.Ident); !ok || fn.Name != "append" {
+			return true
+		}
+		obj := info.ObjectOf(id)
+		if obj == nil || declaredWithin(obj, rng.Body) {
+			return true
+		}
+		if _, seen := out[obj]; !seen && !sortedAfter(info, scope, obj, rng.End()) {
+			out[obj] = as.Pos()
+		}
+		return true
+	})
+	return out
+}
+
+// sortedAfter reports whether obj is passed to a recognized sort call after
+// pos within scope.
+func sortedAfter(info *types.Info, scope ast.Node, obj types.Object, after token.Pos) bool {
+	found := false
+	ast.Inspect(scope, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if found || !ok || call.Pos() < after || len(call.Args) == 0 {
+			return !found
+		}
+		fn := framework.CalleeOf(info, call)
+		if fn == nil || fn.Pkg() == nil || !sortCalls[fn.Pkg().Path()][fn.Name()] {
+			return true
+		}
+		if id, ok := ast.Unparen(call.Args[0]).(*ast.Ident); ok && info.ObjectOf(id) == obj {
+			found = true
+		}
+		return !found
+	})
+	return found
 }

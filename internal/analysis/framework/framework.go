@@ -54,7 +54,7 @@ type Pass struct {
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
 
-	lines *LineComments // lazily built per-pass comment index
+	lines *LineComments // built on first Directive query
 }
 
 // Diagnostic is one finding, positioned in the run's shared FileSet.
@@ -74,7 +74,7 @@ type ModulePass struct {
 	// Report delivers one diagnostic.
 	Report func(Diagnostic)
 
-	lines map[*Package]*LineComments // lazily built per-package indexes
+	lines *LineComments // module-wide, built on first Directive query
 }
 
 // Reportf formats and reports a diagnostic at pos.
@@ -83,61 +83,26 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Directive reports whether a directive comment appears on pos's line or
-// the line above, searching every loaded package's comment index (the
-// position alone does not say which package owns the file).
+// the line above, anywhere in the loaded module.
 func (p *ModulePass) Directive(pos token.Pos, directive string) bool {
-	at := p.Fset.Position(pos)
-	if p.lines == nil {
-		p.lines = map[*Package]*LineComments{}
-	}
-	for _, pkg := range p.Packages {
-		lc, ok := p.lines[pkg]
-		if !ok {
-			pp := &Pass{Fset: p.Fset, Files: pkg.Syntax}
-			lc = pp.Comments()
-			p.lines[pkg] = lc
-		}
-		for _, line := range []int{at.Line, at.Line - 1} {
-			for _, c := range lc.byLine[at.Filename][line] {
-				text := strings.TrimSpace(c.Text)
-				if text == directive || strings.HasPrefix(text, directive+" ") {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	_, present := p.DirectiveReason(pos, directive)
+	return present
 }
 
 // DirectiveReason returns the trailing free text of a directive on pos's
 // line (or the line above), and whether the directive is present at all.
 // Analyzers that demand a justification comment (e.g. //simlint:leakok
-// <why>) use the second return to distinguish "absent" from "bare".
+// <why>) use the second return to distinguish "absent" from "bare". The
+// module-wide comment index is built on first use.
 func (p *ModulePass) DirectiveReason(pos token.Pos, directive string) (reason string, present bool) {
-	at := p.Fset.Position(pos)
 	if p.lines == nil {
-		p.lines = map[*Package]*LineComments{}
-	}
-	for _, pkg := range p.Packages {
-		lc, ok := p.lines[pkg]
-		if !ok {
-			pp := &Pass{Fset: p.Fset, Files: pkg.Syntax}
-			lc = pp.Comments()
-			p.lines[pkg] = lc
+		var files []*ast.File
+		for _, pkg := range p.Packages {
+			files = append(files, pkg.Syntax...)
 		}
-		for _, line := range []int{at.Line, at.Line - 1} {
-			for _, c := range lc.byLine[at.Filename][line] {
-				text := strings.TrimSpace(c.Text)
-				if text == directive {
-					return "", true
-				}
-				if strings.HasPrefix(text, directive+" ") {
-					return strings.TrimSpace(text[len(directive):]), true
-				}
-			}
-		}
+		p.lines = indexComments(p.Fset, files)
 	}
-	return "", false
+	return p.lines.find(pos, directive)
 }
 
 // Reportf formats and reports a diagnostic at pos.
@@ -145,22 +110,19 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.Report(Diagnostic{Pos: pos, Message: fmt.Sprintf(format, args...), Analyzer: p.Analyzer.Name})
 }
 
-// LineComments indexes every comment in a pass by file and line so
-// analyzers can resolve //simlint: suppression and annotation directives.
+// LineComments indexes comments by file and line so analyzers can resolve
+// //simlint: suppression and annotation directives.
 type LineComments struct {
+	fset   *token.FileSet
 	byLine map[string]map[int][]*ast.Comment
 }
 
-// Comments returns the pass's comment index, building it on first use.
-func (p *Pass) Comments() *LineComments {
-	if p.lines != nil {
-		return p.lines
-	}
-	lc := &LineComments{byLine: map[string]map[int][]*ast.Comment{}}
-	for _, f := range p.Files {
+func indexComments(fset *token.FileSet, files []*ast.File) *LineComments {
+	lc := &LineComments{fset: fset, byLine: map[string]map[int][]*ast.Comment{}}
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				pos := p.Fset.Position(c.Pos())
+				pos := fset.Position(c.Pos())
 				m := lc.byLine[pos.Filename]
 				if m == nil {
 					m = map[int][]*ast.Comment{}
@@ -170,25 +132,36 @@ func (p *Pass) Comments() *LineComments {
 			}
 		}
 	}
-	p.lines = lc
 	return lc
 }
 
-// Directive reports whether the given directive comment (e.g.
-// "//simlint:allocok") appears on the node's line or the line above it —
-// the two placements gofmt preserves for line-scoped suppressions.
-func (p *Pass) Directive(pos token.Pos, directive string) bool {
-	at := p.Fset.Position(pos)
-	lc := p.Comments()
+// find looks for directive on pos's line or the line above it — the two
+// placements gofmt preserves for line-scoped suppressions — and returns its
+// trailing free text.
+func (lc *LineComments) find(pos token.Pos, directive string) (reason string, present bool) {
+	at := lc.fset.Position(pos)
 	for _, line := range []int{at.Line, at.Line - 1} {
 		for _, c := range lc.byLine[at.Filename][line] {
 			text := strings.TrimSpace(c.Text)
-			if text == directive || strings.HasPrefix(text, directive+" ") {
-				return true
+			if text == directive {
+				return "", true
+			}
+			if strings.HasPrefix(text, directive+" ") {
+				return strings.TrimSpace(text[len(directive):]), true
 			}
 		}
 	}
-	return false
+	return "", false
+}
+
+// Directive reports whether the given directive comment (e.g.
+// "//simlint:allocok") appears on pos's line or the line above it.
+func (p *Pass) Directive(pos token.Pos, directive string) bool {
+	if p.lines == nil {
+		p.lines = indexComments(p.Fset, p.Files)
+	}
+	_, present := p.lines.find(pos, directive)
+	return present
 }
 
 // ImportedPath resolves a call like pkgname.Func(...) to the imported

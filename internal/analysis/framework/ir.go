@@ -55,17 +55,6 @@ func FuncKey(fn *types.Func) string {
 	return pkg + "." + fn.Name()
 }
 
-// ObjKey is the cross-package identity of a variable or field. Like
-// FuncKey it exists because object pointers are not comparable across
-// per-package type-checks; the type string disambiguates same-named fields
-// of different types within one package.
-func ObjKey(obj types.Object) string {
-	if obj == nil || obj.Pkg() == nil {
-		return ""
-	}
-	return obj.Pkg().Path() + "." + obj.Name() + "#" + obj.Type().String()
-}
-
 // ExprKey resolves an lvalue-ish expression to a stable cross-package
 // identity usable as a map key:
 //
@@ -433,20 +422,6 @@ func (m *ModuleIR) Propagate(seed map[string]bool) map[string]bool {
 		}
 	}
 	return facts
-}
-
-// CalleesOf returns the resolved callee keys of fn (declared functions
-// only), deduplicated, in first-call order.
-func (f *FuncIR) CalleesOf() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, cs := range f.Calls {
-		if cs.CalleeKey != "" && !seen[cs.CalleeKey] {
-			seen[cs.CalleeKey] = true
-			out = append(out, cs.CalleeKey)
-		}
-	}
-	return out
 }
 
 // PkgOf returns the package path component of a FuncKey ("" if malformed).

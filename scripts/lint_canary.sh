@@ -6,8 +6,10 @@
 # This script copies the module into a throwaway overlay, verifies the clean
 # tree passes, injects three known violations into the cluster layer — a
 # wall clock flowing into a sim.Result (dettaint), a reversed lock pair
-# (lockorder), and a goroutine with no stop path (goroutineleak) — and
-# asserts simlint exits nonzero with each analyzer reporting inside its
+# (lockorder), and a goroutine with no stop path (goroutineleak) — plus one
+# each for dettaint's package-local rules — a wall-clock read in
+# internal/sim and a map-order float sum in internal/cluster — and asserts
+# simlint exits nonzero with the right analyzer reporting inside each
 # canary file.
 set -eu
 
@@ -85,6 +87,31 @@ func canaryLeak() {
 }
 EOF
 
+cat > "$overlay/internal/sim/zz_canary_wallclock.go" <<'EOF'
+package sim
+
+import "time"
+
+// canaryWallclock reads the wall clock in a simulation-state package:
+// dettaint must fire.
+func canaryWallclock() int64 {
+	return time.Now().UnixNano()
+}
+EOF
+
+cat > "$overlay/internal/cluster/zz_canary_floatsum.go" <<'EOF'
+package cluster
+
+// canaryFloatSum accumulates floats in map order: dettaint must fire.
+func canaryFloatSum(m map[string]float64) float64 {
+	var sum float64
+	for _, v := range m {
+		sum += v
+	}
+	return sum
+}
+EOF
+
 out="$work/findings.txt"
 if (cd "$overlay" && "$GO" run ./cmd/simlint ./... >"$out" 2>&1); then
 	echo "lint-canary: FAIL: simlint exited 0 with injected violations" >&2
@@ -99,8 +126,14 @@ for a in dettaint lockorder goroutineleak; do
 		fail=1
 	fi
 done
+for c in wallclock floatsum; do
+	if ! grep -q "zz_canary_${c}\.go.*(dettaint)" "$out"; then
+		echo "lint-canary: FAIL: dettaint did not report inside zz_canary_${c}.go" >&2
+		fail=1
+	fi
+done
 if [ "$fail" -ne 0 ]; then
 	cat "$out" >&2
 	exit 1
 fi
-echo "lint-canary: PASS (dettaint, lockorder, goroutineleak all fire)"
+echo "lint-canary: PASS (dettaint sink, wall-clock and float-order rules, lockorder, goroutineleak all fire)"
