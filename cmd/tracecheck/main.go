@@ -14,7 +14,13 @@
 //
 // Exit status is non-zero on any schema violation (missing fields, unknown
 // phases, unbalanced b/e pairs, negative timestamps, spans that end before
-// they begin, non-monotonic timestamps within a record).
+// they begin, non-monotonic timestamps within a record, two process_name
+// events on one pid — a pid collision).
+//
+// -metrics-url also checks the exposition's structure: each metric family
+// has exactly one # TYPE line and its lines are contiguous, and every
+// histogram series has cumulative buckets whose le="+Inf" count equals its
+// _count.
 package main
 
 import (
@@ -24,6 +30,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs/span"
@@ -46,7 +53,7 @@ type traceEvent struct {
 }
 
 func main() {
-	metricsURL := flag.String("metrics-url", "", "also fetch this /metrics endpoint and require emcsim_ gauges")
+	metricsURL := flag.String("metrics-url", "", "also fetch this /metrics endpoint, require emcsim_ metrics and check the exposition's structure")
 	countersPath := flag.String("counters", "", "also validate this interval counter log (emcsim -counters output)")
 	flight := flag.Bool("flight", false, "arguments are flight-recorder dumps (.emfr), not a Chrome trace")
 	flag.Parse()
@@ -111,6 +118,7 @@ func checkTrace(path string) error {
 		last  float64 // latest timestamp seen, for per-span monotonicity
 	}
 	open := map[spanKey]openSpan{}
+	named := map[int]bool{} // pids that carry a process_name
 	var spans, steps int
 	for i, ev := range tf.TraceEvents {
 		at := func(msg string, args ...any) error {
@@ -126,6 +134,12 @@ func checkTrace(path string) error {
 			}
 			if len(ev.Args) == 0 {
 				return at("metadata without args")
+			}
+			if ev.Name == "process_name" {
+				if named[*ev.Pid] {
+					return at("pid %d already has a process_name (pid collision)", *ev.Pid)
+				}
+				named[*ev.Pid] = true
 			}
 		case "b", "n", "e":
 			if ev.Ts == nil || ev.Tid == nil || ev.ID == "" {
@@ -207,17 +221,165 @@ func checkMetrics(url string) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("%s: status %s", url, resp.Status)
 	}
-	var gauges int
-	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "emcsim_") {
-			gauges++
+	samples, families, err := checkExposition(string(body))
+	if err != nil {
+		return fmt.Errorf("%s: %w", url, err)
+	}
+	fmt.Printf("%s: ok (%d emcsim_ metric lines in %d families)\n", url, samples, families)
+	return nil
+}
+
+// checkExposition checks the structure of a Prometheus text exposition:
+// each family has exactly one # TYPE line, a family's lines are contiguous,
+// and every histogram series has cumulative buckets whose le="+Inf" count
+// equals its _count. It returns the number of emcsim_ sample lines and of
+// families, and fails when there are no emcsim_ samples.
+func checkExposition(body string) (samples, families int, err error) {
+	types := map[string]string{} // family -> declared type
+	closed := map[string]bool{}  // families whose lines have ended
+	cur := ""
+	enter := func(fam string) error {
+		if fam == cur {
+			return nil
+		}
+		if closed[fam] {
+			return fmt.Errorf("family %s: lines are not contiguous", fam)
+		}
+		if cur != "" {
+			closed[cur] = true
+		}
+		cur = fam
+		families++
+		return nil
+	}
+	type hist struct {
+		last, inf, count float64
+		hasInf, hasCount bool
+	}
+	hists := map[string]*hist{} // histogram series (name + labels without le)
+	var order []string
+	for n, line := range strings.Split(body, "\n") {
+		at := func(msg string, args ...any) error {
+			return fmt.Errorf("line %d %q: %s", n+1, line, fmt.Sprintf(msg, args...))
+		}
+		if line == "" {
+			continue
+		}
+		if strings.HasPrefix(line, "# TYPE ") {
+			f := strings.Fields(line)
+			if len(f) != 4 {
+				return 0, 0, at("malformed # TYPE line")
+			}
+			if _, dup := types[f[2]]; dup {
+				return 0, 0, at("family %s has a second # TYPE line", f[2])
+			}
+			types[f[2]] = f[3]
+			if err := enter(f[2]); err != nil {
+				return 0, 0, at("%v", err)
+			}
+			continue
+		}
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, labels, value, err := parseSample(line)
+		if err != nil {
+			return 0, 0, at("%v", err)
+		}
+		if strings.HasPrefix(name, "emcsim_") {
+			samples++
+		}
+		fam, suffix := name, ""
+		for _, sfx := range []string{"_bucket", "_sum", "_count"} {
+			if base := strings.TrimSuffix(name, sfx); base != name && types[base] == "histogram" {
+				fam, suffix = base, sfx
+			}
+		}
+		if err := enter(fam); err != nil {
+			return 0, 0, at("%v", err)
+		}
+		if suffix == "" || suffix == "_sum" {
+			continue
+		}
+		var le string
+		var rest []string
+		for _, l := range labels {
+			if strings.HasPrefix(l, "le=") {
+				le = l
+			} else {
+				rest = append(rest, l)
+			}
+		}
+		key := fam + "{" + strings.Join(rest, ",") + "}"
+		h := hists[key]
+		if h == nil {
+			h = &hist{}
+			hists[key] = h
+			order = append(order, key)
+		}
+		switch {
+		case suffix == "_count":
+			h.count, h.hasCount = value, true
+		case le == "":
+			return 0, 0, at("histogram bucket without le label")
+		case value < h.last:
+			return 0, 0, at("bucket count %v below the previous bucket's %v: buckets must be cumulative", value, h.last)
+		default:
+			h.last = value
+			if le == `le="+Inf"` {
+				h.inf, h.hasInf = value, true
+			}
 		}
 	}
-	if gauges == 0 {
-		return fmt.Errorf("%s: no emcsim_ metrics in response", url)
+	for _, key := range order {
+		h := hists[key]
+		if !h.hasInf || !h.hasCount || h.inf != h.count {
+			return 0, 0, fmt.Errorf("histogram %s: le=\"+Inf\" bucket (%v) must equal _count (%v)", key, h.inf, h.count)
+		}
 	}
-	fmt.Printf("%s: ok (%d emcsim_ metric lines)\n", url, gauges)
-	return nil
+	if samples == 0 {
+		return 0, 0, fmt.Errorf("no emcsim_ metrics in response")
+	}
+	return samples, families, nil
+}
+
+// parseSample splits one exposition sample line, name{k="v",...} value,
+// into its name, its label pairs (as written) and its value.
+func parseSample(line string) (name string, labels []string, value float64, err error) {
+	i := strings.IndexAny(line, "{ ")
+	if i < 0 {
+		return "", nil, 0, fmt.Errorf("no value")
+	}
+	name, rest := line[:i], line[i:]
+	if strings.HasPrefix(rest, "{") {
+		start, end, quoted := 1, -1, false
+		for i := 1; i < len(rest) && end < 0; i++ {
+			switch c := rest[i]; {
+			case quoted && c == '\\':
+				i++
+			case c == '"':
+				quoted = !quoted
+			case !quoted && (c == ',' || c == '}'):
+				if i > start {
+					labels = append(labels, rest[start:i])
+				}
+				start = i + 1
+				if c == '}' {
+					end = i
+				}
+			}
+		}
+		if end < 0 {
+			return "", nil, 0, fmt.Errorf("unterminated label set")
+		}
+		rest = rest[end+1:]
+	}
+	f := strings.Fields(rest)
+	if len(f) == 0 {
+		return "", nil, 0, fmt.Errorf("no value")
+	}
+	value, err = strconv.ParseFloat(f[0], 64)
+	return name, labels, value, err
 }
 
 func checkCounters(path string) error {

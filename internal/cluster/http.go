@@ -56,9 +56,9 @@ const peerIDHeader = "X-Emc-Node"
 func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	inner := service.NewHandler(n.Service(), reg)
 	var rejected atomic.Uint64
-	var authGroup *obs.Group
 	if reg != nil {
-		authGroup = reg.NewGroup(map[string]string{"component": "cluster"}, []string{"cluster_auth_rejected"})
+		reg.NewGroupFunc(map[string]string{"component": "cluster"}, []string{"cluster_auth_rejected"},
+			func() []float64 { return []float64{float64(rejected.Load())} })
 	}
 	want := []byte("Bearer " + token)
 	authorized := func(r *http.Request) bool {
@@ -67,10 +67,7 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	guard := func(h http.HandlerFunc) http.HandlerFunc {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if !authorized(r) {
-				cnt := rejected.Add(1)
-				if authGroup != nil {
-					authGroup.Publish([]float64{float64(cnt)})
-				}
+				rejected.Add(1)
 				httpJSON(w, http.StatusUnauthorized, httpError{Error: "cluster: invalid or missing cluster token"})
 				return
 			}

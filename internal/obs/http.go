@@ -22,7 +22,6 @@ var (
 // Server is the opt-in debug HTTP server: /metrics (Prometheus text),
 // /debug/vars (expvar JSON), and /debug/pprof while a run is in flight.
 type Server struct {
-	reg *Registry
 	ln  net.Listener
 	srv *http.Server
 }
@@ -44,9 +43,9 @@ func StartServer(addr string, reg *Registry) (*Server, error) {
 			return nil
 		}))
 	})
-	s := &Server{reg: reg, ln: ln}
+	s := &Server{ln: ln}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.metrics)
+	mux.Handle("/metrics", reg)
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -58,9 +57,11 @@ func StartServer(addr string, reg *Registry) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) metrics(w http.ResponseWriter, _ *http.Request) {
+// ServeHTTP is the /metrics handler: the registry in the Prometheus text
+// exposition format. The debug server and the service API both mount it.
+func (r *Registry) ServeHTTP(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := s.reg.WritePrometheus(w); err != nil {
+	if err := r.WritePrometheus(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

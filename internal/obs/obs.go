@@ -1,6 +1,7 @@
 // Package obs is the simulator's observability layer: request-lifecycle
-// tracing, latency attribution, a live counter registry, and exporters
-// (Chrome trace_event JSON, Prometheus text, expvar).
+// tracing, latency attribution, a live metric registry, and the exporters
+// (Chrome trace_event JSON, Prometheus text, expvar) that the service's job
+// spans (internal/obs/span) share.
 //
 // The layer is zero-overhead when disabled: the simulator holds a nil
 // *Tracer and every instrumentation site is a single pointer test. When

@@ -10,32 +10,19 @@ import (
 	"sync"
 )
 
-// Registry is a live counter registry: running Systems publish snapshots of
-// their counters into per-run Groups, and exporters (/metrics, /debug/vars,
-// the interval CounterLog) read them while the simulation is in flight.
+// Registry is the live metric registry: gauge groups and histograms, read
+// by the exporters (/metrics, /debug/vars) while the simulation or service
+// is in flight.
 //
-// Publishing and reading happen on different goroutines, so all access goes
-// through the group mutex; the simulator amortizes that by publishing every
-// few thousand cycles rather than per step.
+// A gauge group holds either published values or a read function. The
+// simulator publishes snapshots every few thousand cycles under the group
+// mutex, because its state is confined to its own goroutine; the service and
+// the cluster register read functions, which the registry calls at scrape
+// time outside its own lock, so a scrape always sees current values.
 type Registry struct {
-	mu         sync.Mutex
-	groups     []*Group
-	collectors []Collector
-}
-
-// Collector is a self-rendering metric source (histograms, summaries —
-// anything richer than the gauge groups). Registered collectors are
-// appended to every /metrics exposition after the gauge groups.
-// Implementations must be safe for concurrent use.
-type Collector interface {
-	WritePrometheus(w io.Writer) error
-}
-
-// AddCollector registers a collector with the exposition endpoint.
-func (r *Registry) AddCollector(c Collector) {
-	r.mu.Lock()
-	r.collectors = append(r.collectors, c)
-	r.mu.Unlock()
+	mu     sync.Mutex
+	groups []*Group
+	hists  []*Histogram
 }
 
 // NewRegistry builds an empty registry.
@@ -45,11 +32,18 @@ func NewRegistry() *Registry { return &Registry{} }
 // metric the group exports; names fixes the metric set up front so Publish
 // is a plain value copy.
 func (r *Registry) NewGroup(labels map[string]string, names []string) *Group {
-	g := &Group{
-		labels: renderLabels(labels),
-		names:  append([]string(nil), names...),
-		vals:   make([]float64, len(names)),
-	}
+	return r.addGroup(&Group{labels: renderLabels(labels), names: append([]string(nil), names...),
+		vals: make([]float64, len(names))})
+}
+
+// NewGroupFunc registers a metric group whose values read returns at scrape
+// time, in names order. read must be safe for concurrent use; the registry
+// calls it without holding any lock of its own.
+func (r *Registry) NewGroupFunc(labels map[string]string, names []string, read func() []float64) {
+	r.addGroup(&Group{labels: renderLabels(labels), names: append([]string(nil), names...), read: read})
+}
+
+func (r *Registry) addGroup(g *Group) *Group {
 	r.mu.Lock()
 	r.groups = append(r.groups, g)
 	r.mu.Unlock()
@@ -81,13 +75,11 @@ type Group struct {
 	labels string
 	names  []string
 	vals   []float64
+	read   func() []float64 // set by NewGroupFunc; vals is then unused
 }
 
-// Names returns the group's metric names, in publish order.
-func (g *Group) Names() []string { return g.names }
-
-// Publish copies a full snapshot of values (same order as Names) into the
-// group. len(vals) must equal len(Names).
+// Publish copies a full snapshot of values (same order as the group's
+// names) into the group.
 func (g *Group) Publish(vals []float64) {
 	g.mu.Lock()
 	copy(g.vals, vals)
@@ -96,10 +88,64 @@ func (g *Group) Publish(vals []float64) {
 
 // Snapshot appends the group's current values to dst and returns it.
 func (g *Group) Snapshot(dst []float64) []float64 {
+	if g.read != nil {
+		return append(dst, g.read()...)
+	}
 	g.mu.Lock()
 	dst = append(dst, g.vals...)
 	g.mu.Unlock()
 	return dst
+}
+
+// Histogram is one histogram family in a Registry: fixed cumulative bucket
+// bounds (+Inf implicit) and one series per label set.
+type Histogram struct {
+	name    string
+	buckets []float64
+	mu      sync.Mutex
+	series  []*HistogramSeries
+}
+
+// HistogramSeries is one label set of a Histogram.
+type HistogramSeries struct {
+	h      *Histogram
+	labels string
+	counts []uint64 // cumulative: counts[b] observations <= buckets[b]
+	sum    float64
+	count  uint64
+}
+
+// NewHistogram registers a histogram family named name (exported as
+// emcsim_<name>) with the given bucket upper bounds.
+func (r *Registry) NewHistogram(name string, buckets []float64) *Histogram {
+	h := &Histogram{name: promName(name), buckets: append([]float64(nil), buckets...)}
+	r.mu.Lock()
+	r.hists = append(r.hists, h)
+	r.mu.Unlock()
+	return h
+}
+
+// With adds a series for labels. Series render in the order they are added;
+// one with no observations is left out of the exposition.
+func (h *Histogram) With(labels map[string]string) *HistogramSeries {
+	s := &HistogramSeries{h: h, labels: renderLabels(labels), counts: make([]uint64, len(h.buckets))}
+	h.mu.Lock()
+	h.series = append(h.series, s)
+	h.mu.Unlock()
+	return s
+}
+
+// Observe records one value.
+func (s *HistogramSeries) Observe(v float64) {
+	s.h.mu.Lock()
+	for b, le := range s.h.buckets {
+		if v <= le {
+			s.counts[b]++
+		}
+	}
+	s.sum += v
+	s.count++
+	s.h.mu.Unlock()
 }
 
 // MetricPrefix is prepended to every exported metric name.
@@ -122,46 +168,67 @@ func promName(name string) string {
 	return b.String()
 }
 
-// WritePrometheus renders every group in the Prometheus text exposition
-// format. Metric names follow the scheme emcsim_<counter>, all lowercase
-// snake_case, with the group's labels attached (see DESIGN.md §9).
+// WritePrometheus renders the registry in the Prometheus text exposition
+// format: every gauge family, then every histogram family. Each family has
+// one # TYPE line followed by all of its series, however many groups share
+// the name. Metric names follow the scheme emcsim_<counter>, all lowercase
+// snake_case, with the group's labels attached (see DESIGN.md §9.5).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
 	groups := append([]*Group(nil), r.groups...)
-	collectors := append([]Collector(nil), r.collectors...)
+	hists := append([]*Histogram(nil), r.hists...)
 	r.mu.Unlock()
-	seen := map[string]bool{}
+	type series struct {
+		labels string
+		v      float64
+	}
+	var names []string
+	families := map[string][]series{}
 	for _, g := range groups {
-		g.mu.Lock()
-		names := g.names
-		vals := append([]float64(nil), g.vals...)
-		labels := g.labels
-		g.mu.Unlock()
-		for i, n := range names {
+		vals := g.Snapshot(nil)
+		for i, n := range g.names {
 			pn := promName(n)
-			if !seen[pn] {
-				seen[pn] = true
-				if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", pn); err != nil {
-					return err
-				}
+			if _, ok := families[pn]; !ok {
+				names = append(names, pn)
 			}
-			var err error
-			if labels == "" {
-				_, err = fmt.Fprintf(w, "%s %v\n", pn, vals[i])
-			} else {
-				_, err = fmt.Fprintf(w, "%s{%s} %v\n", pn, labels, vals[i])
-			}
-			if err != nil {
-				return err
-			}
+			families[pn] = append(families[pn], series{g.labels, vals[i]})
 		}
 	}
-	for _, c := range collectors {
-		if err := c.WritePrometheus(w); err != nil {
-			return err
+	var b strings.Builder
+	sample := func(name, labels string, v any) {
+		if labels != "" {
+			name += "{" + labels + "}"
+		}
+		fmt.Fprintf(&b, "%s %v\n", name, v)
+	}
+	for _, pn := range names {
+		fmt.Fprintf(&b, "# TYPE %s gauge\n", pn)
+		for _, s := range families[pn] {
+			sample(pn, s.labels, s.v)
 		}
 	}
-	return nil
+	for _, h := range hists {
+		fmt.Fprintf(&b, "# TYPE %s histogram\n", h.name)
+		h.mu.Lock()
+		for _, s := range h.series {
+			if s.count == 0 {
+				continue
+			}
+			le := s.labels
+			if le != "" {
+				le += ","
+			}
+			for i, bound := range h.buckets {
+				sample(h.name+"_bucket", fmt.Sprintf("%sle=\"%g\"", le, bound), s.counts[i])
+			}
+			sample(h.name+"_bucket", le+`le="+Inf"`, s.count)
+			sample(h.name+"_sum", s.labels, s.sum)
+			sample(h.name+"_count", s.labels, s.count)
+		}
+		h.mu.Unlock()
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
 }
 
 // Vars returns the registry as a nested map (group labels -> name -> value)
@@ -172,13 +239,12 @@ func (r *Registry) Vars() map[string]map[string]float64 {
 	r.mu.Unlock()
 	out := make(map[string]map[string]float64, len(groups))
 	for _, g := range groups {
-		g.mu.Lock()
+		vals := g.Snapshot(nil)
 		m := make(map[string]float64, len(g.names))
 		for i, n := range g.names {
-			m[n] = g.vals[i]
+			m[n] = vals[i]
 		}
 		label := g.labels
-		g.mu.Unlock()
 		if label == "" {
 			label = "run"
 		}

@@ -1,7 +1,8 @@
 // Package span is the service-layer observability pipeline: structured
 // job-lifecycle spans with exact-sum wall-clock attribution, a bounded
-// per-job flight recorder, and exporters (Prometheus phase histograms,
-// Chrome trace_event JSON, CRC-framed post-mortem dumps).
+// per-job flight recorder and CRC-framed post-mortem dumps. Its phase
+// histograms and job timeline feed internal/obs's exporters, the same
+// /metrics registry and Chrome trace writer the simulator uses.
 //
 // The package mirrors the discipline of the simulator-side tracing layer
 // (internal/obs): records ride on pooled rings, the hot record path is

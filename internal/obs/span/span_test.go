@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestSpanPhasesReconcile pins the exact-sum invariant for every lifecycle
@@ -193,16 +195,18 @@ func TestDumpVerifyRejects(t *testing.T) {
 	}
 }
 
-// TestWriteChromeShape: the span export emits balanced async events with
+// TestAddTraceShape: the job timeline exports balanced async events with
 // monotonic timestamps (the same contract cmd/tracecheck enforces).
-func TestWriteChromeShape(t *testing.T) {
+func TestAddTraceShape(t *testing.T) {
 	spans := []Span{
 		{JobID: "j1", Client: "a", Shard: 0, Outcome: "done", SubmitAt: 0, AdmitAt: 1000, FinishAt: 9000},
 		{JobID: "j2", Client: "a", Shard: 1, Outcome: "failed", Attempts: 3, SubmitAt: 500, AdmitAt: 700, FinishAt: 1200},
 		{JobID: "j3", Client: "b", Shard: 0, Outcome: "done", Cached: true, SubmitAt: 2000, AdmitAt: NoAdmit, FinishAt: 2001},
 	}
+	var exp obs.ChromeExport
+	AddTrace(&exp, "test-service", spans)
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, "test-service", spans); err != nil {
+	if err := exp.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var tf struct {
@@ -237,15 +241,18 @@ func TestWriteChromeShape(t *testing.T) {
 	}
 }
 
-// TestPhaseHistExposition: observations land in the right cumulative
-// buckets and render as a well-formed Prometheus histogram.
-func TestPhaseHistExposition(t *testing.T) {
-	h := NewPhaseHist(2)
-	h.Observe(PhaseQueued, 0, 0.0004) // le=0.001
-	h.Observe(PhaseQueued, 0, 0.05)   // le=0.1
-	h.Observe(PhaseRunning, 1, 120)   // only +Inf
+// TestRecorderHistogramExposition: finished spans land in the right cumulative
+// buckets of the registry's phase histograms, which render as a well-formed
+// Prometheus histogram.
+func TestRecorderHistogramExposition(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := NewRecorder(Options{})
+	r.Register(reg, 2)
+	r.FinishSpan(Span{Shard: 0, SubmitAt: 0, AdmitAt: 400_000, FinishAt: 400_000}, nil)       // queued 0.0004: le=0.001
+	r.FinishSpan(Span{Shard: 0, SubmitAt: 0, AdmitAt: 50_000_000, FinishAt: 50_000_000}, nil) // queued 0.05: le=0.1
+	r.FinishSpan(Span{Shard: 1, SubmitAt: 0, AdmitAt: 0, FinishAt: 120_000_000_000}, nil)     // running 120: only +Inf
 	var b strings.Builder
-	if err := h.WritePrometheus(&b); err != nil {
+	if err := reg.WritePrometheus(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -119,14 +119,12 @@ func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fres
 		s.mu.Unlock()
 		j.finalize(StateDone, res, nil)
 		s.completed.Add(1)
-		s.publish()
 		return j, false, nil
 	}
 	if prev, ok := s.inflight[key]; ok {
 		s.coalesced.Add(1)
 		s.mu.Unlock()
 		prev.recordCoalesce()
-		s.publish()
 		return prev, false, nil
 	}
 	j = newJob(id, key, client, true, cfg, s.rec)
@@ -136,7 +134,6 @@ func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fres
 	s.inflight[key] = j
 	s.submitted.Add(1)
 	s.mu.Unlock()
-	s.publish()
 	return j, true, nil
 }
 
@@ -163,7 +160,6 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 		s.dumpFlight(j, "failed", err)
 		s.finishJob(j, StateFailed, nil, err)
 	}
-	s.publish()
 }
 
 // TakeQueued removes one queued job for a thief node; the caller forwards
@@ -200,7 +196,6 @@ func (s *Service) ExecuteNow(j *Job) {
 	j.remote = false
 	s.mu.Unlock()
 	s.execute(j, s.idleLane())
-	s.publish()
 }
 
 // NodeStat is one fabric node's row in Stats.Nodes (and the NODE table in

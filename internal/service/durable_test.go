@@ -2,12 +2,16 @@ package service
 
 import (
 	"context"
+	"fmt"
+	"io"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -147,6 +151,41 @@ func TestDurableRestartReload(t *testing.T) {
 	}
 	if res.Hash() != want {
 		t.Fatalf("reloaded result hash %#x != original %#x", res.Hash(), want)
+	}
+}
+
+// TestMetricsGaugesReadAtScrape: /metrics reads the service gauges when it
+// is scraped, so a counter the durable persister bumps after the job
+// finished still agrees with Stats.
+func TestMetricsGaugesReadAtScrape(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := Open(Config{Workers: 1, QueueCap: 8, CacheDir: t.TempDir(), Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Run(context.Background(), "t", tinyCfg(23)); err != nil {
+		t.Fatal(err)
+	}
+	s.FlushDurable()
+	srv := httptest.NewServer(NewHandler(s, reg))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	persisted := s.Stats().CachePersisted
+	if persisted != 1 {
+		t.Fatalf("Stats().CachePersisted = %d, want 1", persisted)
+	}
+	want := fmt.Sprintf(`emcsim_service_cache_persisted{component="service"} %d`, persisted)
+	if !strings.Contains(string(body), want+"\n") {
+		t.Fatalf("/metrics disagrees with Stats, want %q:\n%s", want, body)
 	}
 }
 

@@ -91,12 +91,7 @@ func NewHandler(s *Service, reg *obs.Registry) http.Handler {
 		fmt.Fprintln(w, "ok")
 	})
 	if reg != nil {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			if err := reg.WritePrometheus(w); err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-			}
-		})
+		mux.Handle("GET /metrics", reg)
 	}
 	return mux
 }
@@ -293,9 +288,8 @@ func (s *Service) handleStatsStream(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace exports the retained finished spans as Chrome trace_event
-// JSON (load in chrome://tracing or Perfetto; merge with a sim trace —
-// service spans sit at pids ≥ span.ChromePidBase). 409 until a job finishes:
-// an empty traceEvents array fails tracecheck, so we refuse to emit one.
+// JSON (load in chrome://tracing or Perfetto). 409 until a job finishes: an
+// empty traceEvents array fails tracecheck, so we refuse to emit one.
 func (s *Service) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	spans := s.rec.Spans()
 	if len(spans) == 0 {
@@ -304,7 +298,9 @@ func (s *Service) handleTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="service-trace.json"`)
-	if err := span.WriteChrome(w, "emcserve", spans); err != nil {
+	var exp obs.ChromeExport
+	span.AddTrace(&exp, "emcserve", spans)
+	if err := exp.WriteJSON(w); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 	}
 }

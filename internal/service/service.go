@@ -109,7 +109,7 @@ type Config struct {
 	SpanRetain int
 }
 
-// serviceGauges lists every gauge the service publishes, in publish order.
+// serviceGauges lists every service gauge, in the order gauges returns them.
 // Exported Prometheus names are emcsim_<name>.
 var serviceGauges = []string{
 	"service_workers",
@@ -236,7 +236,6 @@ type Service struct {
 	wg        sync.WaitGroup
 	watchStop chan struct{}
 	stopOnce  sync.Once
-	group     *obs.Group
 
 	// Cluster stats hook (see cluster.go); nil outside a fabric node.
 	clusterStats atomic.Pointer[func(local *Stats) []NodeStat]
@@ -304,10 +303,8 @@ func Open(cfg Config) (*Service, error) {
 		}
 	}
 	if cfg.Metrics != nil {
-		s.group = cfg.Metrics.NewGroup(map[string]string{"component": "service"}, serviceGauges)
-		hist := span.NewPhaseHist(cfg.Workers)
-		s.rec.SetHist(hist)
-		cfg.Metrics.AddCollector(hist)
+		cfg.Metrics.NewGroupFunc(map[string]string{"component": "service"}, serviceGauges, s.gauges)
+		s.rec.Register(cfg.Metrics, cfg.Workers)
 	}
 	s.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
@@ -316,7 +313,6 @@ func Open(cfg Config) (*Service, error) {
 	if cfg.HungTimeout > 0 {
 		go s.watchdog()
 	}
-	s.publish()
 	return s, nil
 }
 
@@ -387,14 +383,12 @@ func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, e
 			s.mu.Unlock()
 			j.finalize(StateDone, res, nil)
 			s.completed.Add(1)
-			s.publish()
 			return j, nil
 		}
 		if prev, ok := s.inflight[key]; ok && !(forwarded && prev.remote) {
 			s.coalesced.Add(1)
 			s.mu.Unlock()
 			prev.recordCoalesce()
-			s.publish()
 			return prev, nil
 		}
 	}
@@ -425,7 +419,6 @@ func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, e
 		s.finishJob(j, StateCancelled, nil, ErrDraining)
 		return nil, ErrDraining
 	}
-	s.publish()
 	return j, nil
 }
 
@@ -519,13 +512,11 @@ func (s *Service) Stats() Stats {
 // Recorder exposes the span pipeline (the HTTP trace export reads it).
 func (s *Service) Recorder() *span.Recorder { return s.rec }
 
-// publish pushes the current counters into the metrics group.
-func (s *Service) publish() {
-	if s.group == nil {
-		return
-	}
+// gauges reads the service gauges, in serviceGauges order, when /metrics
+// is scraped.
+func (s *Service) gauges() []float64 {
 	st := s.Stats()
-	s.group.Publish([]float64{
+	return []float64{
 		float64(st.Workers),
 		float64(st.QueueDepth),
 		float64(st.Running),
@@ -548,7 +539,7 @@ func (s *Service) publish() {
 		float64(st.FlightDumps),
 		float64(st.FlightDumpErrs),
 		float64(st.SpansDropped),
-	})
+	}
 }
 
 // Drain stops intake (Submit returns ErrDraining) and waits for every
@@ -569,7 +560,6 @@ func (s *Service) Drain(ctx context.Context) error {
 	select {
 	case <-done:
 		s.shutdownAux()
-		s.publish()
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -588,7 +578,6 @@ func (s *Service) Close() error {
 	s.queue.close()
 	s.wg.Wait()
 	s.shutdownAux()
-	s.publish()
 	return nil
 }
 
@@ -628,22 +617,19 @@ func (s *Service) watchdog() {
 	}
 }
 
-// scanHung applies the hung verdict to every job and republishes the gauges
-// when any verdict flipped.
+// scanHung applies the hung verdict to every job.
 func (s *Service) scanHung(now time.Time) {
 	s.mu.Lock()
 	jobs := append([]*Job(nil), s.order...)
 	s.mu.Unlock()
 	var hung int64
 	perLane := make([]int64, s.cfg.Workers)
-	changed := false
 	for _, j := range jobs {
 		h, ch, lane := j.hungCheck(now, s.cfg.HungTimeout)
 		if h {
 			hung++
 			perLane[lane]++
 		}
-		changed = changed || ch
 		if h && ch {
 			// Verdict just flipped to hung: dump the flight recorder with a
 			// goroutine profile, so the stalled stack is captured the moment
@@ -654,9 +640,6 @@ func (s *Service) scanHung(now time.Time) {
 	s.hung.Store(hung)
 	for i := range perLane {
 		s.laneHung[i].Store(perLane[i])
-	}
-	if changed {
-		s.publish()
 	}
 }
 
@@ -702,7 +685,6 @@ func (s *Service) worker(i int) {
 		}
 		s.queued.Add(-1)
 		s.execute(j, i)
-		s.publish()
 	}
 }
 

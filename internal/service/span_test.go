@@ -251,7 +251,7 @@ func TestProgressStreamChunkedFraming(t *testing.T) {
 
 // TestStatsStreamAndTraceEndpoints: the dashboard stream frames parse and
 // carry per-lane stats; /api/v1/trace 409s when empty, then exports
-// balanced Chrome spans at service pids.
+// balanced Chrome spans.
 func TestStatsStreamAndTraceEndpoints(t *testing.T) {
 	s := New(Config{Workers: 2, QueueCap: 8})
 	defer s.Close()
@@ -305,8 +305,7 @@ func TestStatsStreamAndTraceEndpoints(t *testing.T) {
 	}
 	var tf struct {
 		TraceEvents []struct {
-			Ph  string `json:"ph"`
-			Pid *int   `json:"pid"`
+			Ph string `json:"ph"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(body, &tf); err != nil {
@@ -314,9 +313,6 @@ func TestStatsStreamAndTraceEndpoints(t *testing.T) {
 	}
 	begins, ends := 0, 0
 	for _, ev := range tf.TraceEvents {
-		if ev.Pid != nil && *ev.Pid < span.ChromePidBase {
-			t.Fatalf("service span at pid %d, below ChromePidBase %d", *ev.Pid, span.ChromePidBase)
-		}
 		switch ev.Ph {
 		case "b":
 			begins++

@@ -8,7 +8,8 @@
 #   2. emcctl top renders a live dashboard frame from the NDJSON stream,
 #   3. the induced panic produced a flight-recorder dump that round-trips
 #      tracecheck -flight (CRC + exact-sum phase verification),
-#   4. /api/v1/trace exports a Chrome trace that passes tracecheck.
+#   4. /api/v1/trace exports a Chrome trace that passes tracecheck, and the
+#      service /metrics exposition passes tracecheck -metrics-url.
 set -eu
 
 GO="${GO:-go}"
@@ -101,13 +102,14 @@ fi
 }
 echo "flight recorder: ok"
 
-# 4. The span trace export passes the Chrome schema gate.
+# 4. The span trace export passes the Chrome schema gate, and the service
+#    /metrics exposition passes the structure check.
 "$dir/emcctl" -server "$server" trace >"$dir/trace.json"
-"$dir/tracecheck" "$dir/trace.json" || {
-    echo "dashboard-smoke: span trace export failed tracecheck" >&2
+"$dir/tracecheck" -metrics-url "$server/metrics" "$dir/trace.json" || {
+    echo "dashboard-smoke: span trace export or /metrics failed tracecheck" >&2
     exit 1
 }
-echo "trace export: ok"
+echo "trace export + metrics: ok"
 
 kill -TERM "$srvpid"
 for _ in $(seq 1 100); do

@@ -3,8 +3,9 @@
 #
 # Runs a tiny traced workload with the debug HTTP server up, then:
 #   1. validates the Chrome trace_event JSON with cmd/tracecheck,
-#   2. scrapes /metrics once while the server lingers (curl when available,
-#      tracecheck -metrics-url otherwise),
+#   2. scrapes /metrics while the server lingers and checks the exposition's
+#      structure with tracecheck -metrics-url (plus a curl grep when curl
+#      is available),
 #   3. checks the interval counter log parses.
 set -eu
 
@@ -65,7 +66,7 @@ if command -v curl >/dev/null 2>&1; then
         status=1
     fi
     [ "$status" -eq 0 ] && echo "metrics: ok ($(grep -c '^emcsim_' "$dir/metrics.txt") gauge lines)"
-    [ "$status" -eq 0 ] && "$dir/tracecheck" "$dir/trace.json" || status=1
+    [ "$status" -eq 0 ] && "$dir/tracecheck" -metrics-url "http://$addr/metrics" "$dir/trace.json" || status=1
 else
     "$dir/tracecheck" -metrics-url "http://$addr/metrics" "$dir/trace.json" || status=1
 fi
