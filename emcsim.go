@@ -4,10 +4,9 @@
 // Memory Controller" (ISCA 2016).
 //
 // The package wraps the internal simulator behind a small, stable surface:
-// build a SystemConfig (Table 1 of the paper by default), pick a Workload
-// (the paper's H1–H10 mixes, homogeneous quad-core copies, or any custom
-// benchmark list), and Run it to get a Result with the statistics every
-// figure of the paper derives from.
+// build a SystemConfig (Table 1 of the paper by default), name a Workload
+// (any benchmark list, such as the paper's Table-3 mixes), and Run it to get
+// a Result with the statistics every figure of the paper derives from.
 //
 //	cfg := emcsim.QuadCore(emcsim.PFGHB, true) // GHB prefetcher + EMC
 //	res, err := emcsim.Run(cfg, emcsim.Workload{
@@ -122,46 +121,3 @@ func Benchmarks() []string { return trace.AllNames() }
 
 // HighIntensityBenchmarks returns the paper's Table-2 high-MPKI set.
 func HighIntensityBenchmarks() []string { return trace.HighIntensityNames() }
-
-// Workloads returns the paper's Table-3 quad-core mixes H1–H10.
-func Workloads() []Workload {
-	mixes := [][]string{
-		{"bwaves", "lbm", "milc", "omnetpp"},           // H1
-		{"soplex", "omnetpp", "bwaves", "libquantum"},  // H2
-		{"sphinx3", "mcf", "omnetpp", "milc"},          // H3
-		{"mcf", "sphinx3", "soplex", "libquantum"},     // H4
-		{"lbm", "mcf", "libquantum", "bwaves"},         // H5
-		{"lbm", "soplex", "mcf", "milc"},               // H6
-		{"bwaves", "libquantum", "sphinx3", "omnetpp"}, // H7
-		{"omnetpp", "soplex", "mcf", "bwaves"},         // H8
-		{"lbm", "mcf", "libquantum", "soplex"},         // H9
-		{"libquantum", "bwaves", "soplex", "omnetpp"},  // H10
-	}
-	out := make([]Workload, len(mixes))
-	for i, m := range mixes {
-		out[i] = Workload{Name: fmt.Sprintf("H%d", i+1), Benchmarks: m}
-	}
-	return out
-}
-
-// HomogeneousWorkloads returns four copies of each high-intensity benchmark
-// (the paper's Fig. 13 configuration).
-func HomogeneousWorkloads() []Workload {
-	var out []Workload
-	for _, b := range trace.HighIntensityNames() {
-		out = append(out, Workload{
-			Name:       "4x" + b,
-			Benchmarks: []string{b, b, b, b},
-		})
-	}
-	return out
-}
-
-// EightCoreWorkload doubles a quad-core mix (the paper's 8-core methodology).
-func EightCoreWorkload(w Workload) Workload {
-	return Workload{
-		Name:       w.Name + "x2",
-		Benchmarks: append(append([]string{}, w.Benchmarks...), w.Benchmarks...),
-		Seed:       w.Seed,
-	}
-}

@@ -2,55 +2,6 @@ package emcsim
 
 import "testing"
 
-func TestWorkloadsMatchTable3(t *testing.T) {
-	ws := Workloads()
-	if len(ws) != 10 {
-		t.Fatalf("want 10 workloads, got %d", len(ws))
-	}
-	// Spot-check against Table 3.
-	if ws[0].Name != "H1" || ws[3].Benchmarks[0] != "mcf" {
-		t.Errorf("workload table wrong: %+v", ws[:4])
-	}
-	for _, w := range ws {
-		if len(w.Benchmarks) != 4 {
-			t.Errorf("%s has %d benchmarks", w.Name, len(w.Benchmarks))
-		}
-		seen := map[string]bool{}
-		for _, b := range w.Benchmarks {
-			if seen[b] {
-				t.Errorf("%s repeats %s (Table 3: each benchmark once per mix)", w.Name, b)
-			}
-			seen[b] = true
-		}
-	}
-}
-
-func TestHomogeneousWorkloads(t *testing.T) {
-	hw := HomogeneousWorkloads()
-	if len(hw) != 8 {
-		t.Fatalf("want 8 homogeneous workloads, got %d", len(hw))
-	}
-	for _, w := range hw {
-		for _, b := range w.Benchmarks[1:] {
-			if b != w.Benchmarks[0] {
-				t.Errorf("%s is not homogeneous", w.Name)
-			}
-		}
-	}
-}
-
-func TestEightCoreWorkload(t *testing.T) {
-	w := EightCoreWorkload(Workloads()[0])
-	if len(w.Benchmarks) != 8 {
-		t.Fatalf("doubled workload has %d benchmarks", len(w.Benchmarks))
-	}
-	for i := 0; i < 4; i++ {
-		if w.Benchmarks[i] != w.Benchmarks[i+4] {
-			t.Error("second half should mirror the first")
-		}
-	}
-}
-
 func TestRunPublicAPI(t *testing.T) {
 	cfg := QuadCore(PFNone, true)
 	res, err := Run(cfg, Workload{

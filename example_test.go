@@ -31,14 +31,3 @@ func ExampleRun() {
 	// cores: 4
 	// address mismatches: 0
 }
-
-// ExampleWorkloads lists the paper's Table-3 workload mixes.
-func ExampleWorkloads() {
-	for _, w := range emcsim.Workloads()[:3] {
-		fmt.Println(w.Name, w.Benchmarks)
-	}
-	// Output:
-	// H1 [bwaves lbm milc omnetpp]
-	// H2 [soplex omnetpp bwaves libquantum]
-	// H3 [sphinx3 mcf omnetpp milc]
-}

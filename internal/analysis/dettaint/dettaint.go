@@ -1,6 +1,6 @@
 // Package dettaint guards the simulator's bit-exact determinism: Fig12
-// tables byte-identical across 1 and 3 nodes, bit-exact checkpoint resume,
-// and content-addressed result caching all assume that a (Config, trace)
+// tables byte-identical across 1 and 3 nodes, bit-exact skip and lockstep
+// runs, and content-addressed result caching all assume that a (Config, trace)
 // pair fully determines every output. One source model — wall clocks and
 // timers, the unseeded math/rand stream, crypto/rand, os.Getpid,
 // runtime.NumGoroutine — serves three rules:
@@ -35,7 +35,7 @@ import (
 
 // SimStatePattern selects the packages whose import paths hold
 // simulation-visible state or deterministic output: the model packages
-// (checkpoint/fingerprint bit-identity) plus figures/report (byte-identical
+// (fingerprint and Result bit-identity) plus figures/report (byte-identical
 // table emission, pinned by the service golden tests). Everything outside
 // it (service, obs, tooling) may read clocks as long as the value stays out
 // of the result sinks. The fixture trees embed "internal/sim" in their

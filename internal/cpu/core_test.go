@@ -60,7 +60,7 @@ func buildCore(t *testing.T, uops []isa.Uop, missLatency uint64, tweak func(*Con
 		tweak(&cfg)
 	}
 	fu := &fakeUncore{latency: missLatency, llcMiss: nil}
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	c := New(cfg, &trace.SliceReader{Uops: uops}, pt, fu)
 	fu.core = c
 	return c, fu

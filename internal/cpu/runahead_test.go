@@ -92,7 +92,7 @@ func TestRunaheadTargetsExactlyIndependents(t *testing.T) {
 	cfg.Runahead.Depth = 400
 	fu := &fakeUncore{latency: 400}
 	rec := &prefetchRecorder{fakeUncore: fu}
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	c := New(cfg, &trace.SliceReader{Uops: uops}, pt, rec)
 	fu.core = c
 	for cy := uint64(1); cy < 6000 && !c.Finished(); cy++ {

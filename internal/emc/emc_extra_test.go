@@ -12,8 +12,8 @@ import (
 // concurrently under the shared 2-wide back end.
 func TestTwoContextsInterleave(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt0 := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
-	pt1 := vm.NewPageTableShift(1, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt0 := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
+	pt1 := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	ch0 := buildChain(0, 0x4000000, 0x11)
 	ch1 := buildChain(1, 0x4000000, 0x22)
 	prime(e, 0, pt0, 0x4000000, 0x5000000)
@@ -74,7 +74,7 @@ func TestSameLineWaitersBothComplete(t *testing.T) {
 		},
 	}
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	prime(e, 0, pt, src, dep)
 	e.InstallChain(ch, nil, 0, false, 10)
 	acts := collect(e, 11, 20)
@@ -103,7 +103,7 @@ func TestSameLineWaitersBothComplete(t *testing.T) {
 // memory waiters so later fills to those lines are harmless.
 func TestAbortReleasesPendingWaiters(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	ch := buildChain(0, 0x4000000, 1)
 	prime(e, 0, pt, 0x4000000, 0x5000000)
 	e.InstallChain(ch, nil, 0, false, 10)

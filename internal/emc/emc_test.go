@@ -72,7 +72,7 @@ func kinds(acts []Action) map[ActionKind]int {
 
 func TestChainExecutionEndToEnd(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	ch := buildChain(0, 0x4000000, 0xABCD)
 	prime(e, 0, pt, 0x4000000, 0x5000000)
 
@@ -127,7 +127,7 @@ func TestChainExecutionEndToEnd(t *testing.T) {
 
 func TestImmediateTriggerWhenSourceNotOutstanding(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	ch := buildChain(0, 0x4000000, 1)
 	prime(e, 0, pt, 0x4000000, 0x5000000)
 	e.InstallChain(ch, nil, 0, false /* source already filled */, 10)
@@ -139,7 +139,7 @@ func TestImmediateTriggerWhenSourceNotOutstanding(t *testing.T) {
 
 func TestTLBMissAborts(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	ch := buildChain(0, 0x4000000, 1)
 	// Only the source page is resident; the dependent page is not.
 	prime(e, 0, pt, 0x4000000)
@@ -211,7 +211,7 @@ func TestExternalAbort(t *testing.T) {
 
 func TestDataCacheHit(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	ch := buildChain(0, 0x4000000, 0x77)
 	prime(e, 0, pt, 0x4000000, 0x5000000)
 	// The dependent line is already in the EMC data cache (it recently
@@ -234,7 +234,7 @@ func TestDataCacheHit(t *testing.T) {
 
 func TestMissPredictorRoutesToDRAM(t *testing.T) {
 	e := New(testCfg(), 0, 4)
-	pt := vm.NewPageTableShift(0, vm.NewFrameAllocator(), vm.LargePageShift)
+	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
 	// Train the dependent load's PC to predict miss.
 	for i := 0; i < 8; i++ {
 		e.TrainMissPredictor(0, 0x400104, true)

@@ -12,7 +12,7 @@ package fault
 //	EMCSIM_FAILPOINTS='service/worker.prerun=prob:0.01:seed7;sim/cycle=after:1000:oneshot'
 const (
 	// SiteSimCycle fires inside System.step, before the cycle's work; used
-	// to crash a simulation mid-run for checkpoint/resume testing.
+	// to crash a simulation mid-run for retry and chaos testing.
 	SiteSimCycle = "sim/cycle"
 
 	// SiteQueueAdmit fires in the scheduler's admit path, before a job is

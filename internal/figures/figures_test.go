@@ -34,6 +34,31 @@ func TestGmean(t *testing.T) {
 	}
 }
 
+// TestWorkloadsMatchTable3: h10, the list every H1–H10 figure runs, is the
+// paper's Table 3: ten four-benchmark mixes, each benchmark once per mix.
+func TestWorkloadsMatchTable3(t *testing.T) {
+	ws := h10()
+	if len(ws) != 10 {
+		t.Fatalf("want 10 workloads, got %d", len(ws))
+	}
+	// Spot-check against Table 3.
+	if ws[0].name != "H1" || ws[3].bench[0] != "mcf" {
+		t.Errorf("workload table wrong: %+v", ws[:4])
+	}
+	for _, w := range ws {
+		if len(w.bench) != 4 {
+			t.Errorf("%s has %d benchmarks", w.name, len(w.bench))
+		}
+		seen := map[string]bool{}
+		for _, b := range w.bench {
+			if seen[b] {
+				t.Errorf("%s repeats %s (Table 3: each benchmark once per mix)", w.name, b)
+			}
+			seen[b] = true
+		}
+	}
+}
+
 func TestTableRendering(t *testing.T) {
 	tab := &Table{
 		ID: "FigX", Title: "demo", Columns: []string{"a", "b"},

@@ -40,13 +40,6 @@ type RunHandle struct {
 	fn       ProgressFunc
 	next     uint64
 	canceled atomic.Bool
-
-	// Checkpoint support (see checkpoint.go): fp caches the config
-	// fingerprint; ckptFn fires every ckptEvery cycles when enabled.
-	fp        string
-	ckptEvery uint64
-	ckptNext  uint64
-	ckptFn    CheckpointFunc
 }
 
 // defaultProgressInterval is the progress cadence in cycles when the caller

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // TestRunHandleDeterminism: a handled run with progress callbacks enabled
@@ -109,5 +111,45 @@ func TestRunHandleCancelMidRun(t *testing.T) {
 	}
 	if res.Cycles == 0 {
 		t.Fatal("cancellation landed before any simulation happened")
+	}
+}
+
+// TestCycleFailpointCrashesRun: arming the sim/cycle failpoint makes a run
+// panic at a cycle boundary — the hook the service's retry path and the
+// chaos suite inject crashes through.
+func TestCycleFailpointCrashesRun(t *testing.T) {
+	p, ok := fault.Lookup("sim/cycle")
+	if !ok {
+		t.Fatal("sim/cycle failpoint not registered")
+	}
+	p.Enable(fault.Trigger{After: 50, Once: true})
+	defer p.Disable()
+
+	cfg := skipCfg([]string{"mcf", "lbm", "milc", "omnetpp"}, 11)
+	cfg.EMCEnabled = true
+	cfg.Prefetcher = PFGHB
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sys.NewRunHandle(0, nil)
+	panicked := func() (v any) {
+		defer func() { v = recover() }()
+		_, _ = h.Run()
+		return nil
+	}()
+	ip, ok := panicked.(*fault.InjectedPanic)
+	if !ok || ip.Site != "sim/cycle" {
+		t.Fatalf("want injected panic at sim/cycle, got %v", panicked)
+	}
+
+	// Disarmed, the same config runs to completion (the worker-retry story).
+	p.Disable()
+	sys2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys2.Run(); err != nil {
+		t.Fatalf("run after disarm failed: %v", err)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 )
 
+// sigOf is the full counter state compared at every step boundary: system,
+// core, DRAM, EMC and ring stats.
 func sigOf(s *System) string {
 	sig := fmt.Sprintf("st=%+v", s.st)
 	for i, c := range s.cores {
@@ -12,6 +14,9 @@ func sigOf(s *System) string {
 	}
 	for i, mc := range s.mcs {
 		sig += fmt.Sprintf("|mc%d=%+v q=%d", i, mc.ctrl.Stats, mc.ctrl.QueueOccupancy())
+		if mc.emc != nil {
+			sig += fmt.Sprintf("|emc%d=%+v", i, mc.emc.Stats)
+		}
 	}
 	sig += fmt.Sprintf("|ring=%+v/%+v", s.ctrl.Stats, s.data.Stats)
 	return sig

@@ -379,7 +379,7 @@ func New(cfg Config) (*System, error) {
 		}
 		g := trace.NewGenerator(prof, cfg.Seed+uint64(i)*0x9E3779B9)
 		s.gens = append(s.gens, g)
-		pt := vm.NewPageTableShift(i, s.frames, cfg.PageShift)
+		pt := vm.NewPageTableShift(s.frames, cfg.PageShift)
 		s.pts = append(s.pts, pt)
 		cc := cpu.DefaultConfig(i)
 		cc.EMCEnabled = cfg.EMCEnabled
@@ -506,9 +506,6 @@ func (s *System) runLoop(h *RunHandle) (*Result, error) {
 			}
 			if h.fn != nil && s.now >= h.next {
 				h.emit(s)
-			}
-			if h.ckptFn != nil && s.now >= h.ckptNext {
-				h.emitCheckpoint(s)
 			}
 		}
 		// Chaos hook: a mid-run crash at a cycle boundary (disarmed: one

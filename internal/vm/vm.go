@@ -32,7 +32,6 @@ type PTE struct {
 // PageTable is one core's (process's) page table with first-touch physical
 // allocation from a shared frame allocator.
 type PageTable struct {
-	asid   int
 	frames *FrameAllocator
 	pages  map[uint64]*PTE
 	shift  uint
@@ -59,20 +58,17 @@ func (f *FrameAllocator) Alloc() uint64 {
 func (f *FrameAllocator) Allocated() uint64 { return f.next }
 
 // NewPageTable returns an empty page table with default 4 KiB pages.
-func NewPageTable(asid int, frames *FrameAllocator) *PageTable {
-	return NewPageTableShift(asid, frames, PageShift)
+func NewPageTable(frames *FrameAllocator) *PageTable {
+	return NewPageTableShift(frames, PageShift)
 }
 
 // NewPageTableShift returns an empty page table with 2^shift-byte pages.
-func NewPageTableShift(asid int, frames *FrameAllocator, shift uint) *PageTable {
-	return &PageTable{asid: asid, frames: frames, pages: make(map[uint64]*PTE), shift: shift}
+func NewPageTableShift(frames *FrameAllocator, shift uint) *PageTable {
+	return &PageTable{frames: frames, pages: make(map[uint64]*PTE), shift: shift}
 }
 
 // Shift returns the page-size shift of the table.
 func (p *PageTable) Shift() uint { return p.shift }
-
-// ASID returns the table's address-space id.
-func (p *PageTable) ASID() int { return p.asid }
 
 // Lookup returns the PTE for a virtual address, allocating a frame on first
 // touch (the simulator has no page faults to the OS; every page is backed).

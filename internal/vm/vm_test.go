@@ -7,8 +7,8 @@ import (
 
 func TestPageTableFirstTouch(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt0 := NewPageTable(0, fa)
-	pt1 := NewPageTable(1, fa)
+	pt0 := NewPageTable(fa)
+	pt1 := NewPageTable(fa)
 
 	a := pt0.Translate(0x1000)
 	b := pt0.Translate(0x1008)
@@ -33,7 +33,7 @@ func TestPageTableFirstTouch(t *testing.T) {
 func TestPageTableDeterminism(t *testing.T) {
 	build := func() []uint64 {
 		fa := NewFrameAllocator()
-		pt := NewPageTable(0, fa)
+		pt := NewPageTable(fa)
 		var out []uint64
 		for _, v := range []uint64{0x5000, 0x1000, 0x9000, 0x1000, 0x5008} {
 			out = append(out, pt.Translate(v))
@@ -50,7 +50,7 @@ func TestPageTableDeterminism(t *testing.T) {
 
 func TestTLBHitMiss(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt := NewPageTable(0, fa)
+	pt := NewPageTable(fa)
 	tlb := NewTLB(2, 50)
 
 	_, lat := tlb.Access(pt, 0x1000)
@@ -74,7 +74,7 @@ func TestTLBHitMiss(t *testing.T) {
 
 func TestTLBInvalidate(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt := NewPageTable(0, fa)
+	pt := NewPageTable(fa)
 	tlb := NewTLB(4, 10)
 	tlb.Access(pt, 0x1000)
 	tlb.Invalidate(0x1234, PageShift) // same page
@@ -85,7 +85,7 @@ func TestTLBInvalidate(t *testing.T) {
 
 func TestTLBTranslationCorrect(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt := NewPageTable(0, fa)
+	pt := NewPageTable(fa)
 	tlb := NewTLB(8, 10)
 	f := func(v uint64) bool {
 		v &= (1 << 40) - 1
@@ -100,7 +100,7 @@ func TestTLBTranslationCorrect(t *testing.T) {
 
 func TestEMCTLBBasics(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt := NewPageTable(0, fa)
+	pt := NewPageTable(fa)
 	e := NewEMCTLB(2)
 
 	if _, ok := e.Lookup(0x1000); ok {
@@ -139,7 +139,7 @@ func TestEMCTLBBasics(t *testing.T) {
 
 func TestEMCTLBShootdown(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt := NewPageTable(0, fa)
+	pt := NewPageTable(fa)
 	e := NewEMCTLB(4)
 	pte := pt.Lookup(0x5000)
 	e.Insert(0x5000, pte)
@@ -157,7 +157,7 @@ func TestEMCTLBShootdown(t *testing.T) {
 
 func TestEMCTLBCounters(t *testing.T) {
 	fa := NewFrameAllocator()
-	pt := NewPageTable(0, fa)
+	pt := NewPageTable(fa)
 	e := NewEMCTLB(4)
 	e.Lookup(0x1000)
 	e.Insert(0x1000, pt.Lookup(0x1000))
