@@ -65,8 +65,6 @@ func main() {
 	hungTimeout := flag.Duration("hung-timeout", 0, "mark running jobs hung after this much progress silence (0 = off)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful drain budget on shutdown")
 	flightDir := flag.String("flight-dir", "", "write flight-recorder dumps (.emfr) here on hang/panic/failure (empty = off)")
-	flightEvents := flag.Int("flight-events", 0, "per-job flight-recorder ring capacity (0 = default 256)")
-	spanRetain := flag.Int("span-retain", 0, "finished spans retained for /api/v1/trace (0 = default 4096)")
 	nodeID := flag.String("node-id", "", "cluster node id (empty = single-process mode)")
 	advertise := flag.String("advertise", "", "base URL peers use to reach this node (default http://<addr>)")
 	join := flag.String("join", "", "bootstrap membership from this member URL (comma-separated URLs tried in order)")
@@ -74,7 +72,7 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat interval")
 	suspect := flag.Duration("suspect-after", 0, "mark peers dead after this much heartbeat silence (0 = 4x heartbeat)")
 	stealThreshold := flag.Int("steal-threshold", 2, "peer queue depth that makes an idle node steal work")
-	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy digest-exchange cadence")
+	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy cadence: each round reads one peer's key list and backfills missing records")
 	ringWeight := flag.Int("ring-weight", 1, "this node's ring weight (virtual-point multiplier for heterogeneous nodes)")
 	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive peer failures that trip the circuit breaker")
 	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit duration before a half-open probe (jittered +/-25%)")
@@ -88,16 +86,14 @@ func main() {
 
 	reg := obs.NewRegistry()
 	svc, err := service.Open(service.Config{
-		Workers:      *workers,
-		QueueCap:     *queueCap,
-		CacheCap:     *cacheCap,
-		MaxRetries:   *retries,
-		CacheDir:     *cacheDir,
-		HungTimeout:  *hungTimeout,
-		Metrics:      reg,
-		FlightDir:    *flightDir,
-		FlightEvents: *flightEvents,
-		SpanRetain:   *spanRetain,
+		Workers:     *workers,
+		QueueCap:    *queueCap,
+		CacheCap:    *cacheCap,
+		MaxRetries:  *retries,
+		CacheDir:    *cacheDir,
+		HungTimeout: *hungTimeout,
+		Metrics:     reg,
+		FlightDir:   *flightDir,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "emcserve:", err)

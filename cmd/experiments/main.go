@@ -31,7 +31,6 @@ func main() {
 	n := flag.Uint64("n", 24000, "instructions per core (quad-core runs)")
 	n8 := flag.Uint64("n8", 12000, "instructions per core (eight-core runs)")
 	seed := flag.Uint64("seed", 1, "trace seed")
-	par := flag.Int("p", 0, "parallel simulations (deprecated alias for -parallel)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "concurrent simulations")
 	only := flag.String("only", "", "comma-separated figure ids (e.g. Fig12,Fig18); empty = all")
 	md := flag.String("md", "", "write a markdown report to this file")
@@ -59,9 +58,6 @@ func main() {
 	opts.InstrPerCore8 = *n8
 	opts.Seed = *seed
 	opts.Parallel = *parallel
-	if *par > 0 {
-		opts.Parallel = *par
-	}
 	if *traceOut != "" {
 		opts.Trace = obs.Config{Enabled: true, SampleEvery: *traceSample, Retain: true}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // Anti-entropy failpoints (see internal/fault): antientropy.digest fails a
-// round's digest RPC as unreachable (the node skips that peer this round);
+// round's key-list RPC as unreachable (the node skips that peer this round);
 // antientropy.fetch drops one missing record's backfill (a later round must
 // cover it).
 var (
@@ -16,42 +16,8 @@ var (
 	fpAEFetch  = fault.Register(fault.SiteClusterAntiEntropyFetch)
 )
 
-// bucketOf folds a cache key into its anti-entropy digest bucket. It reuses
-// the ring hash, so a key's bucket is the same on every node — the property
-// the digest comparison depends on.
-func bucketOf(key string) int {
-	return int(ringHash(key) % digestBuckets)
-}
-
-// localDigest summarizes this node's durable record set: per bucket, the
-// record count and the XOR of the keys' ring hashes. Incremental disagreement
-// localizes to the buckets that differ, so the follow-up Keys exchange is
-// proportional to the delta.
-func (n *Node) localDigest() Digest {
-	d := Digest{Node: n.id}
-	for _, k := range n.svc.ResultKeys() {
-		b := bucketOf(k)
-		d.Buckets[b].Count++
-		d.Buckets[b].Sum ^= ringHash(k)
-	}
-	return d
-}
-
-// HandleKeys lists this node's durable record keys in one digest bucket
-// (sorted — ResultKeys is sorted and the filter preserves order). The
-// handler has range-checked bucket.
-func (n *Node) HandleKeys(bucket int) []string {
-	var out []string
-	for _, k := range n.svc.ResultKeys() {
-		if bucketOf(k) == bucket {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
-// antiEntropy is the convergence loop: every AntiEntropyInterval, exchange
-// digests with one live peer (round-robin over the sorted peer list) and
+// antiEntropy is the convergence loop: every AntiEntropyInterval, read the
+// key list of one live peer (round-robin over the sorted peer list) and
 // backfill whatever records the peer has that this node lacks. Pull-based
 // and pairwise, so a freshly restarted node with an empty or stale cache
 // converges to the cluster's full record set in a few rounds without any
@@ -67,7 +33,7 @@ func (n *Node) antiEntropy() {
 		case <-n.ctx.Done():
 			return
 		case <-t.C:
-			peers := n.members.alivePeers(n.id)
+			peers := n.members.rows(isLivePeer)
 			if len(peers) == 0 {
 				continue
 			}
@@ -77,44 +43,29 @@ func (n *Node) antiEntropy() {
 	}
 }
 
-// antiEntropyRound reconciles against one peer: fetch its digest, diff
-// bucket sums, list keys for differing buckets, and backfill every record
-// the peer holds that this node does not. The records are CRC-framed EMCR
-// frames — the same bytes the durable store writes — so a backfilled record
-// is byte-identical to one computed locally, and the syncing flag is up
-// only while actual backfill work is in flight.
+// antiEntropyRound reconciles against one peer: read its full key list
+// and backfill every record the peer holds that this node does not. The
+// records are CRC-framed EMCR frames — the same bytes the durable store
+// writes — so a backfilled record is byte-identical to one computed
+// locally, and the syncing flag is up only while actual backfill work is in
+// flight.
 func (n *Node) antiEntropyRound(peer string) {
 	if fpAEDigest.Fire() {
 		return
 	}
-	var remote Digest
+	var keys []string
 	err := n.viaBreaker(peer, func() error {
 		var err error
-		remote, err = n.tr.Digest(context.Background(), peer)
+		keys, err = n.tr.Keys(context.Background(), peer)
 		return err
 	})
 	if err != nil {
 		return
 	}
-	local := n.localDigest()
 	var missing []string
-	for b := range remote.Buckets {
-		if remote.Buckets[b] == local.Buckets[b] || remote.Buckets[b].Count == 0 {
-			continue
-		}
-		var keys []string
-		kerr := n.viaBreaker(peer, func() error {
-			var err error
-			keys, err = n.tr.Keys(context.Background(), peer, b)
-			return err
-		})
-		if kerr != nil {
-			continue
-		}
-		for _, k := range keys {
-			if _, ok := n.svc.PeekResult(k); !ok {
-				missing = append(missing, k)
-			}
+	for _, k := range keys {
+		if _, ok := n.svc.PeekResult(k); !ok {
+			missing = append(missing, k)
 		}
 	}
 	if len(missing) == 0 {

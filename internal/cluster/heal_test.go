@@ -72,7 +72,7 @@ func cfgsOwnedBy(t *testing.T, nodes, ownerIdx, count int) []sim.Config {
 
 // TestAntiEntropyBackfill: a peer that holds none of the records — they
 // were computed locally on node0, so no forward or fetch moved them —
-// converges to the full set through digest exchange and backfill alone,
+// converges to the full set through the key-list exchange and backfill alone,
 // byte-identical to the source.
 func TestAntiEntropyBackfill(t *testing.T) {
 	fault.DisableAll()

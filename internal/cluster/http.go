@@ -5,7 +5,6 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -26,9 +25,10 @@ import (
 const peerIDHeader = "X-Emc-Node"
 
 // NewHandler wraps the service HTTP API with the fabric protocol. Client
-// submissions (POST /api/v1/jobs) route through the node — so any node
-// accepts any submission and forwards it to the key's owner — and the
-// inter-node endpoints live under /api/v1/cluster/:
+// submissions (POST /api/v1/jobs) go through the service's submit handler
+// with the node's Submit — so any node accepts any submission and forwards
+// it to the key's owner — and the inter-node endpoints live under
+// /api/v1/cluster/:
 //
 //	POST /api/v1/cluster/submit     forwarded job intake (SubmitRequest)
 //	GET  /api/v1/cluster/record     ?key= -> durable EMCR frame bytes
@@ -37,8 +37,7 @@ const peerIDHeader = "X-Emc-Node"
 //	                                (named by X-Emc-Node), 204 when declined
 //	POST /api/v1/cluster/join       Member JSON -> member list JSON
 //	GET  /api/v1/cluster/members    member list JSON
-//	GET  /api/v1/cluster/digest     anti-entropy Digest JSON
-//	GET  /api/v1/cluster/keys       ?bucket=N -> key list JSON
+//	GET  /api/v1/cluster/keys       every cached result key, sorted (JSON)
 //
 // A non-empty token shields every /api/v1/cluster/* endpoint behind a
 // shared bearer token (constant-time compare, 401 on mismatch, rejections
@@ -76,7 +75,7 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", inner)
-	mux.HandleFunc("POST /api/v1/jobs", n.httpSubmit)
+	mux.HandleFunc("POST /api/v1/jobs", service.SubmitHandler(n.Submit))
 	mux.HandleFunc("GET /api/v1/jobs/{id}", n.peerStatus(inner))
 	mux.HandleFunc("POST /api/v1/cluster/submit", guard(n.httpClusterSubmit))
 	mux.HandleFunc("GET /api/v1/cluster/record", guard(n.httpRecord))
@@ -86,10 +85,9 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	mux.HandleFunc("GET /api/v1/cluster/members", guard(func(w http.ResponseWriter, _ *http.Request) {
 		httpJSON(w, http.StatusOK, n.Members())
 	}))
-	mux.HandleFunc("GET /api/v1/cluster/digest", guard(func(w http.ResponseWriter, _ *http.Request) {
-		httpJSON(w, http.StatusOK, n.localDigest())
+	mux.HandleFunc("GET /api/v1/cluster/keys", guard(func(w http.ResponseWriter, _ *http.Request) {
+		httpJSON(w, http.StatusOK, n.svc.ResultKeys())
 	}))
-	mux.HandleFunc("GET /api/v1/cluster/keys", guard(n.httpKeys))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if peer := r.Header.Get(peerIDHeader); peer != "" && authorized(r) {
 			n.MarkPeerSeen(peer)
@@ -151,83 +149,72 @@ func httpJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone is the only failure here
 }
 
-// submitStatus maps a submission outcome onto the same status codes the
-// single-process submit endpoint uses, so emcctl works against a fabric
-// node unchanged.
-func submitStatus(w http.ResponseWriter, st service.Status, err error) {
-	switch {
-	case errors.Is(err, service.ErrQueueFull), errors.Is(err, ErrBusy):
-		w.Header().Set("Retry-After", "1")
-		httpJSON(w, http.StatusTooManyRequests, httpError{Error: err.Error()})
-	case errors.Is(err, service.ErrDraining):
-		httpJSON(w, http.StatusServiceUnavailable, httpError{Error: err.Error()})
-	case err != nil:
-		httpJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-	case st.State.Terminal():
-		httpJSON(w, http.StatusOK, st) // cache hit: already done
-	default:
-		httpJSON(w, http.StatusAccepted, st)
-	}
-}
-
-// httpSubmit is the client-facing submit, routed cluster-wide.
-func (n *Node) httpSubmit(w http.ResponseWriter, r *http.Request) {
-	var req service.JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
-		return
-	}
-	cfg, err := req.Config()
-	if err != nil {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
-		return
-	}
-	j, err := n.Submit(req.Client, cfg)
-	if err != nil {
-		submitStatus(w, service.Status{}, err)
-		return
-	}
-	submitStatus(w, j.Status(), nil)
-}
-
-// httpClusterSubmit is the owner-side intake for forwarded jobs.
+// httpClusterSubmit is the owner-side intake for a forwarded job. The key is
+// recomputed from the config and must match the sender's — a mismatch means
+// the config did not survive its encoding and the job must not run under
+// the forwarded identity. The job never coalesces onto one this node follows
+// on a peer (service.SubmitForwarded), so a forward cannot close a wait
+// cycle. The answer is the client submit's: 429 on a full queue is what the
+// sender reads as ErrBusy.
 func (n *Node) httpClusterSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
 		return
 	}
-	st, err := n.HandleSubmit(req)
-	if err != nil && !errors.Is(err, service.ErrQueueFull) && !errors.Is(err, service.ErrDraining) {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: err.Error()})
+	if key, ok := service.CacheKey(&req.Cfg); !ok || key != req.Key {
+		httpJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("cluster: forwarded key %q does not match config (computed %q)", req.Key, key)})
 		return
 	}
-	submitStatus(w, st, err)
+	j, err := n.svc.SubmitForwarded(req.Client, req.Cfg)
+	service.WriteSubmit(w, j, err)
 }
 
+// httpRecord serves the durable frame for ?key= from the local cache.
 func (n *Node) httpRecord(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
-	frame, err := n.HandleFetch(key)
-	switch {
-	case errors.Is(err, ErrNoRecord):
-		httpJSON(w, http.StatusNotFound, httpError{Error: err.Error()})
-	case err != nil:
-		httpJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
-	default:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(frame) //nolint:errcheck // client gone is the only failure here
+	res, ok := n.svc.PeekResult(key)
+	if !ok {
+		httpJSON(w, http.StatusNotFound, httpError{Error: ErrNoRecord.Error()})
+		return
 	}
+	frame, err := service.EncodeRecord(key, res)
+	if err != nil {
+		httpJSON(w, http.StatusInternalServerError, httpError{Error: err.Error()})
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Write(frame) //nolint:errcheck // client gone is the only failure here
 }
 
+// httpPing answers a heartbeat with this node's load and sync state.
 func (n *Node) httpPing(w http.ResponseWriter, _ *http.Request) {
-	httpJSON(w, http.StatusOK, n.HandlePing())
+	st := n.svc.Stats()
+	httpJSON(w, http.StatusOK, Health{
+		ID: n.id, Queued: st.QueueDepth, Running: st.Running, Hung: st.Hung,
+		Syncing: n.syncing.Load(),
+	})
 }
 
+// httpSteal answers a steal from the thief the peer-id header names: it
+// takes one queued job and forwards it to the thief through routeJob, the
+// path every forwarded job takes, so the victim follows it by status wait
+// and fetches its result (200). It declines (204) when the thief is unnamed,
+// nothing is stealable, or the node is closing.
 func (n *Node) httpSteal(w http.ResponseWriter, r *http.Request) {
-	if !n.HandleSteal(r.Header.Get(peerIDHeader)) {
+	thief := r.Header.Get(peerIDHeader)
+	if fpSteal.Fire() || thief == "" || !n.enter() {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}
+	j, ok := n.svc.TakeQueued()
+	if !ok {
+		n.wg.Done()
+		w.WriteHeader(http.StatusNoContent)
+		return
+	}
+	n.stolenOut.Add(1)
+	go n.routeJob(j, thief, true)
 	w.WriteHeader(http.StatusOK)
 }
 
@@ -238,19 +225,6 @@ func (n *Node) httpJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	httpJSON(w, http.StatusOK, n.HandleJoin(mem))
-}
-
-func (n *Node) httpKeys(w http.ResponseWriter, r *http.Request) {
-	bucket, err := strconv.Atoi(r.URL.Query().Get("bucket"))
-	if err != nil || bucket < 0 || bucket >= digestBuckets {
-		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad bucket"})
-		return
-	}
-	keys := n.HandleKeys(bucket)
-	if keys == nil {
-		keys = []string{}
-	}
-	httpJSON(w, http.StatusOK, keys)
 }
 
 // ---------------------------------------------------------------------------
@@ -408,17 +382,10 @@ func (t *HTTPTransport) Join(ctx context.Context, node string, mem Member) ([]Me
 	return members, err
 }
 
-// Digest fetches a peer's anti-entropy summary of its durable records.
-func (t *HTTPTransport) Digest(ctx context.Context, node string) (Digest, error) {
-	var d Digest
-	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/digest", nil, &d)
-	return d, err
-}
-
-// Keys lists a peer's durable record keys in one digest bucket.
-func (t *HTTPTransport) Keys(ctx context.Context, node string, bucket int) ([]string, error) {
+// Keys lists every durable record key a peer holds, sorted.
+func (t *HTTPTransport) Keys(ctx context.Context, node string) ([]string, error) {
 	var keys []string
-	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/keys?bucket="+strconv.Itoa(bucket), nil, &keys)
+	_, err := t.call(ctx, node, http.MethodGet, "/api/v1/cluster/keys", nil, &keys)
 	return keys, err
 }
 

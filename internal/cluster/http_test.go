@@ -305,8 +305,7 @@ func TestHTTPClusterAuth(t *testing.T) {
 	guarded := []string{
 		"/api/v1/cluster/members",
 		"/api/v1/cluster/ping",
-		"/api/v1/cluster/digest",
-		"/api/v1/cluster/keys?bucket=0",
+		"/api/v1/cluster/keys",
 		"/api/v1/cluster/record?key=x",
 	}
 	for _, path := range guarded {

@@ -17,7 +17,8 @@ type Member struct {
 	Weight int    `json:"weight,omitempty"`
 }
 
-// memberRow is a membership snapshot row (stats and tests).
+// memberRow is one member's liveness row, and a row of a membership
+// snapshot.
 type memberRow struct {
 	Member
 	Alive    bool
@@ -103,57 +104,22 @@ func (ms *membership) sweep(now time.Time, timeout time.Duration) {
 	}
 }
 
-// peers lists every member except self, sorted by id (dead included — the
-// heartbeat loop probes dead peers too, which is how they revive).
-func (ms *membership) peers(selfID string) []Member {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	out := make([]Member, 0, len(ms.m))
-	for _, row := range ms.m {
-		if row.ID != selfID {
-			out = append(out, row.Member)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// alivePeers lists the currently live members except self, sorted by id.
-func (ms *membership) alivePeers(selfID string) []Member {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	out := make([]Member, 0, len(ms.m))
-	for _, row := range ms.m {
-		if row.ID != selfID && row.Alive {
-			out = append(out, row.Member)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// list returns every member (the join response payload), sorted by id.
-func (ms *membership) list() []Member {
-	ms.mu.Lock()
-	defer ms.mu.Unlock()
-	out := make([]Member, 0, len(ms.m))
-	for _, row := range ms.m {
-		out = append(out, row.Member)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// rows snapshots the peer rows (stats), sorted by id, excluding self.
-func (ms *membership) rows(selfID string) []memberRow {
+// rows snapshots the members keep accepts (every member when keep is nil),
+// sorted by id.
+func (ms *membership) rows(keep func(*memberRow) bool) []memberRow {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
 	out := make([]memberRow, 0, len(ms.m))
 	for _, row := range ms.m {
-		if row.ID != selfID {
+		if keep == nil || keep(row) {
 			out = append(out, *row)
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
+
+// isPeer keeps every other member, dead ones too: the heartbeat loop probes
+// dead peers, which is how they revive. isLivePeer keeps the live ones.
+func isPeer(r *memberRow) bool     { return !r.Self }
+func isLivePeer(r *memberRow) bool { return !r.Self && r.Alive }

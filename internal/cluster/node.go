@@ -25,14 +25,9 @@ var (
 	fpSteal     = fault.Register(fault.SiteClusterSteal)
 )
 
-const (
-	// forwardRetries is how many ErrBusy responses a forward absorbs before
-	// executing locally instead.
-	forwardRetries = 3
-	// maxHops bounds re-dispatch hops across dying owners before the job
-	// falls back to local execution.
-	maxHops = 4
-)
+// maxHops bounds re-dispatch hops across dying owners before the job falls
+// back to local execution.
+const maxHops = 4
 
 // Options tunes one fabric node. The zero value of every field selects a
 // production-shaped default; tests shrink the intervals.
@@ -49,15 +44,15 @@ type Options struct {
 	// PollInterval bounds each status wait a routed job follows its owner
 	// with: the owner answers as soon as the job is terminal or after this
 	// long, and the entry node asks again at once. It is therefore how long a
-	// cancel on the entry node, or a partition, can go unnoticed. It is also
-	// the busy-backoff unit (default 100ms).
+	// cancel on the entry node, or a partition, can go unnoticed (default
+	// 100ms).
 	PollInterval time.Duration
 	// StealThreshold is the minimum queue depth at which a peer becomes a
 	// steal victim (default 2).
 	StealThreshold int
 	// AntiEntropyInterval is the cadence of the anti-entropy loop: each tick
-	// exchanges digests with one live peer round-robin and backfills missing
-	// durable records (default 30s).
+	// reads the key list of one live peer round-robin and backfills the
+	// durable records this node lacks (default 30s).
 	AntiEntropyInterval time.Duration
 	// Weight is this node's ring weight — the virtual-point multiplier for
 	// heterogeneous fabrics (default 1).
@@ -100,7 +95,7 @@ func (o *Options) defaults() {
 // Counters is a node's cluster-counter snapshot (tests, smoke checks).
 type Counters struct {
 	Forwarded     uint64 // fresh jobs this node routed to a remote owner
-	Redispatched  uint64 // forwards re-routed after an owner died
+	Redispatched  uint64 // forwards re-routed after an owner died or answered busy
 	LocalFallback uint64 // routed jobs (not stolen ones) that ended up executing here
 	ReplSent      uint64 // stolen-out jobs whose result this victim fetched back
 	Torn          uint64 // fetched or backfilled frames rejected by CRC verification
@@ -243,7 +238,13 @@ func (n *Node) MarkPeerSeen(id string) {
 func (n *Node) MemberAddr(id string) (string, bool) { return n.members.addr(id) }
 
 // Members lists the current membership, sorted by id.
-func (n *Node) Members() []Member { return n.members.list() }
+func (n *Node) Members() []Member {
+	var out []Member
+	for _, r := range n.members.rows(nil) {
+		out = append(out, r.Member)
+	}
+	return out
+}
 
 // Counters snapshots the node's cluster counters.
 func (n *Node) Counters() Counters {
@@ -294,18 +295,6 @@ func (n *Node) enter() bool {
 	}
 	n.wg.Add(1)
 	return true
-}
-
-// sleepInterval blocks for one PollInterval or until the node starts
-// closing. It returns false when the node is stopping, so the busy-backoff
-// loop of a forward observes Close instead of sleeping through it.
-func (n *Node) sleepInterval() bool {
-	select {
-	case <-n.ctx.Done():
-		return false
-	case <-time.After(n.opts.PollInterval):
-		return true
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -422,9 +411,9 @@ func (n *Node) viaBreaker(peer string, fn func() error) error {
 
 // routeJob drives a routed job to a terminal state: forward to the owner,
 // mirror progress and cancellation, fetch the result bytes; when an owner
-// dies, fail over to the next ring owner; as the last resort run locally
-// (after trying a peer fetch — an entry node that fetched the result
-// before the owner died may hold it). A stolen job takes the same path with
+// dies, fail over to the next ring owner; when one answers busy, or as the
+// last resort, run locally (after trying a peer fetch — an entry node that
+// fetched the result before the owner died may hold it). A stolen job takes the same path with
 // its thief as the first owner, so a dead thief fails over like a dead owner
 // and a thief that never answers falls back to the victim.
 func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
@@ -459,34 +448,22 @@ func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 }
 
 // runRemote forwards j to owner and follows it to a terminal state.
-// done=false means the owner became unreachable mid-flight; next is the new
-// ring owner to try (possibly this node).
+// done=false means the owner was busy or became unreachable; next is the
+// ring owner to try (this node for a busy owner).
 func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) {
 	ctx := context.Background()
 	req := SubmitRequest{Client: n.id + "/" + j.Client(), Key: j.Key(), Cfg: j.Config()}
-	var st service.Status
-	for attempt := 0; ; attempt++ {
-		var err error
-		st, err = n.rpcSubmit(ctx, owner, req)
-		if err == nil {
-			break
-		}
-		switch {
-		case isUnreachable(err):
-			return false, n.failOver(owner, j.Key())
-		case err == ErrBusy && attempt < forwardRetries:
-			if !n.sleepInterval() {
-				n.svc.FinishRouted(j, nil, ErrNodeClosed)
-				return true, ""
-			}
-		case err == ErrBusy:
-			// Owner is saturated: steal the job back and run it here —
-			// determinism makes the potential duplicate execution benign.
-			return false, n.id
-		default:
-			n.svc.FinishRouted(j, nil, fmt.Errorf("cluster: forward to %s: %w", owner, err))
-			return true, ""
-		}
+	st, err := n.rpcSubmit(ctx, owner, req)
+	switch {
+	case isUnreachable(err):
+		return false, n.failOver(owner, j.Key())
+	case err == ErrBusy:
+		// Owner is saturated: run the job here — determinism makes the
+		// potential duplicate execution benign.
+		return false, n.id
+	case err != nil:
+		n.svc.FinishRouted(j, nil, fmt.Errorf("cluster: forward to %s: %w", owner, err))
+		return true, ""
 	}
 	// Follow the job by long-poll: each status call returns once the job is
 	// terminal on the owner or PollInterval has passed, and the next is
@@ -629,7 +606,7 @@ func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, 
 
 // fetchFromPeers tries every live peer in id order.
 func (n *Node) fetchFromPeers(key string) (*sim.Result, bool) {
-	for _, p := range n.members.alivePeers(n.id) {
+	for _, p := range n.members.rows(isLivePeer) {
 		if res, err := n.fetchRecord(context.Background(), p.ID, key); err == nil {
 			return res, true
 		}
@@ -661,61 +638,7 @@ func (n *Node) acceptRecord(key string, frame []byte) (*sim.Result, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Receiver-side handlers (the transport calls these on the target node).
-
-// HandleSubmit is the owner-side intake for a forwarded job. The key is
-// recomputed from the config and must match the sender's — a mismatch means
-// the config did not survive its encoding and the job must not run under
-// the forwarded identity. The job never coalesces onto one this node follows
-// on a peer (service.SubmitForwarded), so a forward cannot close a wait cycle.
-func (n *Node) HandleSubmit(req SubmitRequest) (service.Status, error) {
-	key, ok := service.CacheKey(&req.Cfg)
-	if !ok || key != req.Key {
-		return service.Status{}, fmt.Errorf("cluster: forwarded key %q does not match config (computed %q)", req.Key, key)
-	}
-	j, err := n.svc.SubmitForwarded(req.Client, req.Cfg)
-	if err != nil {
-		return service.Status{}, err
-	}
-	return j.Status(), nil
-}
-
-// HandleFetch serves the durable frame for key from the local cache.
-func (n *Node) HandleFetch(key string) ([]byte, error) {
-	res, ok := n.svc.PeekResult(key)
-	if !ok {
-		return nil, ErrNoRecord
-	}
-	return service.EncodeRecord(key, res)
-}
-
-// HandlePing answers a heartbeat with this node's load and sync state.
-func (n *Node) HandlePing() Health {
-	st := n.svc.Stats()
-	return Health{
-		ID: n.id, Queued: st.QueueDepth, Running: st.Running, Hung: st.Hung,
-		Syncing: n.syncing.Load(),
-	}
-}
-
-// HandleSteal answers a steal from thief: it takes one queued job and forwards
-// it to the thief through routeJob, the path every forwarded job takes, so
-// the victim follows it by status wait and fetches its result. It declines
-// (false) when the thief is unnamed, nothing is stealable, or the node is
-// closing.
-func (n *Node) HandleSteal(thief string) bool {
-	if fpSteal.Fire() || thief == "" || !n.enter() {
-		return false
-	}
-	j, ok := n.svc.TakeQueued()
-	if !ok {
-		n.wg.Done()
-		return false
-	}
-	n.stolenOut.Add(1)
-	go n.routeJob(j, thief, true)
-	return true
-}
+// Membership intake.
 
 // HandleJoin admits a member announced by a peer (or by the member itself),
 // returns the full member list, and gossips genuinely new members onward so
@@ -727,7 +650,7 @@ func (n *Node) HandleJoin(mem Member) []Member {
 	// next heartbeat lands.
 	n.MarkPeerSeen(mem.ID)
 	if n.admitMember(mem) && n.enter() {
-		peers := n.members.alivePeers(n.id)
+		peers := n.members.rows(isLivePeer)
 		go func() {
 			defer n.wg.Done()
 			for _, p := range peers {
@@ -742,7 +665,7 @@ func (n *Node) HandleJoin(mem Member) []Member {
 			}
 		}()
 	}
-	return n.members.list()
+	return n.Members()
 }
 
 // ---------------------------------------------------------------------------
@@ -766,7 +689,7 @@ func (n *Node) heartbeats() {
 }
 
 func (n *Node) heartbeatRound() {
-	for _, p := range n.members.peers(n.id) {
+	for _, p := range n.members.rows(isPeer) {
 		if fpHeartbeat.Fire() {
 			continue
 		}
@@ -826,21 +749,18 @@ func (n *Node) maybeSteal() {
 // nodeStats is the service stats hook: the per-node rows for
 // /api/v1/stats/stream and the NODE table in emcctl top.
 func (n *Node) nodeStats(local *service.Stats) []service.NodeStat {
+	c := n.Counters()
 	rows := []service.NodeStat{{
 		Node: n.id, Addr: n.opts.Addr, State: "self",
 		Queued: local.QueueDepth, Running: local.Running, Hung: local.Hung,
-		Syncing:      n.syncing.Load(),
-		Forwarded:    n.forwarded.Load(),
-		Redispatched: n.redispatched.Load(),
-		StolenIn:     n.stolenIn.Load(),
-		StolenOut:    n.stolenOut.Load(),
-		Torn:         n.torn.Load(),
-		Fetched:      n.fetched.Load(),
-		Backfilled:   n.backfilled.Load(),
-		BreakerTrips: n.breakerTrips(),
+		Syncing:   n.syncing.Load(),
+		Forwarded: c.Forwarded, Redispatched: c.Redispatched,
+		StolenIn: c.StolenIn, StolenOut: c.StolenOut,
+		Torn: c.Torn, Fetched: c.Fetched, Backfilled: c.Backfilled,
+		BreakerTrips: c.BreakerTrips,
 	}}
 	now := time.Now()
-	for _, m := range n.members.rows(n.id) {
+	for _, m := range n.members.rows(isPeer) {
 		row := service.NodeStat{Node: m.ID, Addr: m.Addr, State: "alive", HeartbeatAgeMS: -1}
 		switch {
 		case !m.Alive:

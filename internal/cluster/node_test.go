@@ -244,6 +244,49 @@ func TestOwnerDeathRedispatch(t *testing.T) {
 	}
 }
 
+// TestBusyOwnerFallsBackLocally: an owner whose queue is full answers 429,
+// and the entry node runs the job itself at once rather than wait for the
+// owner: the owner's only worker and its one queue slot stay taken by
+// uncacheable blockers until the job is done.
+func TestBusyOwnerFallsBackLocally(t *testing.T) {
+	fault.DisableAll()
+	release := make(chan struct{})
+	defer close(release)
+	f := newFabric(t, 2, func(i int) service.Config {
+		if i == 1 {
+			return service.Config{Workers: 1, QueueCap: 1}
+		}
+		return service.Config{Workers: 1, QueueCap: 64}
+	})
+	blocker := tinyCfg(99)
+	blocker.CoreTweak = func(*cpu.Config) { <-release }
+	owner := f.Nodes[1].Service()
+	if _, err := owner.Submit("blocker", blocker); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "owner's worker parked", func() bool { return owner.Stats().Running == 1 })
+	if _, err := owner.Submit("blocker", blocker); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := cfgOwnedBy(t, 2, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := f.Nodes[0].Run(ctx, "t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Hash(), runTiny(t, cfg).Hash(); got != want {
+		t.Fatalf("fallback result hash %#x != direct %#x", got, want)
+	}
+	if c := f.Nodes[0].Counters(); c.Forwarded != 1 || c.LocalFallback != 1 {
+		t.Fatalf("want 1 forward ending in 1 local fallback, got %+v", c)
+	}
+	if got := f.Nodes[0].Service().Stats().Executed; got != 1 {
+		t.Fatalf("entry node executed %d jobs, want 1", got)
+	}
+}
+
 // TestWorkStealing: an idle node pulls queued jobs off a saturated peer,
 // runs them, and delivers the results back; the victim's jobs complete
 // without its blocked worker ever touching them, and no delegation waits

@@ -7,16 +7,17 @@ import (
 	"repro/internal/sim"
 )
 
-// Transport errors. Everything the fabric does is retry- or
-// failover-driven, so errors classify into exactly three buckets: the node
-// cannot be reached right now (failover), the node is up but refusing work
-// (back off, then fall back), or the request itself is bad (permanent).
+// Transport errors. Everything the fabric does is failover-driven, so
+// errors classify into exactly three buckets: the node cannot be reached
+// right now (failover), the node is up but refusing work (run the job
+// here), or the request itself is bad (permanent).
 var (
 	// ErrUnreachable means the node did not answer: connection failure, a
 	// partition, a kill, or a draining service. The caller fails over.
 	ErrUnreachable = errors.New("cluster: node unreachable")
 	// ErrBusy means the node answered but its queue is full (the remote
-	// service returned ErrQueueFull). The caller backs off and retries.
+	// service returned ErrQueueFull, HTTP 429). The caller runs the job
+	// locally instead.
 	ErrBusy = errors.New("cluster: node busy")
 	// ErrNoRecord means a fetch found no cached record under the key.
 	ErrNoRecord = errors.New("cluster: no such record")
@@ -59,29 +60,4 @@ type Health struct {
 	Hung    int    `json:"hung"`
 	// Syncing reports an anti-entropy backfill in progress on the node.
 	Syncing bool `json:"syncing,omitempty"`
-}
-
-// digestBuckets is the anti-entropy digest width: the content-addressed
-// keyspace folds into this many buckets by ringHash(key). 64 keeps the
-// digest a few hundred bytes while a single differing record still isolates
-// to one bucket's key list, so backfill traffic is proportional to the
-// delta, not the cache size.
-const digestBuckets = 64
-
-// BucketSum summarizes one digest bucket: the record count and the XOR of
-// ringHash(key) over the bucket's keys. XOR is order-independent and
-// incremental, and Count catches the pathological XOR collision of two
-// differing sets with equal parity sums.
-type BucketSum struct {
-	Count uint32 `json:"count"`
-	Sum   uint64 `json:"sum"`
-}
-
-// Digest is one node's anti-entropy summary of its durable record set.
-// Two nodes with identical digests hold identical key sets with
-// overwhelming probability; a differing bucket triggers a Keys exchange
-// for just that bucket.
-type Digest struct {
-	Node    string                   `json:"node"`
-	Buckets [digestBuckets]BucketSum `json:"buckets"`
 }

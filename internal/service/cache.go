@@ -20,7 +20,7 @@ var (
 
 // resultCache is the content-addressed result cache: completed Results
 // keyed by the job cache key (sim.Config.Fingerprint plus the observability
-// variant, see cacheKey). Entries are immutable — the simulator produces a
+// variant, see CacheKey). Entries are immutable — the simulator produces a
 // fresh Result per run and nobody mutates it afterwards — so hits share the
 // pointer. Bounded LRU, optionally write-through to a durableStore.
 type resultCache struct {

@@ -9,42 +9,9 @@ package service
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/sim"
 )
-
-// ErrRecordCorrupt is the exported alias of the durable-record validation
-// error: DecodeRecord wraps every structural failure (bad magic, length
-// mismatch, CRC, truncated JSON) in it, so a receiver of a peer's frame can
-// treat "torn frame" as one condition.
-var ErrRecordCorrupt = errDurableCorrupt
-
-// CacheKey derives the content address of a config (fingerprint plus the
-// observability variant). cacheable=false means the config holds function
-// values and has no canonical identity: such jobs are never routed, cached,
-// or coalesced — they run on the node that received them.
-func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
-	return cacheKey(cfg)
-}
-
-// EncodeRecord frames a completed result as a durable EMCR record — the
-// exact byte format the on-disk cache uses, reused verbatim as the
-// peer-fetch and backfill wire format (a record is valid anywhere).
-func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
-	return encodeDurableRecord(&durableRecord{Key: key, Result: res})
-}
-
-// DecodeRecord validates an EMCR frame end to end (magic, version, length,
-// CRC, payload shape) and returns its key and Result. Every failure mode
-// wraps ErrRecordCorrupt.
-func DecodeRecord(frame []byte) (string, *sim.Result, error) {
-	rec, err := decodeDurableRecord(frame)
-	if err != nil {
-		return "", nil, err
-	}
-	return rec.Key, rec.Result, nil
-}
 
 // PeekResult returns the cached result for key without touching hit/miss
 // counters, LRU recency, or failpoints — the peer-fetch read path.
@@ -92,49 +59,11 @@ func (s *Service) SetClusterStats(fn func(local *Stats) []NodeStat) {
 // NewRoutedJob registers a job whose simulation will run on another node:
 // it appears in this node's job table (listings, status polls, spans) but is
 // never queued locally — the cluster layer drives it to a terminal state via
-// StartRouted/FinishRouted. The same terminal fast paths as Submit apply:
-// a cached result returns an already-done job (fresh=false), an identical
-// in-flight submission coalesces onto the existing job (fresh=false). Only
-// a fresh=true return obligates the caller to finish the job.
+// StartRouted/FinishRouted. Submit's fast paths apply (a cache hit or an
+// identical in-flight job returns with fresh=false); only a fresh=true
+// return obligates the caller to finish the job.
 func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fresh bool, err error) {
-	if client == "" {
-		client = "default"
-	}
-	if err := fpQueueAdmit.Err(); err != nil {
-		return nil, false, err
-	}
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return nil, false, ErrDraining
-	}
-	s.seq++
-	id := fmt.Sprintf("j%d", s.seq)
-	if res, ok := s.cache.get(key); ok {
-		j := newJob(id, key, client, true, cfg, s.rec)
-		j.cached = true
-		s.jobs[id] = j
-		s.order = append(s.order, j)
-		s.submitted.Add(1)
-		s.mu.Unlock()
-		j.finalize(StateDone, res, nil)
-		s.completed.Add(1)
-		return j, false, nil
-	}
-	if prev, ok := s.inflight[key]; ok {
-		s.coalesced.Add(1)
-		s.mu.Unlock()
-		prev.recordCoalesce()
-		return prev, false, nil
-	}
-	j = newJob(id, key, client, true, cfg, s.rec)
-	j.remote = true
-	s.jobs[id] = j
-	s.order = append(s.order, j)
-	s.inflight[key] = j
-	s.submitted.Add(1)
-	s.mu.Unlock()
-	return j, true, nil
+	return s.admit(client, key, true, cfg, false, true)
 }
 
 // StartRouted transitions a routed job to running (the remote dispatch is
@@ -166,24 +95,18 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 // it and follows it as a routed job (StartRouted/FinishRouted), so from here
 // on SubmitForwarded never coalesces onto it. Jobs that must not leave the
 // node (uncacheable — no canonical identity to route under — or already
-// cancel-requested) are not handed out; they are executed locally on a
-// fresh goroutine instead, and the next job is tried. ok=false means
+// cancel-requested) stay queued for the local workers. ok=false means
 // nothing stealable is queued.
 func (s *Service) TakeQueued() (j *Job, ok bool) {
-	for {
-		j, ok := s.queue.tryPop()
-		if !ok {
-			return nil, false
-		}
-		s.queued.Add(-1)
-		if j.cacheable && !j.cancelRequested() {
-			s.mu.Lock()
-			j.remote = true
-			s.mu.Unlock()
-			return j, true
-		}
-		go s.ExecuteNow(j)
+	j, ok = s.queue.tryPop(func(j *Job) bool { return j.cacheable && !j.cancelRequested() })
+	if !ok {
+		return nil, false
 	}
+	s.queued.Add(-1)
+	s.mu.Lock()
+	j.remote = true
+	s.mu.Unlock()
+	return j, true
 }
 
 // ExecuteNow runs j to a terminal state on the calling goroutine, in the

@@ -38,9 +38,10 @@ const (
 	corruptExt     = ".corrupt"
 )
 
-// errDurableCorrupt marks a record that failed structural validation; the
-// loader quarantines the file instead of serving a torn result.
-var errDurableCorrupt = errors.New("service: durable record corrupt")
+// ErrRecordCorrupt marks a record that failed structural validation: the
+// loader quarantines the file instead of serving a torn result, and a fabric
+// node rejects a peer's torn frame.
+var ErrRecordCorrupt = errors.New("service: durable record corrupt")
 
 // durableRecord is the JSON payload inside a durable frame.
 type durableRecord struct {
@@ -99,7 +100,7 @@ func (d *durableStore) load(fn func(key string, res *sim.Result)) error {
 		}
 		fpDurableLoad.MustPanic()
 		path := filepath.Join(d.dir, e.Name())
-		rec, err := readDurableRecord(path)
+		key, res, err := readDurableRecord(path)
 		if err != nil {
 			d.quarantined.Add(1)
 			// Move aside so the next boot does not re-parse the same junk;
@@ -107,7 +108,7 @@ func (d *durableStore) load(fn func(key string, res *sim.Result)) error {
 			_ = os.Rename(path, path+corruptExt)
 			continue
 		}
-		fn(rec.Key, rec.Result)
+		fn(key, res)
 		d.loaded.Add(1)
 	}
 	return nil
@@ -211,7 +212,7 @@ func durableFileName(key string) string {
 // point leaves either the old record or the new one, never a torn file with
 // the real name (torn temp files are ignored by load and overwritten later).
 func writeDurableRecord(dir string, rec *durableRecord) error {
-	frame, err := encodeDurableRecord(rec)
+	frame, err := EncodeRecord(rec.Key, rec.Result)
 	if err != nil {
 		return err
 	}
@@ -236,18 +237,21 @@ func writeDurableRecord(dir string, rec *durableRecord) error {
 }
 
 // readDurableRecord reads and validates one record file.
-func readDurableRecord(path string) (*durableRecord, error) {
+func readDurableRecord(path string) (string, *sim.Result, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	return decodeDurableRecord(data)
+	return DecodeRecord(data)
 }
 
-// encodeDurableRecord frames rec: "EMCR" + u16 version + u32 payload length
-// + JSON payload + u32 CRC32(payload), all little-endian.
-func encodeDurableRecord(rec *durableRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
+// EncodeRecord frames a completed result as a durable EMCR record: "EMCR" +
+// u16 version + u32 payload length + JSON payload + u32 CRC32(payload), all
+// little-endian. The on-disk cache writes these bytes, and they are the
+// fabric's peer-fetch and backfill wire format too (a record is valid
+// anywhere).
+func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
+	payload, err := json.Marshal(durableRecord{Key: key, Result: res})
 	if err != nil {
 		return nil, err
 	}
@@ -260,33 +264,35 @@ func encodeDurableRecord(rec *durableRecord) ([]byte, error) {
 	return frame, nil
 }
 
-// decodeDurableRecord validates a frame end to end; every failure mode maps
-// to errDurableCorrupt so the loader's quarantine decision is one check.
-func decodeDurableRecord(data []byte) (*durableRecord, error) {
+// DecodeRecord validates an EMCR frame end to end (magic, version, length,
+// CRC, payload shape) and returns its key and Result. Every failure mode
+// wraps ErrRecordCorrupt, so the loader's quarantine decision and a fabric
+// node's torn-frame check are one test each.
+func DecodeRecord(data []byte) (string, *sim.Result, error) {
 	head := len(durableMagic) + 6
 	if len(data) < head+4 {
-		return nil, fmt.Errorf("%w: truncated frame (%d bytes)", errDurableCorrupt, len(data))
+		return "", nil, fmt.Errorf("%w: truncated frame (%d bytes)", ErrRecordCorrupt, len(data))
 	}
 	if string(data[:len(durableMagic)]) != durableMagic {
-		return nil, fmt.Errorf("%w: bad magic", errDurableCorrupt)
+		return "", nil, fmt.Errorf("%w: bad magic", ErrRecordCorrupt)
 	}
 	if v := binary.LittleEndian.Uint16(data[len(durableMagic):]); v != durableVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", errDurableCorrupt, v)
+		return "", nil, fmt.Errorf("%w: unsupported version %d", ErrRecordCorrupt, v)
 	}
 	n := binary.LittleEndian.Uint32(data[len(durableMagic)+2:])
 	if uint64(len(data)) != uint64(head)+uint64(n)+4 {
-		return nil, fmt.Errorf("%w: length mismatch", errDurableCorrupt)
+		return "", nil, fmt.Errorf("%w: length mismatch", ErrRecordCorrupt)
 	}
 	payload := data[head : head+int(n)]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[head+int(n):]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", errDurableCorrupt)
+		return "", nil, fmt.Errorf("%w: checksum mismatch", ErrRecordCorrupt)
 	}
 	var rec durableRecord
 	if err := json.Unmarshal(payload, &rec); err != nil {
-		return nil, fmt.Errorf("%w: %v", errDurableCorrupt, err)
+		return "", nil, fmt.Errorf("%w: %v", ErrRecordCorrupt, err)
 	}
 	if rec.Key == "" || rec.Result == nil {
-		return nil, fmt.Errorf("%w: incomplete record", errDurableCorrupt)
+		return "", nil, fmt.Errorf("%w: incomplete record", ErrRecordCorrupt)
 	}
-	return &rec, nil
+	return rec.Key, rec.Result, nil
 }

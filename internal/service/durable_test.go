@@ -35,27 +35,27 @@ func runTiny(t *testing.T, cfg sim.Config) *sim.Result {
 // rests on (including histogram-bearing stats).
 func TestDurableRecordRoundTrip(t *testing.T) {
 	res := runTiny(t, tinyCfg(7))
-	rec := &durableRecord{Key: "emcfp1-test+obs:8,true", Result: res}
-	frame, err := encodeDurableRecord(rec)
+	const key = "emcfp1-test+obs:8,true"
+	frame, err := EncodeRecord(key, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := decodeDurableRecord(frame)
+	backKey, back, err := DecodeRecord(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Key != rec.Key {
-		t.Fatalf("key changed: %q -> %q", rec.Key, back.Key)
+	if backKey != key {
+		t.Fatalf("key changed: %q -> %q", key, backKey)
 	}
-	if back.Result.Hash() != res.Hash() {
-		t.Fatalf("round trip changed the result: %#x != %#x", back.Result.Hash(), res.Hash())
+	if back.Hash() != res.Hash() {
+		t.Fatalf("round trip changed the result: %#x != %#x", back.Hash(), res.Hash())
 	}
 }
 
 // TestDecodeDurableCorruption: every corruption mode maps to
-// errDurableCorrupt (which is what load keys quarantine on).
+// ErrRecordCorrupt (which is what load keys quarantine on).
 func TestDecodeDurableCorruption(t *testing.T) {
-	good, err := encodeDurableRecord(&durableRecord{Key: "k", Result: &sim.Result{Cycles: 9}})
+	good, err := EncodeRecord("k", &sim.Result{Cycles: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,11 +74,11 @@ func TestDecodeDurableCorruption(t *testing.T) {
 		}(),
 	}
 	for name, data := range cases {
-		if _, err := decodeDurableRecord(data); err == nil {
+		if _, _, err := DecodeRecord(data); err == nil {
 			t.Errorf("%s: corrupt frame accepted", name)
 		}
 	}
-	if _, err := decodeDurableRecord(good); err != nil {
+	if _, _, err := DecodeRecord(good); err != nil {
 		t.Fatalf("valid frame rejected: %v", err)
 	}
 }

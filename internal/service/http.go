@@ -76,7 +76,7 @@ func (r *JobRequest) Config() (sim.Config, error) {
 //	GET  /healthz                    liveness
 func NewHandler(s *Service, reg *obs.Registry) http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
+	mux.HandleFunc("POST /api/v1/jobs", SubmitHandler(s.Submit))
 	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
 	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
 	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
@@ -108,36 +108,47 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v) //nolint:errcheck // client gone is the only failure here
 }
 
-func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
-		return
+// SubmitHandler serves POST /api/v1/jobs through submit: Service.Submit in a
+// single process, a fabric node's Submit (which routes the job to its ring
+// owner) in a cluster.
+func SubmitHandler(submit func(client string, cfg sim.Config) (*Job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req JobRequest
+		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: "bad request body: " + err.Error()})
+			return
+		}
+		cfg, err := req.Config()
+		if err != nil {
+			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
+			return
+		}
+		j, err := submit(req.Client, cfg)
+		WriteSubmit(w, j, err)
 	}
-	cfg, err := req.Config()
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error()})
-		return
-	}
-	j, err := s.Submit(req.Client, cfg)
+}
+
+// WriteSubmit answers a submission, a client's or a fabric peer's forward:
+// a full queue is 429 (a peer reads it as busy), a draining service 503, any
+// other error 500, a cache hit 200 with the job already done, and a queued
+// job 202.
+func WriteSubmit(w http.ResponseWriter, j *Job, err error) {
 	switch {
 	case errors.Is(err, ErrQueueFull):
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, apiError{Error: err.Error()})
-		return
 	case errors.Is(err, ErrDraining):
 		writeJSON(w, http.StatusServiceUnavailable, apiError{Error: err.Error()})
-		return
 	case err != nil:
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})
-		return
+	default:
+		st := j.Status()
+		code := http.StatusAccepted
+		if st.State.Terminal() {
+			code = http.StatusOK // cache hit: the job is already done
+		}
+		writeJSON(w, code, st)
 	}
-	st := j.Status()
-	code := http.StatusAccepted
-	if st.State.Terminal() {
-		code = http.StatusOK // cache hit: the job is already done
-	}
-	writeJSON(w, code, st)
 }
 
 func (s *Service) handleList(w http.ResponseWriter, _ *http.Request) {

@@ -55,37 +55,51 @@ func (q *fairQueue) pop() (*Job, bool) {
 		}
 		q.cond.Wait()
 	}
-	return q.popLocked(), true
+	return q.popLocked(q.next()), true
 }
 
-// tryPop removes one job without blocking — the work-stealing donor path.
-// ok=false means the queue is empty right now.
-func (q *fairQueue) tryPop() (*Job, bool) {
+// tryPop removes, without blocking, the first client head in rotation order
+// that movable accepts — the work-stealing donor path, which skips jobs that
+// cannot leave the node. ok=false means no queued head qualifies right now.
+func (q *fairQueue) tryPop(movable func(*Job) bool) (*Job, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.n == 0 {
-		return nil, false
+	for k := range q.ring {
+		i := (q.next() + k) % len(q.ring)
+		if movable(q.fifos[q.ring[i]][0]) {
+			return q.popLocked(i), true
+		}
 	}
-	return q.popLocked(), true
+	return nil, false
 }
 
-// popLocked extracts the next job round-robin over clients; q.mu held, n > 0.
-func (q *fairQueue) popLocked() *Job {
+// next is the ring slot served next; q.mu held, ring non-empty.
+func (q *fairQueue) next() int {
 	if q.rr >= len(q.ring) {
 		q.rr = 0
 	}
-	client := q.ring[q.rr]
+	return q.rr
+}
+
+// popLocked extracts the head of ring slot i; q.mu held. Removing a client
+// slides the next one into its slot, so rr moves back only when the removed
+// slot came before it, and moves on when its own client is served.
+func (q *fairQueue) popLocked(i int) *Job {
+	client := q.ring[i]
 	fifo := q.fifos[client]
 	j := fifo[0]
 	fifo[0] = nil
 	if len(fifo) == 1 {
 		delete(q.fifos, client)
-		// Remove the client from the ring; the next client slides into this
-		// slot, so rr stays put.
-		q.ring = append(q.ring[:q.rr], q.ring[q.rr+1:]...)
+		q.ring = append(q.ring[:i], q.ring[i+1:]...)
+		if i < q.rr {
+			q.rr--
+		}
 	} else {
 		q.fifos[client] = fifo[1:]
-		q.rr++
+		if i == q.rr {
+			q.rr++
+		}
 	}
 	q.n--
 	return j

@@ -32,7 +32,7 @@ func TestFairQueueRoundRobin(t *testing.T) {
 			t.Fatalf("pop %d: got %s, want %s", i, j.id, w)
 		}
 	}
-	if j, ok := q.tryPop(); ok {
+	if j, ok := q.tryPop(func(*Job) bool { return true }); ok {
 		t.Fatalf("queue should be empty, popped %s", j.id)
 	}
 }

@@ -102,11 +102,6 @@ type Config struct {
 	// <FlightDir>/<job>-<reason>-<n>.emfr (see internal/obs/span.Dump).
 	// Hung-job dumps additionally capture a goroutine profile alongside.
 	FlightDir string
-	// FlightEvents sizes each job's flight-recorder ring (default 256).
-	FlightEvents int
-	// SpanRetain bounds the finished spans retained for the Chrome trace
-	// export (default 4096, oldest dropped beyond it).
-	SpanRetain int
 }
 
 // serviceGauges lists every service gauge, in the order gauges returns them.
@@ -284,7 +279,7 @@ func Open(cfg Config) (*Service, error) {
 		jobs:        map[string]*Job{},
 		inflight:    map[string]*Job{},
 		watchStop:   make(chan struct{}),
-		rec:         span.NewRecorder(span.Options{RingEvents: cfg.FlightEvents, Retain: cfg.SpanRetain}),
+		rec:         span.NewRecorder(span.Options{}),
 		laneRunning: make([]atomic.Int64, cfg.Workers),
 		laneHung:    make([]atomic.Int64, cfg.Workers),
 	}
@@ -316,12 +311,13 @@ func Open(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// cacheKey derives the content address of a config: the semantic
+// CacheKey derives the content address of a config: the semantic
 // fingerprint, extended by the observability settings that change what the
 // Result carries (the Obs report, the counter log) without changing
 // simulation outcomes. Configs holding function values (CoreTweak, OnChain)
-// are not fingerprintable and report cacheable=false.
-func cacheKey(cfg *sim.Config) (key string, cacheable bool) {
+// are not fingerprintable and report cacheable=false: such jobs are never
+// routed, cached, or coalesced — they run on the node that received them.
+func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
 	fp, err := cfg.Fingerprint()
 	if err != nil {
 		return "", false
@@ -354,18 +350,37 @@ func (s *Service) SubmitForwarded(client string, cfg sim.Config) (*Job, error) {
 }
 
 func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, error) {
+	key, cacheable := CacheKey(&cfg)
+	j, fresh, err := s.admit(client, key, cacheable, cfg, forwarded, false)
+	if !fresh {
+		return j, err
+	}
+	if !s.queue.push(j) {
+		// Raced with Close: undo the reservation and reject.
+		s.queued.Add(-1)
+		s.finishJob(j, StateCancelled, nil, ErrDraining)
+		return nil, ErrDraining
+	}
+	return j, nil
+}
+
+// admit is the intake Submit and NewRoutedJob share. Terminal fast paths: a
+// cached result returns an already-done job, and an identical in-flight job
+// is returned as is (coalescing; forwarded skips a job followed on a peer),
+// both with fresh=false. Otherwise it registers a new job: a routed one is
+// never queued here, any other reserves a queue slot (ErrQueueFull beyond
+// QueueCap) that the caller must push into.
+func (s *Service) admit(client, key string, cacheable bool, cfg sim.Config, forwarded, routed bool) (j *Job, fresh bool, err error) {
 	if client == "" {
 		client = "default"
 	}
-	key, cacheable := cacheKey(&cfg)
-
 	if err := fpQueueAdmit.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		return nil, ErrDraining
+		return nil, false, ErrDraining
 	}
 	s.seq++
 	id := fmt.Sprintf("j%d", s.seq)
@@ -383,28 +398,29 @@ func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, e
 			s.mu.Unlock()
 			j.finalize(StateDone, res, nil)
 			s.completed.Add(1)
-			return j, nil
+			return j, false, nil
 		}
 		if prev, ok := s.inflight[key]; ok && !(forwarded && prev.remote) {
 			s.coalesced.Add(1)
 			s.mu.Unlock()
 			prev.recordCoalesce()
-			return prev, nil
+			return prev, false, nil
 		}
 	}
 	// Reserve a queue slot (backpressure).
 	//simlint:leakok CAS retry loop; an iteration repeats only when another goroutine made progress
-	for {
+	for !routed {
 		n := s.queued.Load()
 		if n >= int64(s.cfg.QueueCap) {
 			s.mu.Unlock()
-			return nil, ErrQueueFull
+			return nil, false, ErrQueueFull
 		}
 		if s.queued.CompareAndSwap(n, n+1) {
 			break
 		}
 	}
-	j := newJob(id, key, client, cacheable, cfg, s.rec)
+	j = newJob(id, key, client, cacheable, cfg, s.rec)
+	j.remote = routed
 	s.jobs[id] = j
 	s.order = append(s.order, j)
 	if cacheable {
@@ -412,14 +428,7 @@ func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, e
 	}
 	s.submitted.Add(1)
 	s.mu.Unlock()
-
-	if !s.queue.push(j) {
-		// Raced with Close: undo the reservation and reject.
-		s.queued.Add(-1)
-		s.finishJob(j, StateCancelled, nil, ErrDraining)
-		return nil, ErrDraining
-	}
-	return j, nil
+	return j, true, nil
 }
 
 // Run submits cfg and blocks until the job is terminal (a convenience for

@@ -438,11 +438,59 @@ func TestCloseCancelsRunning(t *testing.T) {
 // the same cache key, so they coalesce and hit the cache.
 func TestEqualConfigsShareCacheKey(t *testing.T) {
 	cfg := tinyCfg(1)
-	k1, ok1 := cacheKey(&cfg)
+	k1, ok1 := CacheKey(&cfg)
 	cfg2 := tinyCfg(1)
-	k2, ok2 := cacheKey(&cfg2)
+	k2, ok2 := CacheKey(&cfg2)
 	if !ok1 || !ok2 || k1 != k2 {
 		t.Fatalf("equal configs must share a cache key: %q %q", k1, k2)
+	}
+}
+
+// TestTakeQueuedLeavesUnstealableQueued: a steal takes only a job that may
+// leave the node. An uncacheable job at the head of a client's queue stays
+// queued for the local workers, and Drain waits for it; the cacheable job of
+// another client is taken instead.
+func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
+	s := New(Config{Workers: 1, QueueCap: 8})
+	defer s.Close()
+	release := make(chan struct{})
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free() // runs before Close: unpark the blocked workers
+	parked, err := s.Submit("a", blockerCfg(release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitStats(t, s, func(st Stats) bool { return st.Running == 1 })
+	queued, err := s.Submit("a", blockerCfg(release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, ok := s.TakeQueued(); ok {
+		t.Fatalf("took %s, which cannot leave the node", j.ID())
+	}
+	stealable, err := s.Submit("b", tinyCfg(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j, ok := s.TakeQueued(); !ok || j != stealable {
+		t.Fatalf("TakeQueued = %v, %v; want the cacheable job %s", j, ok, stealable.ID())
+	}
+	if st := s.Stats(); st.Running != 1 || st.QueueDepth != 1 {
+		t.Fatalf("want 1 running and 1 queued, got running=%d queued=%d", st.Running, st.QueueDepth)
+	}
+	s.FinishRouted(stealable, nil, sim.ErrCancelled) // the thief's job now
+
+	free()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, j := range []*Job{parked, queued} {
+		if st := j.Status(); st.State != StateDone || st.Shard != 0 {
+			t.Fatalf("%s after Drain: state %s lane %d, want done in lane 0", j.ID(), st.State, st.Shard)
+		}
 	}
 }
 
