@@ -44,24 +44,27 @@ test: build vet lint
 race:
 	$(GO) test -race ./internal/sim/... ./internal/service/... ./internal/obs/... ./internal/cluster/...
 
-# End-to-end observability smoke: run a tiny traced workload with the debug
-# server up, validate the Chrome trace against the schema, and scrape
-# /metrics once (see scripts/trace_smoke.sh).
+# Process smokes (cmd/smoke): each target is one scenario of one Go harness,
+# which builds emcserve, emcctl, emcsim and tracecheck once into a temporary
+# directory and removes it on exit. `$(GO) run ./cmd/smoke` runs all six.
+#
+# Observability smoke: run a tiny traced workload with the debug server up,
+# validate the Chrome trace against the schema, scrape /metrics, and check
+# the interval counter log.
 trace-smoke:
-	GO="$(GO)" sh scripts/trace_smoke.sh
+	$(GO) run ./cmd/smoke trace
 
-# End-to-end service smoke: boot emcserve, submit a tiny job with emcctl,
-# verify the cached-resubmit path and the graceful SIGTERM drain (see
-# scripts/serve_smoke.sh).
+# Service smoke: boot emcserve, submit a tiny job with emcctl, verify the
+# cached-resubmit path and the graceful SIGTERM drain.
 serve-smoke:
-	GO="$(GO)" sh scripts/serve_smoke.sh
+	$(GO) run ./cmd/smoke serve
 
 # Observability smoke: boot emcserve with the flight recorder armed and an
 # induced oneshot panic, run a small sweep, then assert /api/v1/stats,
 # emcctl top, the flight dump (tracecheck -flight), and the span trace
-# export (see scripts/dashboard_smoke.sh).
+# export.
 dashboard-smoke:
-	GO="$(GO)" sh scripts/dashboard_smoke.sh
+	$(GO) run ./cmd/smoke dashboard
 
 # Chaos suite: 50 seeded fault schedules through the service under the race
 # detector (failpoint injection, random cancels, durable-cache restarts with
@@ -81,24 +84,23 @@ chaos-cluster:
 # Crash-recovery smoke: boot emcserve with a durable cache, compute a
 # result, SIGKILL the server mid-sweep, restart it over the same directory,
 # and verify the resubmitted job is served from the durable cache with a
-# byte-identical result (see scripts/kill_smoke.sh).
+# byte-identical result.
 kill-smoke:
-	GO="$(GO)" sh scripts/kill_smoke.sh
+	$(GO) run ./cmd/smoke kill
 
 # Sweep-fabric smoke: boot three real emcserve nodes (-node-id/-join), run
 # the same sweep through different entry nodes, SIGKILL one node mid-sweep,
 # and verify every job completes with byte-identical results on the
-# survivors (see scripts/cluster_smoke.sh).
+# survivors.
 cluster-smoke:
-	GO="$(GO)" sh scripts/cluster_smoke.sh
+	$(GO) run ./cmd/smoke cluster
 
 # Self-healing smoke: boot a token-authenticated 3-node fabric where one
 # node joins mid-sweep, SIGKILL it mid-flight of a second sweep, restart it
 # over the same durable cache directory, and verify its record set converges
-# byte-for-byte with the survivor via anti-entropy alone (see
-# scripts/heal_smoke.sh).
+# byte-for-byte with the survivor via anti-entropy alone.
 heal-smoke:
-	GO="$(GO)" sh scripts/heal_smoke.sh
+	$(GO) run ./cmd/smoke heal
 
 # Microbenchmark snapshot: every benchmark in the simulator core,
 # interconnect, and DRAM packages, captured as JSON so a later session (or
@@ -122,4 +124,3 @@ experiments:
 
 clean:
 	rm -f BENCH_sim.json results-run.md *.test *.prof
-	rm -rf .smoke .smoke-serve .smoke-dash .smoke-kill .smoke-cluster .smoke-heal

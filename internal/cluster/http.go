@@ -36,7 +36,6 @@ const peerIDHeader = "X-Emc-Node"
 //	POST /api/v1/cluster/steal      200 when a job is forwarded to the caller
 //	                                (named by X-Emc-Node), 204 when declined
 //	POST /api/v1/cluster/join       Member JSON -> member list JSON
-//	GET  /api/v1/cluster/members    member list JSON
 //	GET  /api/v1/cluster/keys       every cached result key, sorted (JSON)
 //
 // A non-empty token shields every /api/v1/cluster/* endpoint behind a
@@ -82,9 +81,6 @@ func NewHandler(n *Node, reg *obs.Registry, token string) http.Handler {
 	mux.HandleFunc("GET /api/v1/cluster/ping", guard(n.httpPing))
 	mux.HandleFunc("POST /api/v1/cluster/steal", guard(n.httpSteal))
 	mux.HandleFunc("POST /api/v1/cluster/join", guard(n.httpJoin))
-	mux.HandleFunc("GET /api/v1/cluster/members", guard(func(w http.ResponseWriter, _ *http.Request) {
-		httpJSON(w, http.StatusOK, n.Members())
-	}))
 	mux.HandleFunc("GET /api/v1/cluster/keys", guard(func(w http.ResponseWriter, _ *http.Request) {
 		httpJSON(w, http.StatusOK, n.svc.ResultKeys())
 	}))
@@ -189,10 +185,10 @@ func (n *Node) httpRecord(w http.ResponseWriter, r *http.Request) {
 
 // httpPing answers a heartbeat with this node's load and sync state.
 func (n *Node) httpPing(w http.ResponseWriter, _ *http.Request) {
-	st := n.svc.Stats()
+	queued, running, hung := n.svc.Load()
 	httpJSON(w, http.StatusOK, Health{
-		ID: n.id, Queued: st.QueueDepth, Running: st.Running, Hung: st.Hung,
-		Syncing: n.syncing.Load(),
+		ID: n.id, Queued: queued, Running: running, Hung: hung,
+		Stealable: n.svc.Stealable(), Syncing: n.syncing.Load(),
 	})
 }
 

@@ -12,6 +12,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,7 +304,6 @@ func TestHTTPClusterAuth(t *testing.T) {
 	}
 
 	guarded := []string{
-		"/api/v1/cluster/members",
 		"/api/v1/cluster/ping",
 		"/api/v1/cluster/keys",
 		"/api/v1/cluster/record?key=x",
@@ -316,8 +316,8 @@ func TestHTTPClusterAuth(t *testing.T) {
 			t.Errorf("GET %s with wrong token: %d, want 401", path, code)
 		}
 	}
-	if code := get("/api/v1/cluster/members", "Bearer "+token); code != http.StatusOK {
-		t.Fatalf("GET members with the right token: %d, want 200", code)
+	if code := get("/api/v1/cluster/keys", "Bearer "+token); code != http.StatusOK {
+		t.Fatalf("GET keys with the right token: %d, want 200", code)
 	}
 	// The client-facing API is not behind the token.
 	for _, path := range []string{"/api/v1/stats", "/healthz"} {
@@ -375,6 +375,29 @@ func TestHTTPClusterAuth(t *testing.T) {
 			}
 			time.Sleep(5 * time.Millisecond)
 		}
+	}
+}
+
+// TestPingSkipsStatsHook: a heartbeat answer reads the node's load from
+// the service's counters and never runs the stats hook, which builds every
+// node row.
+func TestPingSkipsStatsHook(t *testing.T) {
+	fault.DisableAll()
+	a := startHTTPNode(t, "a")
+	var calls atomic.Int64
+	a.node.Service().SetClusterStats(func(*service.Stats) []service.NodeStat {
+		calls.Add(1)
+		return nil
+	})
+	const pings = 5
+	for i := 0; i < pings; i++ {
+		var h cluster.Health
+		if code := getJSON(t, a.url+"/api/v1/cluster/ping", &h); code != http.StatusOK || h.ID != "a" {
+			t.Fatalf("ping: %d %+v", code, h)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d pings ran the stats hook %d times, want 0", pings, n)
 	}
 }
 

@@ -47,8 +47,8 @@ type Options struct {
 	// cancel on the entry node, or a partition, can go unnoticed (default
 	// 100ms).
 	PollInterval time.Duration
-	// StealThreshold is the minimum queue depth at which a peer becomes a
-	// steal victim (default 2).
+	// StealThreshold is the minimum number of stealable queued jobs at which
+	// a peer becomes a steal victim (default 2).
 	StealThreshold int
 	// AntiEntropyInterval is the cadence of the anti-entropy loop: each tick
 	// reads the key list of one live peer round-robin and backfills the
@@ -713,13 +713,13 @@ func (n *Node) heartbeatRound() {
 	n.maybeSteal()
 }
 
-// maybeSteal asks the most loaded live peer for one job when this node has
-// a free worker and nothing queued — skew smoothing, not load balancing:
-// the ring already spreads keys, stealing only absorbs hot-spot bursts, and
-// it is how a freshly joined node picks up queued work. A node whose
-// workers are all busy does not steal even with an empty queue: the stolen
-// job would only wait here instead of there. An accepted steal arrives as
-// an ordinary forwarded Submit from the victim.
+// maybeSteal asks the live peer with the most stealable queued jobs for one
+// when this node has a free worker and nothing queued — skew smoothing, not
+// load balancing: the ring already spreads keys, stealing only absorbs
+// hot-spot bursts, and it is how a freshly joined node picks up queued
+// work. A node whose workers are all busy does not steal even with an empty
+// queue: the stolen job would only wait here instead of there. An accepted
+// steal arrives as an ordinary forwarded Submit from the victim.
 func (n *Node) maybeSteal() {
 	if !n.svc.Idle() {
 		return
@@ -727,8 +727,8 @@ func (n *Node) maybeSteal() {
 	victim, best := "", n.opts.StealThreshold-1
 	n.mu.Lock()
 	for id, h := range n.health {
-		if h.Queued > best && !n.peerUnavailable(id) {
-			victim, best = id, h.Queued
+		if h.Stealable > best && !n.peerUnavailable(id) {
+			victim, best = id, h.Stealable
 		}
 	}
 	n.mu.Unlock()

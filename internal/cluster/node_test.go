@@ -442,6 +442,46 @@ func TestNoStealWhileWorkersBusy(t *testing.T) {
 	}
 }
 
+// TestNoStealFromUnstealableQueue: a peer whose queue holds only jobs that
+// cannot leave it (uncacheable blockers) is never asked for a steal,
+// however deep its queue: the steal signal counts stealable jobs only. The
+// steal failpoint, armed to decline, counts the steal requests node0
+// receives.
+func TestNoStealFromUnstealableQueue(t *testing.T) {
+	fault.DisableAll()
+	t.Cleanup(fault.DisableAll)
+	release := make(chan struct{})
+	defer close(release) // runs before the fabric's Close: unpark node0
+	f := newFabricOpts(t, 2, func(i int) service.Config {
+		return service.Config{Workers: 1 + i, QueueCap: 64} // node0 has one worker
+	}, func(i int) cluster.Options {
+		o := fastOpts(i)
+		o.StealThreshold = 1
+		return o
+	})
+	for i := 0; i < 3; i++ {
+		blocker := tinyCfg(uint64(99 + i))
+		blocker.CoreTweak = func(*cpu.Config) { <-release }
+		if _, err := f.Nodes[0].Submit("blocker", blocker); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp, ok := fault.Lookup(fault.SiteClusterSteal)
+	if !ok {
+		t.Fatal("steal failpoint not registered")
+	}
+	before := fp.Fires()
+	fp.Enable(fault.Trigger{})
+	waitFor(t, 10*time.Second, "node1 to see node0's two queued blockers", func() bool {
+		row, ok := peerRow(f.Nodes[1], "node0")
+		return ok && row.Queued == 2
+	})
+	time.Sleep(10 * fastOpts(0).HeartbeatInterval)
+	if n := fp.Fires() - before; n != 0 {
+		t.Fatalf("node0 received %d steal requests with nothing stealable queued", n)
+	}
+}
+
 // TestTornFetchRejected: a record torn on its way from a peer must be
 // rejected by the CRC check, counted, and kept out of the cache; the
 // refetch seeds cleanly.

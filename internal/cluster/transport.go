@@ -58,6 +58,9 @@ type Health struct {
 	Queued  int    `json:"queued"`
 	Running int    `json:"running"`
 	Hung    int    `json:"hung"`
+	// Stealable counts the queued jobs a steal could take (see
+	// service.Stealable): the steal signal. Queued stays the queue depth.
+	Stealable int `json:"stealable"`
 	// Syncing reports an anti-entropy backfill in progress on the node.
 	Syncing bool `json:"syncing,omitempty"`
 }

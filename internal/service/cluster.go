@@ -33,7 +33,23 @@ func (s *Service) SeedResult(key string, res *sim.Result) {
 // stolen job arrives through Submit and so is queued or running, so a node
 // busy with stolen work does not steal more.
 func (s *Service) Idle() bool {
-	return s.queued.Load() == 0 && s.running.Load() < int64(s.cfg.Workers)
+	queued, running, _ := s.Load()
+	return queued == 0 && running < s.cfg.Workers
+}
+
+// Load reads the queue depth and the running and hung job counts from the
+// service's counters: the load a heartbeat reports, without the per-node
+// rows Stats builds.
+func (s *Service) Load() (queued, running, hung int) {
+	return int(s.queued.Load()), int(s.running.Load()), int(s.hung.Load())
+}
+
+// Stealable counts the queued jobs TakeQueued would hand out one by one:
+// each client's leading run of jobs that may leave the node. A heartbeat
+// reports it as the steal signal, so a peer whose queue holds only jobs
+// that must stay is not asked for one.
+func (s *Service) Stealable() int {
+	return s.queue.count(movable)
 }
 
 // ResultKeys lists every cached result key, sorted — the enumeration the
@@ -98,7 +114,7 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 // cancel-requested) stay queued for the local workers. ok=false means
 // nothing stealable is queued.
 func (s *Service) TakeQueued() (j *Job, ok bool) {
-	j, ok = s.queue.tryPop(func(j *Job) bool { return j.cacheable && !j.cancelRequested() })
+	j, ok = s.queue.tryPop(movable)
 	if !ok {
 		return nil, false
 	}
@@ -108,6 +124,10 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 	s.mu.Unlock()
 	return j, true
 }
+
+// movable reports whether a queued job may leave the node: it has a
+// canonical identity to route under and no cancel is requested.
+func movable(j *Job) bool { return j.cacheable && !j.cancelRequested() }
 
 // ExecuteNow runs j to a terminal state on the calling goroutine, in the
 // least busy worker lane — the fallback when a routed or stolen-out job's

@@ -73,6 +73,23 @@ func (q *fairQueue) tryPop(movable func(*Job) bool) (*Job, bool) {
 	return nil, false
 }
 
+// count is how many jobs successive tryPop(movable) calls would remove:
+// each client's leading run of jobs movable accepts.
+func (q *fairQueue) count(movable func(*Job) bool) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, fifo := range q.fifos {
+		for _, j := range fifo {
+			if !movable(j) {
+				break
+			}
+			n++
+		}
+	}
+	return n
+}
+
 // next is the ring slot served next; q.mu held, ring non-empty.
 func (q *fairQueue) next() int {
 	if q.rr >= len(q.ring) {

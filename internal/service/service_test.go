@@ -466,6 +466,9 @@ func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := s.Stealable(); n != 0 {
+		t.Fatalf("Stealable = %d with only a blocker queued, want 0", n)
+	}
 	if j, ok := s.TakeQueued(); ok {
 		t.Fatalf("took %s, which cannot leave the node", j.ID())
 	}
@@ -473,11 +476,22 @@ func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n := s.Stealable(); n != 1 {
+		t.Fatalf("Stealable = %d with one cacheable job queued, want 1", n)
+	}
 	if j, ok := s.TakeQueued(); !ok || j != stealable {
 		t.Fatalf("TakeQueued = %v, %v; want the cacheable job %s", j, ok, stealable.ID())
 	}
 	if st := s.Stats(); st.Running != 1 || st.QueueDepth != 1 {
 		t.Fatalf("want 1 running and 1 queued, got running=%d queued=%d", st.Running, st.QueueDepth)
+	}
+	// A cacheable job behind a blocker in its client's FIFO stays too:
+	// TakeQueued takes only heads.
+	if _, err := s.Submit("a", tinyCfg(2)); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Stealable(); n != 0 {
+		t.Fatalf("Stealable = %d with a blocker at the only head, want 0", n)
 	}
 	s.FinishRouted(stealable, nil, sim.ErrCancelled) // the thief's job now
 
