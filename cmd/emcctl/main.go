@@ -85,7 +85,7 @@ func main() {
 	case "watch":
 		c.watch(one(args, cmd))
 	case "cancel":
-		c.post("/api/v1/jobs/"+one(args, cmd)+"/cancel", nil)
+		pretty(c.post("/api/v1/jobs/"+one(args, cmd)+"/cancel", nil))
 	case "jobs":
 		c.getJSON("/api/v1/jobs")
 	case "stats":
@@ -188,7 +188,6 @@ func (c *client) getJSON(path string) {
 
 func (c *client) post(path string, body []byte) []byte {
 	data, _ := c.do(http.MethodPost, path, body)
-	pretty(data)
 	return data
 }
 
@@ -226,8 +225,11 @@ func (c *client) submit(args []string) {
 	// Submission is idempotent (content-addressed), so do's retry loop may
 	// safely resubmit: a duplicate coalesces with the in-flight job or hits
 	// the result cache.
+	// With -wait only the final status is printed, so stdout stays one JSON
+	// document.
 	data := c.post("/api/v1/jobs", body)
 	if !*wait {
+		pretty(data)
 		return
 	}
 	var st service.Status

@@ -46,7 +46,7 @@ func main() {
 	attr := flag.Bool("attr", false, "collect and print the latency-attribution breakdown (implied by -trace)")
 	counters := flag.String("counters", "", "write an interval counter time series (JSON) to this file")
 	countersInterval := flag.Uint64("counters-interval", 10000, "counter sampling interval in cycles")
-	httpAddr := flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. 127.0.0.1:0)")
+	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address (e.g. 127.0.0.1:0)")
 	httpLinger := flag.Duration("http-linger", 0, "keep the -http server up this long after the run finishes")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -109,7 +109,7 @@ func main() {
 		defer srv.Close()
 		// The bound address line is parsed by scripts (make trace-smoke);
 		// keep its shape stable.
-		fmt.Printf("debug server listening on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr())
+		fmt.Printf("debug server listening on http://%s (/metrics, /debug/pprof)\n", srv.Addr())
 	}
 
 	sys, err := emcsim.NewSystem(cfg, emcsim.Workload{

@@ -36,7 +36,7 @@ func main() {
 	md := flag.String("md", "", "write a markdown report to this file")
 	traceOut := flag.String("trace", "", "write a merged Chrome trace_event JSON of every run to this file")
 	traceSample := flag.Uint64("trace-sample", 64, "with -trace, trace one in N requests per run")
-	httpAddr := flag.String("http", "", "serve /metrics, /debug/vars and /debug/pprof on this address while the suite runs")
+	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address while the suite runs")
 	jobs := flag.Int("jobs", 0, "route every run through the service scheduler with this many workers (coalesces and caches duplicate configs)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -70,7 +70,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Printf("debug server listening on http://%s (/metrics, /debug/vars, /debug/pprof)\n", srv.Addr())
+		fmt.Printf("debug server listening on http://%s (/metrics, /debug/pprof)\n", srv.Addr())
 	}
 	var svc *service.Service
 	if *jobs > 0 {

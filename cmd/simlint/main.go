@@ -6,8 +6,6 @@
 //	                 allocation-inducing constructs
 //	failpoint        fault.Register sites are unique constants from the
 //	                 internal/fault/sites.go registry
-//	atomichygiene    no mixed plain/atomic access (module-wide), no
-//	                 by-value copies of sync/atomic types
 //	dettaint         nondeterminism (clocks, entropy, select interleaving,
 //	                 map order) stays out of simulation-state packages and
 //	                 result sinks — tracked across package boundaries —
@@ -34,7 +32,6 @@ package main
 import (
 	"os"
 
-	"repro/internal/analysis/atomichygiene"
 	"repro/internal/analysis/dettaint"
 	"repro/internal/analysis/failpoint"
 	"repro/internal/analysis/framework"
@@ -49,7 +46,6 @@ func main() {
 	framework.Exit(framework.Main(os.Stdout, os.Args[1:], []*framework.Analyzer{
 		hotalloc.Analyzer,
 		failpoint.Analyzer,
-		atomichygiene.Analyzer,
 		dettaint.Analyzer,
 		lockorder.Analyzer,
 		goroutineleak.Analyzer,

@@ -1,26 +1,15 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
-// expvar names are process-global and Publish panics on duplicates, so the
-// emcsim var is registered once and reads whichever registry the most
-// recent debug server serves.
-var (
-	expvarOnce sync.Once
-	expvarReg  atomic.Pointer[Registry]
-)
-
-// Server is the opt-in debug HTTP server: /metrics (Prometheus text),
-// /debug/vars (expvar JSON), and /debug/pprof while a run is in flight.
+// Server is the opt-in debug HTTP server: /metrics (Prometheus text) and
+// /debug/pprof while a run is in flight.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -34,19 +23,9 @@ func StartServer(addr string, reg *Registry) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	expvarReg.Store(reg)
-	expvarOnce.Do(func() {
-		expvar.Publish("emcsim", expvar.Func(func() any {
-			if r := expvarReg.Load(); r != nil {
-				return r.Vars()
-			}
-			return nil
-		}))
-	})
 	s := &Server{ln: ln}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

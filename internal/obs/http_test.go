@@ -33,29 +33,7 @@ func TestDebugServer(t *testing.T) {
 	if m := get("/metrics"); !strings.Contains(m, `emcsim_cycles{run="t"} 42`) {
 		t.Errorf("/metrics missing gauge:\n%s", m)
 	}
-	if v := get("/debug/vars"); !strings.Contains(v, `"cycles": 42`) && !strings.Contains(v, `"cycles":42`) {
-		t.Errorf("/debug/vars missing registry:\n%s", v)
-	}
 	if p := get("/debug/pprof/cmdline"); len(p) == 0 {
 		t.Error("/debug/pprof/cmdline empty")
-	}
-
-	// A second server must not panic on the process-global expvar name and
-	// must serve its own registry.
-	reg2 := NewRegistry()
-	reg2.NewGroup(nil, []string{"other"}).Publish([]float64{7})
-	srv2, err := StartServer("127.0.0.1:0", reg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	resp, err := http.Get("http://" + srv2.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "emcsim_other 7") {
-		t.Errorf("second server /metrics wrong:\n%s", body)
 	}
 }

@@ -1,6 +1,6 @@
 // Package obs is the simulator's observability layer: request-lifecycle
 // tracing, latency attribution, a live metric registry, and the exporters
-// (Chrome trace_event JSON, Prometheus text, expvar) that the service's job
+// (Chrome trace_event JSON, Prometheus text) that the service's job
 // spans (internal/obs/span) share.
 //
 // The layer is zero-overhead when disabled: the simulator holds a nil

@@ -166,13 +166,12 @@ func TestRegistryPrometheus(t *testing.T) {
 	}
 }
 
-func TestRegistryVars(t *testing.T) {
+func TestGroupSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.NewGroup(nil, []string{"a"})
 	g.Publish([]float64{7})
-	v := reg.Vars()
-	if v["run"]["a"] != 7 {
-		t.Fatalf("Vars = %v", v)
+	if v := g.Snapshot(nil); len(v) != 1 || v[0] != 7 {
+		t.Fatalf("Snapshot = %v", v)
 	}
 }
 

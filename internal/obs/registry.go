@@ -11,8 +11,7 @@ import (
 )
 
 // Registry is the live metric registry: gauge groups and histograms, read
-// by the exporters (/metrics, /debug/vars) while the simulation or service
-// is in flight.
+// by the /metrics exporter while the simulation or service is in flight.
 //
 // A gauge group holds either published values or a read function. The
 // simulator publishes snapshots every few thousand cycles under the group
@@ -229,28 +228,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// Vars returns the registry as a nested map (group labels -> name -> value)
-// for the /debug/vars expvar export.
-func (r *Registry) Vars() map[string]map[string]float64 {
-	r.mu.Lock()
-	groups := append([]*Group(nil), r.groups...)
-	r.mu.Unlock()
-	out := make(map[string]map[string]float64, len(groups))
-	for _, g := range groups {
-		vals := g.Snapshot(nil)
-		m := make(map[string]float64, len(g.names))
-		for i, n := range g.names {
-			m[n] = vals[i]
-		}
-		label := g.labels
-		if label == "" {
-			label = "run"
-		}
-		out[label] = m
-	}
-	return out
 }
 
 // CounterLog is an in-memory time series of counter snapshots, sampled by

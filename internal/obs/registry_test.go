@@ -9,7 +9,7 @@ import (
 
 // TestRegistryConcurrentRegisterSnapshot races group registration (published
 // and read groups), publishing, histogram registration and observation, and
-// every reader (Prometheus text, expvar map, raw snapshots) against each
+// every reader (Prometheus text, raw snapshots) against each
 // other. Run under -race (the
 // Makefile's race target includes internal/obs); the assertion here is
 // simply that nothing tears, panics, or deadlocks and the final exposition
@@ -49,7 +49,6 @@ func TestRegistryConcurrentRegisterSnapshot(t *testing.T) {
 					t.Errorf("WritePrometheus: %v", err)
 					return
 				}
-				_ = r.Vars()
 			}
 		}()
 	}
@@ -65,12 +64,12 @@ func TestRegistryConcurrentRegisterSnapshot(t *testing.T) {
 		if !strings.Contains(out, fmt.Sprintf("emcsim_h%d_count{run=\"w%d\"} 1", i, i)) {
 			t.Errorf("final exposition missing histogram %d:\n%s", i, out)
 		}
-		if !strings.Contains(out, fmt.Sprintf(`run="w%d"`, i)) {
+		if !strings.Contains(out, fmt.Sprintf(`emcsim_b{run="w%d"} %d`, i, 2*(rounds-1))) {
 			t.Errorf("final exposition missing group w%d", i)
 		}
-	}
-	if vars := r.Vars(); len(vars) != 2*writers {
-		t.Errorf("Vars has %d groups, want %d", len(vars), 2*writers)
+		if !strings.Contains(out, fmt.Sprintf(`emcsim_c{read="w%d"} %d`, i, i)) {
+			t.Errorf("final exposition missing read group w%d", i)
+		}
 	}
 }
 

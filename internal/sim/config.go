@@ -86,7 +86,7 @@ type Config struct {
 	Obs obs.Config
 
 	// Metrics, when non-nil, receives periodic live snapshots of the
-	// system's counters (for /metrics, /debug/vars). Each System registers
+	// system's counters (for /metrics). Each System registers
 	// its own Group tagged with MetricsLabels.
 	Metrics       *obs.Registry `json:"-"`
 	MetricsLabels map[string]string

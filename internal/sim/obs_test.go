@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -126,15 +128,28 @@ func TestMetricsPublish(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vars := reg.Vars()
-	g, ok := vars[`run="test"`]
-	if !ok {
-		t.Fatalf("registry groups: %v", vars)
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
-	if g["cycles"] != float64(res.Cycles) {
-		t.Errorf("published cycles %v, run ended at %d", g["cycles"], res.Cycles)
+	gauge := func(name string) float64 {
+		prefix := "emcsim_" + name + `{run="test"} `
+		for _, line := range strings.Split(b.String(), "\n") {
+			if v, ok := strings.CutPrefix(line, prefix); ok {
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return f
+			}
+		}
+		t.Fatalf("registry has no %s sample:\n%s", prefix, b.String())
+		return 0
 	}
-	if g["retired_instructions"] == 0 {
+	if c := gauge("cycles"); c != float64(res.Cycles) {
+		t.Errorf("published cycles %v, run ended at %d", c, res.Cycles)
+	}
+	if gauge("retired_instructions") == 0 {
 		t.Error("retired_instructions never published")
 	}
 }

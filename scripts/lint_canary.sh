@@ -1,16 +1,20 @@
 #!/bin/sh
-# Lint canary: prove the cross-package analyzers still fire.
+# Lint canary: prove every simlint analyzer, and go vet's atomic copy
+# check, still fire.
 #
 # A static analyzer that silently stops reporting looks exactly like a clean
 # tree, so "make lint is green" alone is not evidence the lint suite works.
 # This script copies the module into a throwaway overlay, verifies the clean
-# tree passes, injects three known violations into the cluster layer — a
+# tree passes, injects five known violations into the cluster layer — a
 # wall clock flowing into a sim.Result (dettaint), a reversed lock pair
-# (lockorder), and a goroutine with no stop path (goroutineleak) — plus one
-# each for dettaint's package-local rules — a wall-clock read in
-# internal/sim and a map-order float sum in internal/cluster — and asserts
-# simlint exits nonzero with the right analyzer reporting inside each
-# canary file.
+# (lockorder), a goroutine with no stop path (goroutineleak), a make inside
+# a //simlint:noalloc function (hotalloc), and a fault.Register with a
+# string literal (failpoint) — plus one each for dettaint's package-local
+# rules — a wall-clock read in internal/sim and a map-order float sum in
+# internal/cluster — and asserts simlint exits nonzero with the right
+# analyzer reporting inside each canary file. Copies of sync/atomic values
+# are go vet's copylocks check, so a by-value atomic.Int64 parameter must
+# make go vet fail naming its file.
 set -eu
 
 GO="${GO:-go}"
@@ -20,9 +24,9 @@ trap 'rm -rf "$work"' EXIT INT TERM
 
 overlay="$work/tree"
 mkdir -p "$overlay"
-# Copy the module sources; VCS state and smoke artifacts are irrelevant to
+# Copy the module sources; VCS state and test binaries are irrelevant to
 # go list and only slow the copy down.
-(cd "$root" && tar -cf - --exclude .git --exclude '.smoke*' --exclude '*.test' .) \
+(cd "$root" && tar -cf - --exclude .git --exclude '*.test' .) \
 	| (cd "$overlay" && tar -xf -)
 
 echo "lint-canary: precheck (clean tree must pass)"
@@ -87,6 +91,39 @@ func canaryLeak() {
 }
 EOF
 
+cat > "$overlay/internal/cluster/zz_canary_hotalloc.go" <<'EOF'
+package cluster
+
+// canaryNoalloc allocates inside a noalloc function: hotalloc must fire.
+//
+//simlint:noalloc
+func canaryNoalloc(n int) []byte {
+	return make([]byte, n)
+}
+EOF
+
+cat > "$overlay/internal/cluster/zz_canary_failpoint.go" <<'EOF'
+package cluster
+
+import "repro/internal/fault"
+
+// canaryFailpoint registers a site by string literal instead of a registry
+// constant: failpoint must fire.
+var canaryFailpoint = fault.Register("cluster/canary")
+EOF
+
+cat > "$overlay/internal/cluster/zz_canary_atomiccopy.go" <<'EOF'
+package cluster
+
+import "sync/atomic"
+
+// canaryAtomicCopy takes an atomic.Int64 by value, forking the counter:
+// go vet's copylocks check must fire.
+func canaryAtomicCopy(c atomic.Int64) int64 {
+	return c.Load()
+}
+EOF
+
 cat > "$overlay/internal/sim/zz_canary_wallclock.go" <<'EOF'
 package sim
 
@@ -120,7 +157,7 @@ if (cd "$overlay" && "$GO" run ./cmd/simlint ./... >"$out" 2>&1); then
 fi
 
 fail=0
-for a in dettaint lockorder goroutineleak; do
+for a in dettaint lockorder goroutineleak hotalloc failpoint; do
 	if ! grep -q "zz_canary_${a}\.go.*(${a})" "$out"; then
 		echo "lint-canary: FAIL: ${a} did not report inside zz_canary_${a}.go" >&2
 		fail=1
@@ -136,4 +173,16 @@ if [ "$fail" -ne 0 ]; then
 	cat "$out" >&2
 	exit 1
 fi
-echo "lint-canary: PASS (dettaint sink, wall-clock and float-order rules, lockorder, goroutineleak all fire)"
+
+vetout="$work/vet.txt"
+if (cd "$overlay" && "$GO" vet ./internal/cluster/ >"$vetout" 2>&1); then
+	echo "lint-canary: FAIL: go vet exited 0 with a by-value atomic.Int64" >&2
+	cat "$vetout" >&2
+	exit 1
+fi
+if ! grep -q "zz_canary_atomiccopy\.go.*lock by value" "$vetout"; then
+	echo "lint-canary: FAIL: go vet did not report lock by value inside zz_canary_atomiccopy.go" >&2
+	cat "$vetout" >&2
+	exit 1
+fi
+echo "lint-canary: PASS (dettaint sink, wall-clock and float-order rules, lockorder, goroutineleak, hotalloc, failpoint and vet copylocks all fire)"
