@@ -122,7 +122,7 @@ bench:
 		-commit $$(git rev-parse --short HEAD 2>/dev/null || echo unknown) BENCH_sim.json
 
 experiments:
-	$(GO) run ./cmd/experiments -md results-run.md
+	$(GO) run ./cmd/experiments -n 30000 -n8 15000 -md results-run.md
 
 clean:
 	rm -f BENCH_sim.json results-run.md *.test *.prof

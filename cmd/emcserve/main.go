@@ -14,8 +14,8 @@
 // finish (bounded by -drain-timeout), then the process exits. A second
 // signal cancels everything still running. With -cache-dir the durable
 // result cache is flushed before exit, and the final log line reports the
-// disposition of jobs that did not finish: cacheable jobs are resumable (an
-// identical resubmit recomputes or reloads them), uncacheable ones are lost.
+// disposition of jobs that did not finish: every one is resumable (an
+// identical resubmit recomputes or reloads it).
 //
 // Fault injection: EMCSIM_FAILPOINTS="site=policy;..." arms failpoints at
 // boot (see internal/fault for the site catalog and policy grammar).
@@ -204,19 +204,14 @@ func main() {
 	defer shutCancel()
 	srv.Shutdown(shutCtx) //nolint:errcheck // exiting anyway
 
-	// Disposition of jobs that did not reach done: cacheable jobs are
-	// resumable — resubmitting the same configuration is idempotent (it
-	// reloads from the durable cache or deterministically recomputes) —
-	// while uncacheable jobs (function-valued configs) are lost with the
-	// process. The final line is the crash-recovery audit trail.
-	var resumable, lost int
+	// Disposition of jobs that did not reach done: every one is resumable —
+	// resubmitting the same configuration is idempotent (it reloads from the
+	// durable cache or deterministically recomputes). The final line is the
+	// crash-recovery audit trail.
+	resumable := 0
 	for _, js := range svc.Jobs() {
-		if js.State.Terminal() && js.State != service.StateCancelled {
-			continue // done and failed jobs ran to their verdict
-		}
-		if strings.HasPrefix(js.Key, "uncacheable:") {
-			lost++
-		} else {
+		// Done and failed jobs ran to their verdict.
+		if !js.State.Terminal() || js.State == service.StateCancelled {
 			resumable++
 		}
 	}
@@ -226,6 +221,6 @@ func main() {
 		durable = fmt.Sprintf("durable cache flushed (%d records persisted, %d persist errors)",
 			st.CachePersisted, st.CachePersistErrs)
 	}
-	fmt.Printf("emcserve: shutdown: %d done, %d failed, %d cancelled; in-flight: %d resumable, %d lost; %s\n",
-		st.Done, st.Failed, st.Cancelled, resumable, lost, durable)
+	fmt.Printf("emcserve: shutdown: %d done, %d failed, %d cancelled; in-flight: %d resumable; %s\n",
+		st.Done, st.Failed, st.Cancelled, resumable, durable)
 }

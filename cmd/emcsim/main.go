@@ -74,21 +74,6 @@ func main() {
 	}
 	cfg.IdealDependentHits = *ideal
 	cfg.RunaheadEnabled = *runahead
-	if *chains > 0 {
-		left := *chains
-		cfg.OnChain = func(ch *cpu.Chain) {
-			if left <= 0 {
-				return
-			}
-			left--
-			fmt.Printf("chain core%d srcPC=%#x line=%#x uops=%d live-ins=%d mispredict=%v\n",
-				ch.CoreID, ch.SourcePC, ch.SourceLine, len(ch.Uops), len(ch.LiveIns), ch.HasMispredict)
-			for i, cu := range ch.Uops {
-				fmt.Printf("  [%2d] E%-2d <- %v\n", i, cu.DstEPR, cu.U.String())
-			}
-		}
-	}
-
 	if *traceOut != "" || *attr {
 		cfg.Obs = obs.Config{Enabled: true, SampleEvery: *traceSample, Retain: *traceOut != ""}
 	}
@@ -119,6 +104,20 @@ func main() {
 		fmt.Fprintln(os.Stderr, "emcsim:", err)
 		stopProfiling()
 		os.Exit(1)
+	}
+	if *chains > 0 {
+		left := *chains
+		sys.ObserveChains(func(ch *cpu.Chain) {
+			if left <= 0 {
+				return
+			}
+			left--
+			fmt.Printf("chain core%d srcPC=%#x line=%#x uops=%d live-ins=%d mispredict=%v\n",
+				ch.CoreID, ch.SourcePC, ch.SourceLine, len(ch.Uops), len(ch.LiveIns), ch.HasMispredict)
+			for i, cu := range ch.Uops {
+				fmt.Printf("  [%2d] E%-2d <- %v\n", i, cu.DstEPR, cu.U.String())
+			}
+		})
 	}
 	// SIGINT/SIGTERM cancel the run at the next cycle boundary; the partial
 	// statistics are still summarized and the exit status is non-zero. A

@@ -255,7 +255,7 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 		// Torn-seed guard: every cached record on a surviving node matches
 		// its reference bit-for-bit.
 		for pi, cfg := range pool {
-			key, _ := service.CacheKey(&cfg)
+			key := service.CacheKey(&cfg)
 			if res, ok := n.Service().PeekResult(key); ok {
 				if res.Hash() != refs[pi] {
 					t.Fatalf("node%d cache holds a torn result for pool[%d] (faults:%s)", i, pi, faults)

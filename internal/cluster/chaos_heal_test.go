@@ -178,7 +178,7 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			t.Fatalf("node%d books do not balance: %+v (scenario=%s faults:%s)", i, st, scenario, faults)
 		}
 		for pi, cfg := range pool {
-			key, _ := service.CacheKey(&cfg)
+			key := service.CacheKey(&cfg)
 			if res, ok := n.Service().PeekResult(key); ok && res.Hash() != refs[pi] {
 				t.Fatalf("node%d cache holds a torn result for pool[%d] (scenario=%s faults:%s)", i, pi, scenario, faults)
 			}
@@ -212,7 +212,7 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 			time.Sleep(5 * time.Millisecond)
 		}
 		for pi, cfg := range pool {
-			key, _ := service.CacheKey(&cfg)
+			key := service.CacheKey(&cfg)
 			if res, ok := restarted.Service().PeekResult(key); ok && res.Hash() != refs[pi] {
 				t.Fatalf("restarted node%d backfilled a torn result for pool[%d]", killIdx, pi)
 			}

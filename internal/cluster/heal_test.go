@@ -56,10 +56,7 @@ func cfgsOwnedBy(t *testing.T, nodes, ownerIdx, count int) []sim.Config {
 	var out []sim.Config
 	for seed := uint64(1); seed < 16384 && len(out) < count; seed++ {
 		cfg := tinyCfg(seed)
-		key, ok := service.CacheKey(&cfg)
-		if !ok {
-			t.Fatal("tiny config unexpectedly uncacheable")
-		}
+		key := service.CacheKey(&cfg)
 		if ownerOf(nodes, key) == want {
 			out = append(out, cfg)
 		}
@@ -90,7 +87,7 @@ func TestAntiEntropyBackfill(t *testing.T) {
 	refs := make(map[string]uint64, jobs)
 	for seed := uint64(1); seed <= jobs; seed++ {
 		cfg := tinyCfg(seed)
-		key, _ := service.CacheKey(&cfg)
+		key := service.CacheKey(&cfg)
 		keys = append(keys, key)
 		refs[key] = runTiny(t, cfg).Hash()
 		j, err := f.Nodes[0].Service().Submit("t", cfg)
@@ -224,7 +221,7 @@ func TestSuccessfulRPCResetsSuspectTimer(t *testing.T) {
 	deadline := time.Now().Add(5 * suspect)
 	for seed := uint64(1); time.Now().Before(deadline); seed++ {
 		cfg := tinyCfg(seed)
-		if key, _ := service.CacheKey(&cfg); ownerOf(2, key) != "node0" {
+		if key := service.CacheKey(&cfg); ownerOf(2, key) != "node0" {
 			continue
 		}
 		j, err := f.Nodes[1].Submit("t", cfg)
@@ -271,7 +268,7 @@ func TestRestartBackfillsDurableCache(t *testing.T) {
 	refs := make(map[string]uint64, jobs)
 	for seed := uint64(1); seed <= jobs; seed++ {
 		cfg := tinyCfg(seed)
-		key, _ := service.CacheKey(&cfg)
+		key := service.CacheKey(&cfg)
 		keys = append(keys, key)
 		refs[key] = runTiny(t, cfg).Hash()
 		j, err := f.Nodes[0].Service().Submit("t", cfg)

@@ -158,7 +158,7 @@ func (n *Node) httpClusterSubmit(w http.ResponseWriter, r *http.Request) {
 		httpJSON(w, http.StatusBadRequest, httpError{Error: "bad request body: " + err.Error()})
 		return
 	}
-	if key, ok := service.CacheKey(&req.Cfg); !ok || key != req.Key {
+	if key := service.CacheKey(&req.Cfg); key != req.Key {
 		httpJSON(w, http.StatusBadRequest, httpError{Error: fmt.Sprintf("cluster: forwarded key %q does not match config (computed %q)", req.Key, key)})
 		return
 	}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -54,7 +53,7 @@ func startHTTPNodeOpts(t *testing.T, id, token string, opts cluster.Options) *ht
 	}
 	url := "http://" + ln.Addr().String()
 	reg := obs.NewRegistry()
-	svc, err := service.Open(service.Config{Workers: 2, QueueCap: 64, Metrics: reg})
+	svc, err := service.Open(service.Config{Workers: 2, QueueCap: 64, Metrics: reg, AttemptHook: parkBlockers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +129,7 @@ func TestHTTPFabricEndToEnd(t *testing.T) {
 	var seed uint64
 	for s := uint64(1); s < 4096; s++ {
 		cfg := tinyCfg(s)
-		key, _ := service.CacheKey(&cfg)
+		key := service.CacheKey(&cfg)
 		if ring.Owner(key, nil) == "c" {
 			seed = s
 			break
@@ -222,7 +221,7 @@ func TestHTTPFabricEndToEnd(t *testing.T) {
 	}
 	if res, ok := c.node.Service().PeekResult(func() string {
 		cfg := tinyCfg(seed)
-		k, _ := service.CacheKey(&cfg)
+		k := service.CacheKey(&cfg)
 		return k
 	}()); !ok || res.Hash() != ref {
 		t.Fatal("owner cache missing or wrong reference result")
@@ -412,9 +411,7 @@ func TestHTTPTransportStatusWaits(t *testing.T) {
 	defer cancel()
 
 	release := make(chan struct{})
-	blocker := tinyCfg(99)
-	blocker.CoreTweak = func(*cpu.Config) { <-release }
-	bj, err := a.node.Service().Submit("t", blocker)
+	bj, err := a.node.Service().Submit("t", blockerCfg(release))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,6 +436,42 @@ func TestHTTPTransportStatusWaits(t *testing.T) {
 	}
 	if d := time.Since(start); st.State != service.StateDone || d > 5*time.Second {
 		t.Fatalf("status wait returned %s after %v, want done as soon as the job finished", st.State, d)
+	}
+}
+
+// TestHTTPClusterSubmitRejectsKeyMismatch: the owner recomputes a forwarded
+// job's key from its config. A key that does not match — here another
+// config's — is answered 400 and creates no job; the matching key is
+// accepted.
+func TestHTTPClusterSubmitRejectsKeyMismatch(t *testing.T) {
+	fault.DisableAll()
+	a := startHTTPNode(t, "a")
+	cfg, other := tinyCfg(1), tinyCfg(2)
+	post := func(key string) int {
+		t.Helper()
+		body, err := json.Marshal(cluster.SubmitRequest{Client: "t", Key: key, Cfg: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(a.url+"/api/v1/cluster/submit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	svc := a.node.Service()
+	if code := post(service.CacheKey(&other)); code != http.StatusBadRequest {
+		t.Fatalf("mismatched key: got %d, want 400", code)
+	}
+	if n := svc.Stats().Submitted; n != 0 {
+		t.Fatalf("mismatched key created %d jobs, want 0", n)
+	}
+	if code := post(service.CacheKey(&cfg)); code != http.StatusAccepted && code != http.StatusOK {
+		t.Fatalf("matching key: got %d, want 202", code)
+	}
+	if n := svc.Stats().Submitted; n != 1 {
+		t.Fatalf("matching key created %d jobs, want 1", n)
 	}
 }
 

@@ -300,15 +300,12 @@ func (n *Node) enter() bool {
 // ---------------------------------------------------------------------------
 // Dispatch: the submission path.
 
-// Submit schedules cfg cluster-wide: uncacheable configs (no canonical
-// identity) run locally; keys this node owns go through the local scheduler
-// unchanged; everything else becomes a routed job driven to completion on
-// the ring owner, with deterministic re-dispatch if the owner dies.
+// Submit schedules cfg cluster-wide: keys this node owns go through the
+// local scheduler unchanged; everything else becomes a routed job driven to
+// completion on the ring owner, with deterministic re-dispatch if the owner
+// dies.
 func (n *Node) Submit(client string, cfg sim.Config) (*service.Job, error) {
-	key, cacheable := service.CacheKey(&cfg)
-	if !cacheable {
-		return n.svc.Submit(client, cfg)
-	}
+	key := service.CacheKey(&cfg)
 	owner := n.owner(key)
 	if owner == n.id {
 		return n.svc.Submit(client, cfg)

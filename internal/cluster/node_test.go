@@ -9,11 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/cpu"
 	"repro/internal/fault"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -24,6 +24,42 @@ func tinyCfg(seed uint64) sim.Config {
 	cfg.InstrPerCore = 1000
 	cfg.Seed = seed
 	return cfg
+}
+
+var (
+	blockerSeed atomic.Uint64 // last seed handed to a blocker
+	blockers    sync.Map      // seed -> release channel (<-chan struct{})
+)
+
+// blockerCfg returns a config whose attempts park their worker until release
+// is closed: parkBlockers, the AttemptHook of every test node's service,
+// waits on it. Each blocker has a seed of its own, far above the seeds
+// other configs use, so two blockers never coalesce.
+func blockerCfg(release <-chan struct{}) sim.Config {
+	cfg := tinyCfg(1<<32 + blockerSeed.Add(1))
+	blockers.Store(cfg.Seed, release)
+	return cfg
+}
+
+func parkBlockers(cfg sim.Config) {
+	if release, ok := blockers.Load(cfg.Seed); ok {
+		<-release.(<-chan struct{})
+	}
+}
+
+// parkWorker submits a blocker straight to node's own service (submitted
+// to the node, it would route to its key's owner) and waits until one of
+// the service's workers runs it.
+func parkWorker(t *testing.T, node *cluster.Node, release <-chan struct{}) *service.Job {
+	t.Helper()
+	svc := node.Service()
+	running := svc.Stats().Running
+	j, err := svc.Submit("blocker", blockerCfg(release))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "a worker to park on the blocker", func() bool { return svc.Stats().Running > running })
+	return j
 }
 
 // runTiny runs cfg directly — the ground truth every fabric path is
@@ -59,7 +95,12 @@ func newFabricOpts(t *testing.T, nodes int, scfg func(i int) service.Config, opt
 	if scfg == nil {
 		scfg = func(int) service.Config { return service.Config{Workers: 2, QueueCap: 64} }
 	}
-	f, err := cluster.NewFabric(cluster.FabricConfig{Nodes: nodes, Service: scfg, Opts: opts})
+	withHook := func(i int) service.Config {
+		c := scfg(i)
+		c.AttemptHook = parkBlockers
+		return c
+	}
+	f, err := cluster.NewFabric(cluster.FabricConfig{Nodes: nodes, Service: withHook, Opts: opts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,10 +136,7 @@ func ownedCfg(t *testing.T, nodes, ownerIdx int, instr uint64) sim.Config {
 		if instr > 0 {
 			cfg.InstrPerCore = instr
 		}
-		key, ok := service.CacheKey(&cfg)
-		if !ok {
-			t.Fatal("tiny config unexpectedly uncacheable")
-		}
+		key := service.CacheKey(&cfg)
 		if ownerOf(nodes, key) == want {
 			return cfg
 		}
@@ -170,7 +208,7 @@ func TestDuplicateSubmissionsCoalesceClusterWide(t *testing.T) {
 	// Owner is node2, so both entry nodes (0 and 1) must forward and the
 	// owner's scheduler is the cluster-wide serialization point.
 	cfg := cfgOwnedBy(t, 3, 2)
-	key, _ := service.CacheKey(&cfg)
+	key := service.CacheKey(&cfg)
 	ref := runTiny(t, cfg).Hash()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -247,7 +285,7 @@ func TestOwnerDeathRedispatch(t *testing.T) {
 // TestBusyOwnerFallsBackLocally: an owner whose queue is full answers 429,
 // and the entry node runs the job itself at once rather than wait for the
 // owner: the owner's only worker and its one queue slot stay taken by
-// uncacheable blockers until the job is done.
+// blockers until the job is done.
 func TestBusyOwnerFallsBackLocally(t *testing.T) {
 	fault.DisableAll()
 	release := make(chan struct{})
@@ -258,14 +296,12 @@ func TestBusyOwnerFallsBackLocally(t *testing.T) {
 		}
 		return service.Config{Workers: 1, QueueCap: 64}
 	})
-	blocker := tinyCfg(99)
-	blocker.CoreTweak = func(*cpu.Config) { <-release }
 	owner := f.Nodes[1].Service()
-	if _, err := owner.Submit("blocker", blocker); err != nil {
+	if _, err := owner.Submit("blocker", blockerCfg(release)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, "owner's worker parked", func() bool { return owner.Stats().Running == 1 })
-	if _, err := owner.Submit("blocker", blocker); err != nil {
+	if _, err := owner.Submit("blocker", blockerCfg(release)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -312,16 +348,10 @@ func TestWorkStealing(t *testing.T) {
 		return o
 	})
 
-	// Park node0's only worker on an uncacheable blocker (CoreTweak makes it
-	// non-routable, so it runs locally).
-	blocker := tinyCfg(99)
-	blocker.CoreTweak = func(*cpu.Config) { <-release }
-	bj, err := f.Nodes[0].Submit("blocker", blocker)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Park node0's only worker on a blocker.
+	bj := parkWorker(t, f.Nodes[0], release)
 
-	// Queue three cacheable jobs that node0 owns; with the worker parked they
+	// Queue three jobs that node0 owns; with the worker parked they
 	// can only finish if node1 steals them. The first enters at node1 and is
 	// forwarded, so node1 steals a job its own routed copy is following: the
 	// thief must run it rather than wait on that copy.
@@ -372,7 +402,7 @@ func TestWorkStealing(t *testing.T) {
 // steal, even with an empty queue: the stolen job would only wait there
 // instead of on the victim, or bounce between two busy nodes as forwarded
 // submits. Both nodes park their single worker on a blocker while
-// node0 has one cacheable job queued; the job stays put and completes on
+// node0 has one job queued; the job stays put and completes on
 // node0 once its blocker is released, while node1's worker is still busy.
 func TestNoStealWhileWorkersBusy(t *testing.T) {
 	fault.DisableAll()
@@ -388,20 +418,10 @@ func TestNoStealWhileWorkersBusy(t *testing.T) {
 		o.StealThreshold = 1
 		return o
 	})
-	var blockers []*service.Job
+	var parked []*service.Job
 	for i, n := range f.Nodes {
-		blocker := tinyCfg(uint64(99 + i))
-		ch := release[i]
-		blocker.CoreTweak = func(*cpu.Config) { <-ch }
-		bj, err := n.Submit("blocker", blocker)
-		if err != nil {
-			t.Fatal(err)
-		}
-		blockers = append(blockers, bj)
+		parked = append(parked, parkWorker(t, n, release[i]))
 	}
-	waitFor(t, 10*time.Second, "both workers parked", func() bool {
-		return f.Nodes[0].Service().Stats().Running == 1 && f.Nodes[1].Service().Stats().Running == 1
-	})
 
 	cfg := cfgsOwnedBy(t, 2, 0, 1)[0]
 	j, err := f.Nodes[0].Submit("t", cfg)
@@ -430,7 +450,7 @@ func TestNoStealWhileWorkersBusy(t *testing.T) {
 		t.Fatalf("result hash %#x != direct %#x", got, want)
 	}
 	free(1)
-	for _, bj := range blockers {
+	for _, bj := range parked {
 		if _, err := bj.Wait(ctx); err != nil {
 			t.Fatalf("blocker: %v", err)
 		}
@@ -443,10 +463,10 @@ func TestNoStealWhileWorkersBusy(t *testing.T) {
 }
 
 // TestNoStealFromUnstealableQueue: a peer whose queue holds only jobs that
-// cannot leave it (uncacheable blockers) is never asked for a steal,
-// however deep its queue: the steal signal counts stealable jobs only. The
-// steal failpoint, armed to decline, counts the steal requests node0
-// receives.
+// cannot leave it (cancel-requested ones, which its own workers finish) is
+// never asked for a steal, however deep its queue: the steal signal counts
+// stealable jobs only. The steal failpoint, armed to decline, counts the
+// steal requests node0 receives.
 func TestNoStealFromUnstealableQueue(t *testing.T) {
 	fault.DisableAll()
 	t.Cleanup(fault.DisableAll)
@@ -459,20 +479,28 @@ func TestNoStealFromUnstealableQueue(t *testing.T) {
 		o.StealThreshold = 1
 		return o
 	})
-	for i := 0; i < 3; i++ {
-		blocker := tinyCfg(uint64(99 + i))
-		blocker.CoreTweak = func(*cpu.Config) { <-release }
-		if _, err := f.Nodes[0].Submit("blocker", blocker); err != nil {
+	parkWorker(t, f.Nodes[0], release)
+	// Queue two jobs behind the blocker and cancel them; node0 is cut off
+	// from node1 meanwhile, so no steal can take one in between.
+	f.Transport.Partition("node0", "node1")
+	for i := 0; i < 2; i++ {
+		svc := f.Nodes[0].Service()
+		j, err := svc.Submit("t", tinyCfg(uint64(1+i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := svc.Cancel(j.ID()); err != nil {
 			t.Fatal(err)
 		}
 	}
+	f.Transport.Heal("node0", "node1")
 	fp, ok := fault.Lookup(fault.SiteClusterSteal)
 	if !ok {
 		t.Fatal("steal failpoint not registered")
 	}
 	before := fp.Fires()
 	fp.Enable(fault.Trigger{})
-	waitFor(t, 10*time.Second, "node1 to see node0's two queued blockers", func() bool {
+	waitFor(t, 10*time.Second, "node1 to see node0's two queued jobs", func() bool {
 		row, ok := peerRow(f.Nodes[1], "node0")
 		return ok && row.Queued == 2
 	})
@@ -490,7 +518,7 @@ func TestTornFetchRejected(t *testing.T) {
 	t.Cleanup(fault.DisableAll)
 	f := newFabric(t, 2, nil)
 	cfg := tinyCfg(1)
-	key, _ := service.CacheKey(&cfg)
+	key := service.CacheKey(&cfg)
 	res := runTiny(t, cfg)
 	frame, err := service.EncodeRecord(key, res)
 	if err != nil {
@@ -547,7 +575,7 @@ func TestRoutedCancelPropagates(t *testing.T) {
 			// A long run gives the cancel time to land; owned by node1 so
 			// node0 routes it.
 			cfg := ownedCfg(t, 2, 1, 30_000_000)
-			key, _ := service.CacheKey(&cfg)
+			key := service.CacheKey(&cfg)
 			j, err := f.Nodes[0].Submit("t", cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -665,11 +693,7 @@ func TestCloseFailsStolenOutJob(t *testing.T) {
 		o.PollInterval = 30 * time.Second
 		return o
 	})
-	blocker := tinyCfg(99)
-	blocker.CoreTweak = func(*cpu.Config) { <-release }
-	if _, err := f.Nodes[0].Submit("blocker", blocker); err != nil {
-		t.Fatal(err)
-	}
+	parkWorker(t, f.Nodes[0], release)
 	j, err := f.Nodes[0].Submit("t", ownedCfg(t, 2, 0, 30_000_000))
 	if err != nil {
 		t.Fatal(err)

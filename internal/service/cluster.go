@@ -79,7 +79,7 @@ func (s *Service) SetClusterStats(fn func(local *Stats) []NodeStat) {
 // identical in-flight job returns with fresh=false); only a fresh=true
 // return obligates the caller to finish the job.
 func (s *Service) NewRoutedJob(client, key string, cfg sim.Config) (j *Job, fresh bool, err error) {
-	return s.admit(client, key, true, cfg, false, true)
+	return s.admit(client, key, cfg, false, true)
 }
 
 // StartRouted transitions a routed job to running (the remote dispatch is
@@ -109,10 +109,9 @@ func (s *Service) FinishRouted(j *Job, res *sim.Result, err error) {
 
 // TakeQueued removes one queued job for a thief node; the caller forwards
 // it and follows it as a routed job (StartRouted/FinishRouted), so from here
-// on SubmitForwarded never coalesces onto it. Jobs that must not leave the
-// node (uncacheable — no canonical identity to route under — or already
-// cancel-requested) stay queued for the local workers. ok=false means
-// nothing stealable is queued.
+// on SubmitForwarded never coalesces onto it. A cancel-requested job must
+// not leave the node: it stays queued for the local workers, which finish
+// it as cancelled. ok=false means nothing stealable is queued.
 func (s *Service) TakeQueued() (j *Job, ok bool) {
 	j, ok = s.queue.tryPop(movable)
 	if !ok {
@@ -125,9 +124,9 @@ func (s *Service) TakeQueued() (j *Job, ok bool) {
 	return j, true
 }
 
-// movable reports whether a queued job may leave the node: it has a
-// canonical identity to route under and no cancel is requested.
-func movable(j *Job) bool { return j.cacheable && !j.cancelRequested() }
+// movable reports whether a queued job may leave the node: no cancel is
+// requested.
+func movable(j *Job) bool { return !j.cancelRequested() }
 
 // ExecuteNow runs j to a terminal state on the calling goroutine, in the
 // least busy worker lane — the fallback when a routed or stolen-out job's

@@ -90,7 +90,7 @@ func TestDurableFileNameSafety(t *testing.T) {
 		"emcfp1-abc123+obs:8,true+ci:1000",
 		"emcfp1-abc123+obs:8;true+ci:1000", // folds to the same sanitized form
 		"../../../etc/passwd",
-		"uncacheable:j1",
+		"key:with:colons",
 	}
 	seen := map[string]bool{}
 	for _, k := range keys {

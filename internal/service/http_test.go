@@ -173,7 +173,7 @@ func TestHTTPValidation(t *testing.T) {
 func TestHTTPResultConflictWhileRunning(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8})
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 
 	j, err := s.Submit("t", blockerCfg(release))
 	if err != nil {
@@ -188,7 +188,7 @@ func TestHTTPResultConflictWhileRunning(t *testing.T) {
 // TestHTTPCancel: POST cancel on a queued job finalizes it as cancelled.
 func TestHTTPCancel(t *testing.T) {
 	release := make(chan struct{})
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8})
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 
 	if _, err := s.Submit("t", blockerCfg(release)); err != nil {
 		t.Fatal(err)
@@ -220,7 +220,7 @@ func TestHTTPCancel(t *testing.T) {
 func TestHTTPBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: 1})
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 1, AttemptHook: parkBlockers})
 
 	if _, err := s.Submit("t", blockerCfg(release)); err != nil {
 		t.Fatal(err)
@@ -318,7 +318,7 @@ func TestHTTPStatusWaitReturnsOnCompletion(t *testing.T) {
 // TestHTTPStatusWaitExpires: a job that cannot finish yields its
 // non-terminal status once the wait expires; a malformed wait is a 400.
 func TestHTTPStatusWaitExpires(t *testing.T) {
-	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8})
+	s, ts := testServer(t, Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 	release := make(chan struct{})
 	defer close(release)
 	j, err := s.Submit("t", blockerCfg(release))
@@ -346,7 +346,7 @@ func TestHTTPStatusWaitExpires(t *testing.T) {
 // TestHTTPStatusWaitClientGone: a status long-poll whose client disconnects
 // returns at once instead of holding the handler for the rest of its wait.
 func TestHTTPStatusWaitClientGone(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 8})
+	s := New(Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 	t.Cleanup(func() { s.Close() })
 	release := make(chan struct{})
 	defer close(release)

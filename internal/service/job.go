@@ -41,12 +41,11 @@ func (s State) Terminal() bool {
 // Job is one scheduled simulation. All mutable state is guarded by mu; the
 // done channel closes exactly once when the job reaches a terminal state.
 type Job struct {
-	id        string
-	key       string // cache key (fingerprint + observability variant)
-	client    string
-	shard     int // lane of the worker that ran the job (0 until it runs)
-	cacheable bool
-	cfg       sim.Config
+	id     string
+	key    string // cache key (fingerprint + observability variant)
+	client string
+	shard  int // lane of the worker that ran the job (0 until it runs)
+	cfg    sim.Config
 	// remote marks a job this node follows on a peer — a routed job, or a
 	// queued one forwarded to a thief — until it falls back to run here.
 	// Guarded by the Service's mu, not the job's: SubmitForwarded reads it
@@ -105,9 +104,9 @@ type Status struct {
 	FinishedAt  *time.Time `json:"finishedAt,omitempty"`
 }
 
-func newJob(id, key, client string, cacheable bool, cfg sim.Config, rec *span.Recorder) *Job {
+func newJob(id, key, client string, cfg sim.Config, rec *span.Recorder) *Job {
 	j := &Job{
-		id: id, key: key, client: client, cacheable: cacheable,
+		id: id, key: key, client: client,
 		cfg: cfg, state: StateQueued, submitted: time.Now(),
 		admitAt: span.NoAdmit,
 		done:    make(chan struct{}),

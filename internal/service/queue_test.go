@@ -7,7 +7,7 @@ import (
 )
 
 func qjob(id, client string) *Job {
-	return newJob(id, "k-"+id, client, true, sim.Config{}, nil)
+	return newJob(id, "k-"+id, client, sim.Config{}, nil)
 }
 
 // TestFairQueueRoundRobin: FIFO per client, round-robin across clients — a

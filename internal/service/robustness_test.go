@@ -141,7 +141,7 @@ func TestCacheGetFailpoint(t *testing.T) {
 // only — the job itself must still finish normally.
 func TestWatchdogFlagsStalledJob(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueCap: 8, HungTimeout: 20 * time.Millisecond})
+	s := New(Config{Workers: 1, QueueCap: 8, HungTimeout: 20 * time.Millisecond, AttemptHook: parkBlockers})
 	defer s.Close()
 	j, err := s.Submit("t", blockerCfg(release))
 	if err != nil {

@@ -102,6 +102,13 @@ type Config struct {
 	// <FlightDir>/<job>-<reason>-<n>.emfr (see internal/obs/span.Dump).
 	// Hung-job dumps additionally capture a goroutine profile alongside.
 	FlightDir string
+	// AttemptHook, when non-nil, is called with the job's config at the
+	// start of every simulation attempt, inside the attempt's panic
+	// boundary: a hook that panics fails the attempt like a simulator panic
+	// (and is retried like one), and a hook that blocks parks its worker.
+	// A test seam, nil outside tests; it is not part of any config, so it
+	// never enters a cache key.
+	AttemptHook func(cfg sim.Config)
 }
 
 // serviceGauges lists every service gauge, in the order gauges returns them.
@@ -314,21 +321,16 @@ func Open(cfg Config) (*Service, error) {
 // CacheKey derives the content address of a config: the semantic
 // fingerprint, extended by the observability settings that change what the
 // Result carries (the Obs report, the counter log) without changing
-// simulation outcomes. Configs holding function values (CoreTweak, OnChain)
-// are not fingerprintable and report cacheable=false: such jobs are never
-// routed, cached, or coalesced — they run on the node that received them.
-func CacheKey(cfg *sim.Config) (key string, cacheable bool) {
-	fp, err := cfg.Fingerprint()
-	if err != nil {
-		return "", false
-	}
+// simulation outcomes.
+func CacheKey(cfg *sim.Config) string {
+	fp := cfg.Fingerprint()
 	if cfg.Obs.Enabled {
 		fp += fmt.Sprintf("+obs:%d,%t", cfg.Obs.SampleEvery, cfg.Obs.Retain)
 	}
 	if cfg.CounterInterval > 0 {
 		fp += fmt.Sprintf("+ci:%d", cfg.CounterInterval)
 	}
-	return fp, true
+	return fp
 }
 
 // Submit schedules cfg for client. Terminal fast paths: a cached result
@@ -350,8 +352,7 @@ func (s *Service) SubmitForwarded(client string, cfg sim.Config) (*Job, error) {
 }
 
 func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, error) {
-	key, cacheable := CacheKey(&cfg)
-	j, fresh, err := s.admit(client, key, cacheable, cfg, forwarded, false)
+	j, fresh, err := s.admit(client, CacheKey(&cfg), cfg, forwarded, false)
 	if !fresh {
 		return j, err
 	}
@@ -370,7 +371,7 @@ func (s *Service) submit(client string, cfg sim.Config, forwarded bool) (*Job, e
 // both with fresh=false. Otherwise it registers a new job: a routed one is
 // never queued here, any other reserves a queue slot (ErrQueueFull beyond
 // QueueCap) that the caller must push into.
-func (s *Service) admit(client, key string, cacheable bool, cfg sim.Config, forwarded, routed bool) (j *Job, fresh bool, err error) {
+func (s *Service) admit(client, key string, cfg sim.Config, forwarded, routed bool) (j *Job, fresh bool, err error) {
 	if client == "" {
 		client = "default"
 	}
@@ -384,28 +385,22 @@ func (s *Service) admit(client, key string, cacheable bool, cfg sim.Config, forw
 	}
 	s.seq++
 	id := fmt.Sprintf("j%d", s.seq)
-	if !cacheable {
-		// No canonical identity: never cached, never coalesced.
-		key = "uncacheable:" + id
+	if res, ok := s.cache.get(key); ok {
+		j := newJob(id, key, client, cfg, s.rec)
+		j.cached = true
+		s.jobs[id] = j
+		s.order = append(s.order, j)
+		s.submitted.Add(1)
+		s.mu.Unlock()
+		j.finalize(StateDone, res, nil)
+		s.completed.Add(1)
+		return j, false, nil
 	}
-	if cacheable {
-		if res, ok := s.cache.get(key); ok {
-			j := newJob(id, key, client, true, cfg, s.rec)
-			j.cached = true
-			s.jobs[id] = j
-			s.order = append(s.order, j)
-			s.submitted.Add(1)
-			s.mu.Unlock()
-			j.finalize(StateDone, res, nil)
-			s.completed.Add(1)
-			return j, false, nil
-		}
-		if prev, ok := s.inflight[key]; ok && !(forwarded && prev.remote) {
-			s.coalesced.Add(1)
-			s.mu.Unlock()
-			prev.recordCoalesce()
-			return prev, false, nil
-		}
+	if prev, ok := s.inflight[key]; ok && !(forwarded && prev.remote) {
+		s.coalesced.Add(1)
+		s.mu.Unlock()
+		prev.recordCoalesce()
+		return prev, false, nil
 	}
 	// Reserve a queue slot (backpressure).
 	//simlint:leakok CAS retry loop; an iteration repeats only when another goroutine made progress
@@ -419,13 +414,11 @@ func (s *Service) admit(client, key string, cacheable bool, cfg sim.Config, forw
 			break
 		}
 	}
-	j = newJob(id, key, client, cacheable, cfg, s.rec)
+	j = newJob(id, key, client, cfg, s.rec)
 	j.remote = routed
 	s.jobs[id] = j
 	s.order = append(s.order, j)
-	if cacheable {
-		s.inflight[key] = j
-	}
+	s.inflight[key] = j
 	s.submitted.Add(1)
 	s.mu.Unlock()
 	return j, true, nil
@@ -730,9 +723,7 @@ func (s *Service) execute(j *Job, lane int) {
 		switch {
 		case err == nil:
 			s.executed.Add(1)
-			if j.cacheable {
-				s.cache.put(j.key, res)
-			}
+			s.cache.put(j.key, res)
 			s.finishJob(j, StateDone, res, nil)
 			return
 		case errors.Is(err, sim.ErrCancelled):
@@ -774,6 +765,9 @@ func (s *Service) runOnce(j *Job) (res *sim.Result, err error) {
 	}()
 	j.beginAttempt()
 	fpWorkerPre.MustPanic()
+	if s.cfg.AttemptHook != nil {
+		s.cfg.AttemptHook(j.cfg)
+	}
 	sys, err := sim.New(j.cfg)
 	if err != nil {
 		return nil, err
@@ -796,13 +790,11 @@ func (s *Service) runOnce(j *Job) (res *sim.Result, err error) {
 // finalizes the job. The counters move first: finalize wakes the job's
 // waiters, and Stats read right after Wait must already count the job.
 func (s *Service) finishJob(j *Job, state State, res *sim.Result, err error) {
-	if j.cacheable {
-		s.mu.Lock()
-		if s.inflight[j.key] == j {
-			delete(s.inflight, j.key)
-		}
-		s.mu.Unlock()
+	s.mu.Lock()
+	if s.inflight[j.key] == j {
+		delete(s.inflight, j.key)
 	}
+	s.mu.Unlock()
 	switch state {
 	case StateDone:
 		s.completed.Add(1)

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -22,13 +21,27 @@ func tinyCfg(seed uint64) sim.Config {
 	return cfg
 }
 
-// blockerCfg returns a config whose construction blocks until release is
-// closed — it parks a worker without consuming CPU. CoreTweak also makes it
-// uncacheable, which is what keeps it out of the cache/coalescing paths.
+var (
+	blockerSeed atomic.Uint64 // last seed handed to a blocker
+	blockers    sync.Map      // seed -> release channel (<-chan struct{})
+)
+
+// blockerCfg returns a config whose attempts park their worker, without
+// consuming CPU, until release is closed: parkBlockers, a service's
+// AttemptHook, waits on it. Each blocker has a seed of its own, far above
+// the seeds other configs use, so two blockers never coalesce.
 func blockerCfg(release <-chan struct{}) sim.Config {
-	cfg := tinyCfg(99)
-	cfg.CoreTweak = func(*cpu.Config) { <-release }
+	cfg := tinyCfg(1<<32 + blockerSeed.Add(1))
+	blockers.Store(cfg.Seed, release)
 	return cfg
+}
+
+// parkBlockers is the AttemptHook of every test service that runs
+// blockerCfg configs.
+func parkBlockers(cfg sim.Config) {
+	if release, ok := blockers.Load(cfg.Seed); ok {
+		<-release.(<-chan struct{})
+	}
 }
 
 func waitStats(t *testing.T, s *Service, ok func(Stats) bool) Stats {
@@ -146,7 +159,7 @@ func TestObsVariantNotSharedWithPlainRun(t *testing.T) {
 // running returns the same job instead of enqueuing a duplicate.
 func TestCoalescing(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueCap: 8})
+	s := New(Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 	defer s.Close()
 
 	blocker, err := s.Submit("t", blockerCfg(release))
@@ -189,7 +202,7 @@ func TestForwardedSubmitNeverCoalescesOntoRemoteJob(t *testing.T) {
 	defer s.Close()
 
 	cfg := tinyCfg(1)
-	key, _ := CacheKey(&cfg)
+	key := CacheKey(&cfg)
 	routed, fresh, err := s.NewRoutedJob("t", key, cfg)
 	if err != nil || !fresh {
 		t.Fatalf("NewRoutedJob: fresh=%v err=%v", fresh, err)
@@ -221,7 +234,7 @@ func TestForwardedSubmitNeverCoalescesOntoRemoteJob(t *testing.T) {
 // with ErrQueueFull and succeeds again once the queue drains.
 func TestBackpressure(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueCap: 1})
+	s := New(Config{Workers: 1, QueueCap: 1, AttemptHook: parkBlockers})
 	defer s.Close()
 
 	if _, err := s.Submit("t", blockerCfg(release)); err != nil {
@@ -252,7 +265,7 @@ func TestBackpressure(t *testing.T) {
 // cancelled without running it.
 func TestCancelQueued(t *testing.T) {
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueCap: 8})
+	s := New(Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 	defer s.Close()
 
 	if _, err := s.Submit("t", blockerCfg(release)); err != nil {
@@ -316,16 +329,14 @@ func TestCancelRunning(t *testing.T) {
 // TestPanicRetrySucceeds: a panic inside the simulator is recovered, the job
 // retried, and the worker goroutine survives.
 func TestPanicRetrySucceeds(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 8, MaxRetries: 2})
-	defer s.Close()
 	var calls atomic.Int32
-	cfg := tinyCfg(1)
-	cfg.CoreTweak = func(*cpu.Config) {
+	s := New(Config{Workers: 1, QueueCap: 8, MaxRetries: 2, AttemptHook: func(sim.Config) {
 		if calls.Add(1) == 1 {
 			panic("injected fault")
 		}
-	}
-	j, err := s.Submit("t", cfg)
+	}})
+	defer s.Close()
+	j, err := s.Submit("t", tinyCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +352,7 @@ func TestPanicRetrySucceeds(t *testing.T) {
 		t.Fatalf("want 1 retry and 1 done, got %+v", stats)
 	}
 	// The worker must still be serving jobs.
-	if _, err := s.Run(context.Background(), "t", tinyCfg(1)); err != nil {
+	if _, err := s.Run(context.Background(), "t", tinyCfg(2)); err != nil {
 		t.Fatalf("worker died after panic recovery: %v", err)
 	}
 }
@@ -349,11 +360,9 @@ func TestPanicRetrySucceeds(t *testing.T) {
 // TestPanicExhaustsRetries: a persistently panicking job fails after the
 // retry budget with the panic in its error.
 func TestPanicExhaustsRetries(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 8, MaxRetries: 1})
+	s := New(Config{Workers: 1, QueueCap: 8, MaxRetries: 1, AttemptHook: func(sim.Config) { panic("always broken") }})
 	defer s.Close()
-	cfg := tinyCfg(1)
-	cfg.CoreTweak = func(*cpu.Config) { panic("always broken") }
-	j, err := s.Submit("t", cfg)
+	j, err := s.Submit("t", tinyCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,27 +376,6 @@ func TestPanicExhaustsRetries(t *testing.T) {
 	}
 	if stats := s.Stats(); stats.Failed != 1 || stats.Retries != 1 {
 		t.Fatalf("want 1 failed, 1 retry, got %+v", stats)
-	}
-}
-
-// TestUncacheableJobsRerun: configs with function values have no canonical
-// identity — they never coalesce and never hit the cache.
-func TestUncacheableJobsRerun(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 8})
-	defer s.Close()
-	mk := func() sim.Config {
-		cfg := tinyCfg(1)
-		cfg.CoreTweak = func(*cpu.Config) {}
-		return cfg
-	}
-	for i := 0; i < 2; i++ {
-		if _, err := s.Run(context.Background(), "t", mk()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := s.Stats()
-	if st.CacheHits != 0 || st.Coalesced != 0 || st.Done != 2 {
-		t.Fatalf("uncacheable jobs must re-run: %+v", st)
 	}
 }
 
@@ -438,20 +426,20 @@ func TestCloseCancelsRunning(t *testing.T) {
 // the same cache key, so they coalesce and hit the cache.
 func TestEqualConfigsShareCacheKey(t *testing.T) {
 	cfg := tinyCfg(1)
-	k1, ok1 := CacheKey(&cfg)
+	k1 := CacheKey(&cfg)
 	cfg2 := tinyCfg(1)
-	k2, ok2 := CacheKey(&cfg2)
-	if !ok1 || !ok2 || k1 != k2 {
+	k2 := CacheKey(&cfg2)
+	if k1 != k2 {
 		t.Fatalf("equal configs must share a cache key: %q %q", k1, k2)
 	}
 }
 
 // TestTakeQueuedLeavesUnstealableQueued: a steal takes only a job that may
-// leave the node. An uncacheable job at the head of a client's queue stays
-// queued for the local workers, and Drain waits for it; the cacheable job of
-// another client is taken instead.
+// leave the node. A cancel-requested job at the head of a client's queue
+// stays queued for the local workers, which finish it as cancelled, and Drain
+// waits for it; the job of another client is taken instead.
 func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
-	s := New(Config{Workers: 1, QueueCap: 8})
+	s := New(Config{Workers: 1, QueueCap: 8, AttemptHook: parkBlockers})
 	defer s.Close()
 	release := make(chan struct{})
 	var once sync.Once
@@ -462,12 +450,15 @@ func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitStats(t, s, func(st Stats) bool { return st.Running == 1 })
-	queued, err := s.Submit("a", blockerCfg(release))
+	queued, err := s.Submit("a", tinyCfg(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Cancel(queued.ID()); err != nil {
+		t.Fatal(err)
+	}
 	if n := s.Stealable(); n != 0 {
-		t.Fatalf("Stealable = %d with only a blocker queued, want 0", n)
+		t.Fatalf("Stealable = %d with only a cancel-requested job queued, want 0", n)
 	}
 	if j, ok := s.TakeQueued(); ok {
 		t.Fatalf("took %s, which cannot leave the node", j.ID())
@@ -477,21 +468,22 @@ func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	if n := s.Stealable(); n != 1 {
-		t.Fatalf("Stealable = %d with one cacheable job queued, want 1", n)
+		t.Fatalf("Stealable = %d with one movable job queued, want 1", n)
 	}
 	if j, ok := s.TakeQueued(); !ok || j != stealable {
-		t.Fatalf("TakeQueued = %v, %v; want the cacheable job %s", j, ok, stealable.ID())
+		t.Fatalf("TakeQueued = %v, %v; want the movable job %s", j, ok, stealable.ID())
 	}
 	if st := s.Stats(); st.Running != 1 || st.QueueDepth != 1 {
 		t.Fatalf("want 1 running and 1 queued, got running=%d queued=%d", st.Running, st.QueueDepth)
 	}
-	// A cacheable job behind a blocker in its client's FIFO stays too:
-	// TakeQueued takes only heads.
-	if _, err := s.Submit("a", tinyCfg(2)); err != nil {
+	// A movable job behind the cancel-requested one in its client's FIFO
+	// stays too: TakeQueued takes only heads.
+	behind, err := s.Submit("a", tinyCfg(2))
+	if err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Stealable(); n != 0 {
-		t.Fatalf("Stealable = %d with a blocker at the only head, want 0", n)
+		t.Fatalf("Stealable = %d with a cancel-requested job at the only head, want 0", n)
 	}
 	s.FinishRouted(stealable, nil, sim.ErrCancelled) // the thief's job now
 
@@ -501,33 +493,32 @@ func TestTakeQueuedLeavesUnstealableQueued(t *testing.T) {
 	if err := s.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	for _, j := range []*Job{parked, queued} {
+	for _, j := range []*Job{parked, behind} {
 		if st := j.Status(); st.State != StateDone || st.Shard != 0 {
 			t.Fatalf("%s after Drain: state %s lane %d, want done in lane 0", j.ID(), st.State, st.Shard)
 		}
 	}
+	if st := queued.Status(); st.State != StateCancelled || st.Attempts != 0 {
+		t.Fatalf("%s after Drain: state %s after %d attempts, want cancelled unrun", queued.ID(), st.State, st.Attempts)
+	}
 }
 
 // TestWorkersShareOneQueue: an idle worker takes a queued job no matter
-// which job is running elsewhere. Jobs j1 and j3 are uncacheable, so their
-// keys are "uncacheable:j1" and "uncacheable:j3"; hashing keys onto per-worker
-// queues would put both on the same queue of two, and j3 would wait behind
-// the blocked j1 while the other worker idled.
+// which job is running elsewhere: j3 must not wait behind the blocked j1
+// while the other worker idles, as it would on a per-worker queue that
+// both keys hash onto.
 func TestWorkersShareOneQueue(t *testing.T) {
-	s := New(Config{Workers: 2, QueueCap: 8})
-	defer s.Close()
 	release := make(chan struct{})
-	defer close(release) // runs before Close: unpark the blocked workers
 	started := make(chan string, 2)
-	blocker := func(id string) sim.Config {
-		var once sync.Once // CoreTweak runs once per core
-		cfg := tinyCfg(99)
-		cfg.CoreTweak = func(*cpu.Config) {
-			once.Do(func() { started <- id })
+	blockers := map[uint64]string{101: "j1", 103: "j3"} // seed -> job id
+	s := New(Config{Workers: 2, QueueCap: 8, AttemptHook: func(cfg sim.Config) {
+		if id, ok := blockers[cfg.Seed]; ok {
+			started <- id
 			<-release
 		}
-		return cfg
-	}
+	}})
+	defer s.Close()
+	defer close(release) // runs before Close: unpark the blocked workers
 	timeout := time.After(10 * time.Second)
 	awaitStart := func(id string) {
 		t.Helper()
@@ -541,7 +532,7 @@ func TestWorkersShareOneQueue(t *testing.T) {
 		}
 	}
 
-	j1, err := s.Submit("t", blocker("j1"))
+	j1, err := s.Submit("t", tinyCfg(101))
 	if err != nil || j1.ID() != "j1" {
 		t.Fatalf("first submit: %v, %v", j1, err)
 	}
@@ -556,7 +547,7 @@ func TestWorkersShareOneQueue(t *testing.T) {
 	if _, err := j2.Wait(ctx); err != nil {
 		t.Fatalf("j2: %v (Stats %+v)", err, s.Stats())
 	}
-	j3, err := s.Submit("t", blocker("j3"))
+	j3, err := s.Submit("t", tinyCfg(103))
 	if err != nil || j3.ID() != "j3" {
 		t.Fatalf("third submit: %v, %v", j3, err)
 	}

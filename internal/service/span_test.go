@@ -11,9 +11,9 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cpu"
 	"repro/internal/obs"
 	"repro/internal/obs/span"
+	"repro/internal/sim"
 )
 
 // TestServiceSpansReconcile: every job the scheduler finishes leaves a span
@@ -90,7 +90,7 @@ func TestServiceSpansReconcile(t *testing.T) {
 func TestHungJobFlightDump(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
-	s := New(Config{Workers: 1, QueueCap: 4, HungTimeout: 50 * time.Millisecond, FlightDir: dir})
+	s := New(Config{Workers: 1, QueueCap: 4, HungTimeout: 50 * time.Millisecond, FlightDir: dir, AttemptHook: parkBlockers})
 	defer s.Close()
 	defer close(release)
 
@@ -151,12 +151,11 @@ func TestHungJobFlightDump(t *testing.T) {
 // attempt, carrying the panic text, before the retry budget verdict.
 func TestPanicFlightDump(t *testing.T) {
 	dir := t.TempDir()
-	s := New(Config{Workers: 1, QueueCap: 4, MaxRetries: 1, FlightDir: dir})
+	s := New(Config{Workers: 1, QueueCap: 4, MaxRetries: 1, FlightDir: dir,
+		AttemptHook: func(sim.Config) { panic("induced test panic") }})
 	defer s.Close()
 
-	cfg := tinyCfg(7)
-	cfg.CoreTweak = func(*cpu.Config) { panic("induced test panic") }
-	j, err := s.Submit("t", cfg)
+	j, err := s.Submit("t", tinyCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/cpu"
 	"repro/internal/emc"
 	"repro/internal/mem/dram"
 	"repro/internal/obs"
@@ -95,16 +94,6 @@ type Config struct {
 	// in-memory time series each N cycles (System.CounterLog), serialized
 	// to JSON by the cmds.
 	CounterInterval uint64
-
-	// CoreTweak optionally adjusts each core's configuration (ablations).
-	// Function-valued: such configs have no canonical identity and cannot
-	// be fingerprinted (see Fingerprint).
-	CoreTweak func(*cpu.Config) `json:"-"`
-
-	// OnChain, when set, observes every chain as it is shipped to the EMC
-	// (inspection/debugging). It must not mutate the chain or retain its
-	// slices: the EMC writes LiveOuts at completion.
-	OnChain func(*cpu.Chain) `json:"-"`
 }
 
 // Default returns the Table-1 configuration for the given benchmarks, with

@@ -25,17 +25,13 @@ const fingerprintVersion = "emcfp1"
 //   - scheduler mode (DisableCycleSkip): results are bit-identical with the
 //     event-horizon scheduler on or off (same guard).
 //
-// CoreTweak and OnChain are also listed, but they are handled separately:
-// being function-valued they have no canonical identity, so a non-nil value
-// makes the whole config unfingerprintable rather than silently ignored.
+// Every other field is plain data (TestConfigIsPureData keeps it so).
 var fingerprintExcluded = map[string]bool{
 	"Obs":              true,
 	"Metrics":          true,
 	"MetricsLabels":    true,
 	"CounterInterval":  true,
 	"DisableCycleSkip": true,
-	"CoreTweak":        true,
-	"OnChain":          true,
 }
 
 // Fingerprint returns a canonical, content-addressed digest of every
@@ -46,16 +42,8 @@ var fingerprintExcluded = map[string]bool{
 //
 // The encoding walks the struct reflectively with fields sorted by name, so
 // it is independent of declaration order and of the route the config took
-// to get here (JSON round-trips, copies, map iteration order). Configs
-// carrying function values (CoreTweak, OnChain) have no canonical identity
-// and return an error.
-func (c *Config) Fingerprint() (string, error) {
-	if c.CoreTweak != nil {
-		return "", fmt.Errorf("sim: config with CoreTweak set is not fingerprintable")
-	}
-	if c.OnChain != nil {
-		return "", fmt.Errorf("sim: config with OnChain set is not fingerprintable")
-	}
+// to get here (JSON round-trips, copies, map iteration order).
+func (c *Config) Fingerprint() string {
 	var b strings.Builder
 	b.WriteString(fingerprintVersion)
 	b.WriteByte('{')
@@ -75,20 +63,20 @@ func (c *Config) Fingerprint() (string, error) {
 	for _, name := range names {
 		b.WriteString(name)
 		b.WriteByte('=')
-		if err := canonValue(&b, v.Field(idx[name])); err != nil {
-			return "", fmt.Errorf("sim: fingerprint %s: %w", name, err)
-		}
+		canonValue(&b, v.Field(idx[name]))
 		b.WriteByte(';')
 	}
 	b.WriteByte('}')
 	sum := sha256.Sum256([]byte(b.String()))
-	return fingerprintVersion + "-" + hex.EncodeToString(sum[:16]), nil
+	return fingerprintVersion + "-" + hex.EncodeToString(sum[:16])
 }
 
 // canonValue writes a canonical textual encoding of v: structs as
 // name-sorted field lists, maps as key-sorted pairs, scalars in a fixed
-// format. Function values are rejected (no canonical identity).
-func canonValue(b *strings.Builder, v reflect.Value) error {
+// format. Any other kind (functions, channels, interfaces) has no canonical
+// identity; Config never holds one (TestConfigIsPureData), so meeting one
+// is a programming error and panics.
+func canonValue(b *strings.Builder, v reflect.Value) {
 	switch v.Kind() {
 	case reflect.Bool:
 		b.WriteString(strconv.FormatBool(v.Bool()))
@@ -104,16 +92,14 @@ func canonValue(b *strings.Builder, v reflect.Value) error {
 		if v.Kind() == reflect.Slice && v.IsNil() {
 			// nil and empty slices are semantically identical configs.
 			b.WriteString("[]")
-			return nil
+			return
 		}
 		b.WriteByte('[')
 		for i := 0; i < v.Len(); i++ {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			if err := canonValue(b, v.Index(i)); err != nil {
-				return err
-			}
+			canonValue(b, v.Index(i))
 		}
 		b.WriteByte(']')
 	case reflect.Map:
@@ -121,9 +107,7 @@ func canonValue(b *strings.Builder, v reflect.Value) error {
 		elems := make(map[string]reflect.Value, v.Len())
 		for _, k := range v.MapKeys() {
 			var kb strings.Builder
-			if err := canonValue(&kb, k); err != nil {
-				return err
-			}
+			canonValue(&kb, k)
 			keys = append(keys, kb.String())
 			elems[kb.String()] = v.MapIndex(k)
 		}
@@ -135,9 +119,7 @@ func canonValue(b *strings.Builder, v reflect.Value) error {
 			}
 			b.WriteString(k)
 			b.WriteByte(':')
-			if err := canonValue(b, elems[k]); err != nil {
-				return err
-			}
+			canonValue(b, elems[k])
 		}
 		b.WriteByte('}')
 	case reflect.Struct:
@@ -156,19 +138,16 @@ func canonValue(b *strings.Builder, v reflect.Value) error {
 			}
 			b.WriteString(name)
 			b.WriteByte('=')
-			if err := canonValue(b, v.Field(idx[name])); err != nil {
-				return err
-			}
+			canonValue(b, v.Field(idx[name]))
 		}
 		b.WriteByte('}')
-	case reflect.Pointer, reflect.Interface:
+	case reflect.Pointer:
 		if v.IsNil() {
 			b.WriteString("nil")
-			return nil
+			return
 		}
-		return canonValue(b, v.Elem())
+		canonValue(b, v.Elem())
 	default:
-		return fmt.Errorf("unsupported kind %s", v.Kind())
+		panic(fmt.Sprintf("sim: fingerprint: unsupported kind %s", v.Kind()))
 	}
-	return nil
 }

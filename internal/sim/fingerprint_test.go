@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cpu"
 	"repro/internal/mem/dram"
 	"repro/internal/obs"
 )
@@ -18,11 +17,7 @@ func testCfg(t *testing.T) Config {
 
 func fp(t *testing.T, cfg Config) string {
 	t.Helper()
-	s, err := cfg.Fingerprint()
-	if err != nil {
-		t.Fatalf("Fingerprint: %v", err)
-	}
-	return s
+	return cfg.Fingerprint()
 }
 
 func TestFingerprintStable(t *testing.T) {
@@ -70,12 +65,8 @@ func TestFingerprintFieldOrderIndependent(t *testing.T) {
 		Alpha int
 	}
 	var b1, b2 strings.Builder
-	if err := canonValue(&b1, reflect.ValueOf(ab{Alpha: 7, Beta: "x"})); err != nil {
-		t.Fatal(err)
-	}
-	if err := canonValue(&b2, reflect.ValueOf(ba{Beta: "x", Alpha: 7})); err != nil {
-		t.Fatal(err)
-	}
+	canonValue(&b1, reflect.ValueOf(ab{Alpha: 7, Beta: "x"}))
+	canonValue(&b2, reflect.ValueOf(ba{Beta: "x", Alpha: 7}))
 	if b1.String() != b2.String() {
 		t.Fatalf("field order leaked into encoding: %q vs %q", b1.String(), b2.String())
 	}
@@ -151,15 +142,55 @@ func TestFingerprintIgnoresObservability(t *testing.T) {
 	}
 }
 
-func TestFingerprintRejectsFuncFields(t *testing.T) {
-	cfg := testCfg(t)
-	cfg.CoreTweak = func(*cpu.Config) {}
-	if _, err := cfg.Fingerprint(); err == nil {
-		t.Fatal("CoreTweak config fingerprinted without error")
+// TestFingerprintGolden pins two fingerprints as the durable result caches
+// hold them: a change to the canonical encoding must bump
+// fingerprintVersion, or records written before it stop hitting.
+func TestFingerprintGolden(t *testing.T) {
+	cfg := Default([]string{"mcf", "mcf", "mcf", "mcf"})
+	if got, want := fp(t, cfg), "emcfp1-ebd671cb74d92486a987a69610c54525"; got != want {
+		t.Errorf("4xmcf fingerprint = %s, want %s", got, want)
 	}
-	cfg = testCfg(t)
-	cfg.OnChain = func(*cpu.Chain) {}
-	if _, err := cfg.Fingerprint(); err == nil {
-		t.Fatal("OnChain config fingerprinted without error")
+	cfg.EMCEnabled = true
+	if got, want := fp(t, cfg), "emcfp1-8db09e9c5a3e9aa83496db93499dd55f"; got != want {
+		t.Errorf("4xmcf+EMC fingerprint = %s, want %s", got, want)
+	}
+}
+
+// TestConfigIsPureData: Config is plain data — no function, channel, unsafe
+// pointer or interface anywhere in the type of a fingerprinted field,
+// through structs, slices, arrays, maps and pointers. Such a value has no
+// canonical identity, so canonValue would panic on it. A field excluded from
+// the fingerprint is not encoded, so only its own kind is checked (Metrics
+// is a *obs.Registry); a hook that observes or steers a run belongs on the
+// System or the service, never on Config.
+func TestConfigIsPureData(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(path string, typ reflect.Type, deep bool)
+	walk = func(path string, typ reflect.Type, deep bool) {
+		switch typ.Kind() {
+		case reflect.Func, reflect.Chan, reflect.UnsafePointer, reflect.Interface:
+			t.Errorf("Config.%s is %s, which has no canonical identity", path, typ)
+			return
+		}
+		if !deep || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				walk(path+"."+typ.Field(i).Name, typ.Field(i).Type, true)
+			}
+		case reflect.Map:
+			walk(path+"[key]", typ.Key(), true)
+			walk(path+"[]", typ.Elem(), true)
+		case reflect.Slice, reflect.Array, reflect.Pointer:
+			walk(path+"[]", typ.Elem(), true)
+		}
+	}
+	typ := reflect.TypeOf(Config{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		walk(f.Name, f.Type, !fingerprintExcluded[f.Name])
 	}
 }

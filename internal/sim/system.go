@@ -211,6 +211,7 @@ type System struct {
 	st      RunStats
 
 	activeChains map[*cpu.Chain]int // chain -> MC hosting it
+	onChain      func(*cpu.Chain)   // chain observer (ObserveChains); nil by default
 
 	// Free lists for the hot-path objects (per System: figure suites run
 	// Systems concurrently, so no shared pools).
@@ -385,9 +386,6 @@ func New(cfg Config) (*System, error) {
 		cc.EMCEnabled = cfg.EMCEnabled
 		cc.Runahead.Enabled = cfg.RunaheadEnabled
 		cc.UseBranchPredictor = cfg.UseBranchPredictor
-		if cfg.CoreTweak != nil {
-			cfg.CoreTweak(&cc)
-		}
 		feed := &trace.LimitReader{R: g, N: cfg.InstrPerCore}
 		s.cores = append(s.cores, cpu.New(cc, feed, pt, coreShim{s: s, id: i}))
 	}
@@ -751,6 +749,12 @@ func (s *System) step() {
 	}
 }
 
+// ObserveChains installs f to see every chain as it is shipped to the EMC
+// (inspection and debugging; cmd/emcsim -chains). Call it before the run
+// starts. f must not mutate the chain or retain its slices: the EMC writes
+// LiveOuts at completion. Observing never changes the run's Result.
+func (s *System) ObserveChains(f func(*cpu.Chain)) { s.onChain = f }
+
 // shipChain sends a generated chain to the MC owning the source line's
 // channel, as multiple data-ring flits. The ring delivers each (src, dst)
 // flow in order, so only the last flit carries the chain: its arrival
@@ -758,8 +762,8 @@ func (s *System) step() {
 //
 //simlint:noalloc
 func (s *System) shipChain(core int, ch *cpu.Chain) {
-	if s.cfg.OnChain != nil {
-		s.cfg.OnChain(ch)
+	if s.onChain != nil {
+		s.onChain(ch)
 	}
 	mc := s.mcOf(ch.SourceLine)
 	flits := (ch.Bytes() + 63) / 64
