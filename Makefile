@@ -106,16 +106,24 @@ heal-smoke:
 
 # Microbenchmark snapshot: every benchmark in the simulator core,
 # interconnect, and DRAM packages, captured as JSON so a later session (or
-# CI's bench job) can diff allocation and latency regressions. The iteration
-# count is pinned (not time-based) so allocs/op is deterministic: warm-up
-# loops inside the benchmarks reach steady-state pool/queue capacity, and at
-# 100 measured iterations any per-op allocation shows up as >= 1 alloc/op
-# instead of being rounded away.
+# CI's bench job) can diff allocation and latency regressions. Two runs:
+#
+# - The allocation run pins the iteration count (not time-based) so
+#   allocs/op is deterministic: warm-up loops inside the benchmarks reach
+#   steady-state pool/queue capacity, and at 100 measured iterations any
+#   per-op allocation shows up as >= 1 alloc/op instead of being rounded
+#   away. Its ns/op is too short to time anything.
+# - The timing run repeats the four System.Step benchmarks 5 times at
+#   1s each; benchjson -timing replaces each one's ns/op with the median
+#   and adds the min and max ns/op and ns per simulated cycle to its entry.
 BENCHTIME ?= 100x
 bench:
 	$(GO) test -run xxx -bench . -benchtime=$(BENCHTIME) -count=1 \
 		./internal/sim/ ./internal/interconnect/ ./internal/mem/dram/ ./internal/obs/span/ \
 		| $(GO) run ./cmd/benchjson > BENCH_sim.json
+	$(GO) test -run xxx -bench 'BenchmarkStep(Idle|Saturated|Stream|Chase)$$' \
+		-benchtime=1s -count=5 ./internal/sim/ \
+		| $(GO) run ./cmd/benchjson -timing BENCH_sim.json
 	@echo wrote BENCH_sim.json
 	$(GO) run ./cmd/benchjson -check-noalloc BENCH_sim.json
 	$(GO) run ./cmd/benchjson -trend BENCH_history.jsonl -trend-keep 200 \

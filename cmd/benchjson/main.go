@@ -31,6 +31,17 @@
 // -trend-keep N caps the history: after appending, the file is rotated
 // down to its newest N entries (atomic temp-file + rename), so the series
 // never grows without bound.
+//
+// With -timing it reads the output of a repeated timing run (-count=N at a
+// time-based -benchtime) on stdin and records, in the snapshot's entry for
+// each benchmark, the median, min and max of ns/op over the N runs
+// ("ns/op", which the median replaces, "ns/op.min", "ns/op.max",
+// "timing.runs") and, for a benchmark that reports cycles/op, of ns per
+// simulated cycle ("ns/cycle", "ns/cycle.min", "ns/cycle.max"). Every timed
+// benchmark must already have an entry, so the snapshot's benchmark set
+// stays the allocation run's:
+//
+//	go test -run xxx -bench 'BenchmarkStep' -benchtime=1s -count=5 ./internal/sim/ | benchjson -timing BENCH_sim.json
 package main
 
 import (
@@ -38,7 +49,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -59,7 +72,13 @@ func main() {
 		"commit hash recorded in the -trend entry (empty = \"unknown\")")
 	trendKeep := flag.Int("trend-keep", 0,
 		"rotate the -trend history down to its last N entries after appending (0 = unbounded)")
+	timing := flag.String("timing", "",
+		"merge the median/min/max timing of the repeated bench output on stdin into this snapshot file")
 	flag.Parse()
+
+	if *timing != "" {
+		os.Exit(runTiming(*timing, os.Stdin, os.Stderr))
+	}
 
 	if *checkNoalloc {
 		file := flag.Arg(0)
@@ -276,12 +295,15 @@ func runCheckNoalloc(src, file string) int {
 	return 0
 }
 
-func convert() {
-	out := map[string]map[string]float64{}
-	sc := bufio.NewScanner(os.Stdin)
+// parseBench reads `go test -bench` output, echoing every line to echo so
+// the run stays readable, and returns each benchmark's result lines in
+// order: one per -count repetition.
+func parseBench(in io.Reader, echo io.Writer) (map[string][]map[string]float64, error) {
+	out := map[string][]map[string]float64{}
+	sc := bufio.NewScanner(in)
 	for sc.Scan() {
 		line := sc.Text()
-		fmt.Fprintln(os.Stderr, line) // echo so the run stays readable
+		fmt.Fprintln(echo, line)
 		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
@@ -303,17 +325,28 @@ func convert() {
 			}
 			m[fields[i+1]] = v
 		}
-		out[name] = m
+		out[name] = append(out[name], m)
 	}
 	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		return nil, err
 	}
 	if len(out) == 0 {
 		// An upstream failure (build error, -run filter eating everything)
 		// must not silently produce an empty baseline file.
-		fmt.Fprintln(os.Stderr, "benchjson: no benchmark result lines on stdin (expected `go test -bench` output)")
+		return nil, fmt.Errorf("no benchmark result lines on stdin (expected `go test -bench` output)")
+	}
+	return out, nil
+}
+
+func convert() {
+	runs, err := parseBench(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
+	}
+	out := map[string]map[string]float64{}
+	for name, rs := range runs {
+		out[name] = rs[len(rs)-1]
 	}
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -321,4 +354,70 @@ func convert() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// runTiming merges the spread of a repeated timing run read from in into
+// the snapshot file. Returns the process exit code: 1 when a timed
+// benchmark has no entry in the snapshot, 2 on operational errors.
+func runTiming(snapFile string, in io.Reader, echo io.Writer) int {
+	snap, err := loadSnapshot(snapFile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 2
+	}
+	runs, err := parseBench(in, echo)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 2
+	}
+	for name, rs := range runs {
+		entry, ok := snap[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "benchjson: timed %s has no entry in %s (run the allocation snapshot first)\n", name, snapFile)
+			return 1
+		}
+		var nsOp, nsCycle []float64
+		for _, r := range rs {
+			ns, ok := r["ns/op"]
+			if !ok {
+				continue
+			}
+			nsOp = append(nsOp, ns)
+			if cyc := r["cycles/op"]; cyc > 0 {
+				nsCycle = append(nsCycle, ns/cyc)
+			}
+		}
+		entry["timing.runs"] = float64(len(nsOp))
+		putSpread(entry, "ns/op", nsOp)
+		putSpread(entry, "ns/cycle", nsCycle)
+	}
+	raw, err := json.MarshalIndent(snap, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 2
+	}
+	if err := os.WriteFile(snapFile, append(raw, '\n'), 0o644); err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		return 2
+	}
+	fmt.Fprintf(os.Stderr, "benchjson: merged the timing of %d benchmark(s) into %s\n", len(runs), snapFile)
+	return 0
+}
+
+// putSpread records the median of vs under key and its min and max under
+// key+".min" and key+".max" (nothing when vs is empty). An even count takes
+// the mean of the two middle values.
+func putSpread(entry map[string]float64, key string, vs []float64) {
+	if len(vs) == 0 {
+		return
+	}
+	sort.Float64s(vs)
+	mid := len(vs) / 2
+	med := vs[mid]
+	if len(vs)%2 == 0 {
+		med = (vs[mid-1] + vs[mid]) / 2
+	}
+	entry[key] = med
+	entry[key+".min"] = vs[0]
+	entry[key+".max"] = vs[len(vs)-1]
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -194,5 +195,55 @@ func TestTrendKeepRotates(t *testing.T) {
 	}
 	if got := len(strings.Split(strings.TrimSpace(string(raw2)), "\n")); got != 2 {
 		t.Fatalf("uncapped history has %d lines, want 2", got)
+	}
+}
+
+// timingRun is -count=5 output for one benchmark that reports cycles/op and
+// one that does not.
+const timingRun = `goos: linux
+BenchmarkStepChase-2   	    1200	    900000 ns/op	      1000 cycles/op
+BenchmarkStepChase-2   	    1200	    700000 ns/op	      1000 cycles/op
+BenchmarkStepChase-2   	    1200	    800000 ns/op	      1000 cycles/op
+BenchmarkStepChase-2   	    1200	    600000 ns/op	      1000 cycles/op
+BenchmarkStepChase-2   	    1200	   1000000 ns/op	      2000 cycles/op
+BenchmarkRing-2        	 1000000	        40 ns/op
+BenchmarkRing-2        	 1000000	        50 ns/op
+PASS
+`
+
+func TestTimingMergesSpread(t *testing.T) {
+	snap := writeSnap(t, "snap.json", `{"BenchmarkStepChase": {"allocs/op": 27, "ns/op": 5}, "BenchmarkRing": {"allocs/op": 0}, "BenchmarkOther": {"allocs/op": 0}}`)
+	if code := runTiming(snap, strings.NewReader(timingRun), io.Discard); code != 0 {
+		t.Fatalf("exit %d, want 0", code)
+	}
+	got, err := loadSnapshot(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]map[string]float64{
+		"BenchmarkStepChase": {"allocs/op": 27, "timing.runs": 5,
+			"ns/op": 800000, "ns/op.min": 600000, "ns/op.max": 1000000,
+			"ns/cycle": 700, "ns/cycle.min": 500, "ns/cycle.max": 900},
+		"BenchmarkRing": {"allocs/op": 0, "timing.runs": 2,
+			"ns/op": 45, "ns/op.min": 40, "ns/op.max": 50},
+		"BenchmarkOther": {"allocs/op": 0},
+	}
+	for name, w := range want {
+		if fmt.Sprint(got[name]) != fmt.Sprint(w) {
+			t.Errorf("%s = %v, want %v", name, got[name], w)
+		}
+	}
+	// The allocation profile is untouched, so the merged snapshot still
+	// diffs clean against the one it started from.
+	base := writeSnap(t, "base.json", `{"BenchmarkStepChase": {"allocs/op": 27}, "BenchmarkRing": {"allocs/op": 0}, "BenchmarkOther": {"allocs/op": 0}}`)
+	if code := runDiffAllocs(base, snap); code != 0 {
+		t.Fatalf("diff-allocs after timing merge: exit %d, want 0", code)
+	}
+}
+
+func TestTimingUnknownBenchmark(t *testing.T) {
+	snap := writeSnap(t, "snap.json", `{"BenchmarkRing": {"allocs/op": 0}}`)
+	if code := runTiming(snap, strings.NewReader(timingRun), io.Discard); code != 1 {
+		t.Fatalf("timed benchmark missing from the snapshot: exit %d, want 1", code)
 	}
 }

@@ -161,6 +161,7 @@ func (c *Core) TakeReadyChain(now uint64) *Chain {
 		if ch.GeneratedAt != 0 || now < ch.ReadyAt {
 			continue
 		}
+		c.wake = 0
 		if !c.chainStillIdle(ch) {
 			c.Stats.ChainCancels++
 			c.chains = append(c.chains[:i], c.chains[i+1:]...) //simlint:allocok removal in place, never grows
@@ -419,6 +420,7 @@ func (c *Core) chainSpillStore(ldIdx int32) int32 {
 // returns true when a memory-ordering conflict exists (an older non-chain
 // store to the same address), in which case the caller must abort the chain.
 func (c *Core) RemoteMemExecuted(robIdx int32, vaddr uint64) (conflict bool) {
+	c.wake = 0
 	e := c.slot(robIdx)
 	if c.st[robIdx] == stEmpty {
 		return false
@@ -450,6 +452,7 @@ func (c *Core) RemoteMemExecuted(robIdx int32, vaddr uint64) (conflict bool) {
 // values[i] corresponds to chain.Uops[i].
 func (c *Core) CompleteRemoteChain(ch *Chain, values []uint64, now uint64) {
 	c.now = now
+	c.wake = 0
 	if ch.SourceFilledAt > 0 && now > ch.SourceFilledAt {
 		c.Stats.ChainDeliverySum += now - ch.SourceFilledAt
 		c.Stats.ChainDeliveryCount++
@@ -482,6 +485,7 @@ func (c *Core) CompleteRemoteChain(ch *Chain, values []uint64, now uint64) {
 // AbortRemoteChain reverts chain members to local execution (EMC TLB miss,
 // mispredicted branch, memory disambiguation conflict, or context shortage).
 func (c *Core) AbortRemoteChain(ch *Chain) {
+	c.wake = 0
 	for i, cu := range ch.Uops {
 		if i == 0 {
 			continue

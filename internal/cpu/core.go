@@ -347,6 +347,12 @@ type Core struct {
 	// icFillAt is the cycle a pending I-cache fill completes; fetch stalls
 	// until then.
 	icFillAt uint64
+
+	// wake caches NextEvent as of the last Tick: before that cycle a Tick
+	// would be a no-op apart from the counters SkipIdle credits. Every input
+	// method resets it to 0 (due), so the system may skip this core's Tick
+	// while Wake() > now (DESIGN.md §8.1).
+	wake uint64
 }
 
 type storeWrite struct {
@@ -403,8 +409,17 @@ func (c *Core) ID() int { return c.cfg.ID }
 // Config returns the core's configuration.
 func (c *Core) Config() Config { return c.cfg }
 
-// L1D exposes the data cache (directory maintenance by the uncore).
-func (c *Core) L1D() *cache.Cache { return c.l1d }
+// InvalidateL1D drops a line from the data cache (the inclusive LLC evicted
+// it).
+func (c *Core) InvalidateL1D(lineAddr uint64) {
+	c.wake = 0
+	c.l1d.Invalidate(lineAddr << cache.LineShift)
+}
+
+// Wake returns the first cycle at which the core must tick again: NextEvent
+// as of its last Tick, or 0 when an input has arrived since. While Wake() >
+// now, Tick(now) would only advance the counters SkipIdle(now-1, 1) credits.
+func (c *Core) Wake() uint64 { return c.wake }
 
 // ROBOccupancy returns the number of in-flight ROB entries (a live gauge
 // for the observability layer).
@@ -470,6 +485,7 @@ func (c *Core) Tick(now uint64) {
 	c.dispatch()
 	c.maybeStartChain()
 	c.maybeRunahead()
+	c.wake = c.NextEvent(now)
 }
 
 // ---- Retire ----------------------------------------------------------------
@@ -761,6 +777,7 @@ func (c *Core) translate(vaddr uint64) (paddr uint64, lat int) {
 // victim line (if any) so the caller can maintain the LLC directory.
 func (c *Core) Fill(lineAddr uint64, now uint64) (victim uint64, hadVictim bool) {
 	c.now = now
+	c.wake = 0
 	m := c.msh.Complete(lineAddr)
 	if m == nil {
 		return 0, false
@@ -978,6 +995,7 @@ func (c *Core) BranchPredictor() *bpred.Predictor { return c.bp }
 // TLB-shootdown path; the system propagates it to the EMC TLBs via the
 // PTE's residence bit, §4.1.4).
 func (c *Core) ShootdownTLB(vaddr uint64) {
+	c.wake = 0
 	c.tlb.Invalidate(vaddr, c.pt.Shift())
 }
 
@@ -998,11 +1016,11 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	// fixed point: blockedLd -> readyQ -> blockedLd in identical order with no
 	// counter or architectural change, so those cycles are skippable. The
 	// blocking store resolves only through an event this function already
-	// accounts for (a wheel completion waking it, or an external fill/ring
-	// message that wakes the whole system). Loads parked for any other reason
-	// (MSHR pressure) keep forcing per-cycle ticking. Run tokens hold only
-	// loads still blocked on an unresolved store (settleRuns keeps them so
-	// between Ticks), so a run is skipped whole.
+	// accounts for (a wheel completion waking it, or CompleteRemoteChain,
+	// an input method, which resets the wake cache). Loads parked for any
+	// other reason (MSHR pressure) keep forcing per-cycle ticking. Run tokens
+	// hold only loads still blocked on an unresolved store (settleRuns keeps
+	// them so between Ticks), so a run is skipped whole.
 	for _, idx := range c.blockedLd {
 		if idx >= 0 && !c.stillBlocked(idx) {
 			return now + 1
@@ -1098,9 +1116,11 @@ func (c *Core) dispatchHorizon(now uint64) uint64 {
 }
 
 // SkipIdle credits delta skipped cycles' worth of the per-cycle counters an
-// idle Tick would have accumulated. It must only be called when
-// NextEvent(now) > now+delta for every component in the system: the skipped
-// Ticks are then pure no-ops apart from these counters.
+// idle Tick would have accumulated, for the cycles now+1 through now+delta.
+// It must only be called when NextEvent(now) > now+delta and no input
+// arrives in between (the event-horizon skip, or Wake() > now+1 for
+// SkipIdle(now, 1)): the skipped Ticks are then pure no-ops apart from
+// these counters.
 func (c *Core) SkipIdle(now, delta uint64) {
 	c.Stats.Cycles += delta
 	if c.robCount > 0 {

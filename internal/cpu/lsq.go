@@ -87,6 +87,7 @@ func (c *Core) issueLoad(idx int32) bool {
 // and loads whose own address was tainted are counted as dependent misses
 // and train the dependence counter's producers.
 func (c *Core) NoteLLCMiss(lineAddr uint64) {
+	c.wake = 0
 	m := c.msh.Lookup(lineAddr)
 	if m == nil {
 		return

@@ -195,6 +195,11 @@ type EMC struct {
 	// return: a returned slice is valid until the next of those calls.
 	acts []Action
 
+	// wake caches NextEvent as of the last Tick, reset to 0 (due) by every
+	// input method but TrainMissPredictor, so the system may skip Tick
+	// while Wake() > now (DESIGN.md §8.1).
+	wake uint64
+
 	Stats Stats
 }
 
@@ -233,8 +238,28 @@ func (e *EMC) ActiveContexts() int {
 	return n
 }
 
-// TLB returns the per-core EMC TLB.
+// TLB returns the per-core EMC TLB (inspection; the system changes it
+// through InsertPTE and ShootdownTLB).
 func (e *EMC) TLB(core int) *vm.EMCTLB { return e.tlbs[core] }
+
+// InsertPTE installs a translation the home core sent after a TLB-miss
+// abort.
+func (e *EMC) InsertPTE(core int, vaddr uint64, pte *vm.PTE) {
+	e.wake = 0
+	e.tlbs[core].Insert(vaddr, pte)
+}
+
+// ShootdownTLB drops a core's translation for vaddr (an OS TLB shootdown
+// that the PTE's residence bit says reached this EMC, §4.1.4).
+func (e *EMC) ShootdownTLB(core int, vaddr uint64) {
+	e.wake = 0
+	e.tlbs[core].Invalidate(vaddr)
+}
+
+// Wake returns the first cycle at which the EMC must tick again: NextEvent
+// as of its last Tick, or 0 when an input has arrived since. While Wake() >
+// now, Tick(now) is a no-op.
+func (e *EMC) Wake() uint64 { return e.wake }
 
 // HasFreeContext reports whether a chain can be installed.
 func (e *EMC) HasFreeContext() bool {
@@ -261,6 +286,7 @@ func (e *EMC) BusyContexts() int {
 // whether the source miss is still in flight at this controller; if not, the
 // context triggers immediately. Returns false when no context is free.
 func (e *EMC) InstallChain(ch *cpu.Chain, pte *vm.PTE, sourceVPage uint64, sourceOutstanding bool, now uint64) bool {
+	e.wake = 0
 	var ctx *context
 	for i := range e.ctxs {
 		if !e.ctxs[i].busy {
@@ -304,6 +330,7 @@ func (e *EMC) InstallChain(ch *cpu.Chain, pte *vm.PTE, sourceVPage uint64, sourc
 // and any context waiting on it as its source miss triggers. Returns true
 // if the line entered the EMC cache (the caller sets the LLC directory bit).
 func (e *EMC) OnDRAMFill(lineAddr uint64, now uint64) (cached bool, evicted uint64, hadEvict bool) {
+	e.wake = 0
 	v := e.dcache.Insert(lineAddr<<cache.LineShift, false)
 	for i := range e.ctxs {
 		ctx := &e.ctxs[i]
@@ -321,11 +348,14 @@ func (e *EMC) OnDRAMFill(lineAddr uint64, now uint64) (cached bool, evicted uint
 // InvalidateLine removes a line from the EMC data cache (coherence: a store
 // or eviction elsewhere invalidated it).
 func (e *EMC) InvalidateLine(lineAddr uint64) {
+	e.wake = 0
 	e.dcache.Invalidate(lineAddr << cache.LineShift)
 }
 
 // TrainMissPredictor updates the PC-hashed 3-bit counters from an observed
-// LLC outcome for a core's load (§4.3, after [47]).
+// LLC outcome for a core's load (§4.3, after [47]). It leaves the wake
+// alone: the counters are read only when a load uop issues, so training
+// cannot wake an idle EMC (DESIGN §8.1).
 func (e *EMC) TrainMissPredictor(core int, pc uint64, miss bool) {
 	if core < 0 || core >= len(e.missPred) {
 		return
@@ -359,6 +389,7 @@ func pcHash(pc uint64) uint64 {
 //
 //simlint:noalloc
 func (e *EMC) FillMem(lineAddr uint64, now uint64) []Action {
+	e.wake = 0
 	e.acts = e.acts[:0]
 	// Wake this line's waiters in issue order, compacting survivors in place.
 	w := 0
@@ -384,6 +415,7 @@ func (e *EMC) FillMem(lineAddr uint64, now uint64) []Action {
 // chain (core-detected conflicts arrive from outside). The returned actions
 // are valid until the next Tick, FillMem or AbortContext on this EMC.
 func (e *EMC) AbortContext(ch *cpu.Chain, reason AbortReason, now uint64) []Action {
+	e.wake = 0
 	e.acts = e.acts[:0]
 	for i := range e.ctxs {
 		ctx := &e.ctxs[i]
@@ -523,6 +555,7 @@ func (e *EMC) Tick(now uint64) []Action {
 			e.finishChain(ci, now)
 		}
 	}
+	e.wake = e.NextEvent(now)
 	return e.acts
 }
 

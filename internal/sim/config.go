@@ -71,9 +71,11 @@ type Config struct {
 	// MaxCycles aborts runaway simulations.
 	MaxCycles uint64
 
-	// DisableCycleSkip turns off the event-horizon scheduler, ticking every
-	// cycle. Results are bit-identical either way (see
-	// TestCycleSkipDeterminism); this exists for that guard and for debugging.
+	// DisableCycleSkip turns off both schedulers, the event-horizon skip of
+	// whole cycles and the per-component wake gate, so every core, EMC and
+	// DRAM controller ticks every cycle. Results are bit-identical either
+	// way (see TestCycleSkipDeterminism); this run is the reference for that
+	// guard and TestCycleSkipLockstep, and a debugging aid.
 	DisableCycleSkip bool
 
 	EMCCfg emc.Config

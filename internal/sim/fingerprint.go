@@ -23,7 +23,8 @@ const fingerprintVersion = "emcfp1"
 //     tracing and live-counter export read timestamps the simulator produces
 //     anyway (TestCycleSkipDeterminism pins this);
 //   - scheduler mode (DisableCycleSkip): results are bit-identical with the
-//     event-horizon scheduler on or off (same guard).
+//     event-horizon skip and the per-component wake gate on or off (same
+//     guard).
 //
 // Every other field is plain data (TestConfigIsPureData keeps it so).
 var fingerprintExcluded = map[string]bool{

@@ -58,7 +58,10 @@ func (s *System) mcWrite(mc *mcNode, r *memReq) {
 }
 
 // mcTick advances one controller: queue retries, DRAM, completions, EMC.
-func (s *System) mcTick(mc *mcNode) {
+// With gate set, the DRAM controller ticks only when its (memoized)
+// NextEvent is due and the EMC only when its cached wake is; a skipped Tick
+// would be a no-op.
+func (s *System) mcTick(mc *mcNode, gate bool) {
 	// Retry rejected enqueues in order.
 	for mc.retryHead < len(mc.retryQ) {
 		dr := mc.retryQ[mc.retryHead]
@@ -73,12 +76,18 @@ func (s *System) mcTick(mc *mcNode) {
 		mc.retryHead = 0
 	}
 
-	for _, done := range mc.ctrl.Tick(s.now) {
-		s.mcComplete(mc, done)
-		mc.ctrl.Release(done)
+	if !gate || mc.ctrl.NextEvent(s.now-1) <= s.now {
+		for _, done := range mc.ctrl.Tick(s.now) {
+			s.mcComplete(mc, done)
+			mc.ctrl.Release(done)
+		}
 	}
 
-	if mc.emc != nil {
+	switch {
+	case mc.emc == nil:
+	case gate && mc.emc.Wake() > s.now:
+		s.gated++
+	default:
 		s.emcActions(mc, mc.emc.Tick(s.now))
 	}
 }

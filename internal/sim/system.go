@@ -204,6 +204,7 @@ type System struct {
 
 	now     uint64
 	skipped uint64 // cycles fast-forwarded by the event-horizon scheduler
+	gated   uint64 // core and EMC ticks skipped on a cached wake (diagnostic)
 	// stalled is set by step when the horizon is empty while a core is
 	// unfinished: nothing can ever happen again, so runLoop reports the
 	// deadlock instead of skipping to MaxCycles.
@@ -575,7 +576,7 @@ func (s *System) Shootdown(core int, vaddr uint64) {
 	}
 	for _, mc := range s.mcs {
 		if mc.emc != nil {
-			mc.emc.TLB(core).Invalidate(vaddr)
+			mc.emc.ShootdownTLB(core, vaddr)
 			s.st.EMCInvals++
 		}
 	}
@@ -589,8 +590,9 @@ func (s *System) Now() uint64 { return s.now }
 func (s *System) SkippedCycles() uint64 { return s.skipped }
 
 // horizon returns the earliest future cycle at which any component can do
-// work, min'd over every NextEvent. Short-circuits on now+1 (nothing to
-// skip), the common case under load.
+// work: the minimum over the rings', slices' and DRAM controllers'
+// NextEvent and the cores' and EMCs' cached wakes. Short-circuits on now+1
+// (nothing to skip), the common case under load.
 //
 //simlint:noalloc
 func (s *System) horizon() uint64 {
@@ -620,19 +622,19 @@ func (s *System) horizon() uint64 {
 			h = d
 		}
 		if mc.emc != nil {
-			if d := mc.emc.NextEvent(now); d < h {
+			if d := mc.emc.Wake(); d < h {
 				h = d
 			}
 		}
 		if h <= now+1 {
-			return h
+			return now + 1
 		}
 	}
 	for _, c := range s.cores {
-		if d := c.NextEvent(now); d < h {
+		if d := c.Wake(); d < h && !c.Finished() {
 			h = d
 			if h <= now+1 {
-				return h
+				return now + 1
 			}
 		}
 	}
@@ -658,12 +660,18 @@ func (s *System) sliceNext(sl *llcSlice, now uint64) uint64 {
 // BenchmarkStepSaturated and BenchmarkStepStream pin it at 0 allocs/op, and
 // the hotalloc analyzer enforces the same property at build time.
 //
+// Two schedulers cut the work, both off under DisableCycleSkip (the
+// every-tick reference): the event horizon skips whole idle cycles, and in
+// the cycles that are stepped, cores, EMCs and DRAM controllers tick only
+// when their own next event is due (DESIGN.md §8.1).
+//
 //simlint:noalloc bench=BenchmarkStep(Idle|Saturated|Stream)
 func (s *System) step() {
+	gate := !s.cfg.DisableCycleSkip
 	// Event-horizon fast-forward: when every component agrees the next
 	// state change is at cycle h > now+1, the Ticks in between are pure
 	// no-ops — jump to h-1 and credit the cores' per-cycle stall counters.
-	if !s.cfg.DisableCycleSkip {
+	if gate {
 		if h := s.horizon(); h > s.now+1 {
 			if h == noEvent && s.unfinished() {
 				s.stalled = true
@@ -715,17 +723,25 @@ func (s *System) step() {
 
 	// 3. Memory controllers: DRAM, retries, EMC execution.
 	for _, mc := range s.mcs {
-		s.mcTick(mc)
+		s.mcTick(mc, gate)
 	}
 
-	// 4. Cores.
+	// 4. Cores. A core whose cached wake lies ahead would only advance its
+	// per-cycle counters, which SkipIdle credits for this one cycle.
 	for _, c := range s.cores {
-		if !c.Finished() {
+		switch {
+		case c.Finished():
+		case gate && c.Wake() > s.now:
+			c.SkipIdle(s.now-1, 1)
+			s.gated++
+		default:
 			c.Tick(s.now)
 		}
 	}
 
-	// 5. Chain shipping and late-disambiguation conflicts.
+	// 5. Chain shipping and late-disambiguation conflicts. Not gated on the
+	// wake: a chain with ReadyAt == now ships this cycle, while NextEvent
+	// reports it at now+1.
 	if s.cfg.EMCEnabled {
 		for i, c := range s.cores {
 			if ch := c.TakeReadyChain(s.now); ch != nil {
@@ -802,8 +818,7 @@ func (s *System) handle(stop int, m *msg) {
 		s.freeReq(m.req)
 	case mL1Inval:
 		s.st.L1Invals++
-		core := s.cores[m.core]
-		core.L1D().Invalidate(m.line << cache.LineShift)
+		s.cores[m.core].InvalidateL1D(m.line)
 	case mEMCInval:
 		s.st.EMCInvals++
 		if e := s.mcs[m.mc].emc; e != nil {
@@ -847,7 +862,7 @@ func (s *System) handle(stop int, m *msg) {
 		s.st.PTEInstalls++
 		mc := s.mcs[m.mc]
 		if mc.emc != nil {
-			mc.emc.TLB(m.core).Insert(m.vaddr, s.pts[m.core].Lookup(m.vaddr))
+			mc.emc.InsertPTE(m.core, m.vaddr, s.pts[m.core].Lookup(m.vaddr))
 		}
 	case mEMCLLCReq:
 		m.req.sliceArrive = s.now
