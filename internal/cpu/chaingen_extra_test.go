@@ -20,7 +20,7 @@ func TestChainCancelledWhenStale(t *testing.T) {
 		c.Tick(cy)
 		if ch := c.TakeReadyChain(cy); ch != nil {
 			got = ch
-			c.AbortRemoteChain(ch)
+			c.AbortRemoteChain(ch, cy+1)
 		}
 		if c.Finished() {
 			break

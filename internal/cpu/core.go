@@ -349,10 +349,17 @@ type Core struct {
 	icFillAt uint64
 
 	// wake caches NextEvent as of the last Tick: before that cycle a Tick
-	// would be a no-op apart from the counters SkipIdle credits. Every input
+	// would be a no-op apart from the counters skipIdle credits. Every input
 	// method resets it to 0 (due), so the system may skip this core's Tick
 	// while Wake() > now (DESIGN.md §8.1).
 	wake uint64
+	// acct is the last cycle whose per-cycle counters are credited. The
+	// cycles after it in which the system skipped this core's Tick are
+	// credited in one skipIdle by the next Tick, input method or Settle.
+	acct uint64
+	// unshipped counts the chains in chains not yet shipped or cancelled,
+	// so TakeReadyChain returns at once when there is none.
+	unshipped int
 }
 
 type storeWrite struct {
@@ -411,15 +418,45 @@ func (c *Core) Config() Config { return c.cfg }
 
 // InvalidateL1D drops a line from the data cache (the inclusive LLC evicted
 // it).
-func (c *Core) InvalidateL1D(lineAddr uint64) {
-	c.wake = 0
+func (c *Core) InvalidateL1D(lineAddr, now uint64) {
+	c.input(now)
 	c.l1d.Invalidate(lineAddr << cache.LineShift)
 }
 
 // Wake returns the first cycle at which the core must tick again: NextEvent
 // as of its last Tick, or 0 when an input has arrived since. While Wake() >
-// now, Tick(now) would only advance the counters SkipIdle(now-1, 1) credits.
+// now, Tick(now) would only advance the per-cycle counters, and the system
+// may skip it: the next Tick, input method or Settle credits them.
 func (c *Core) Wake() uint64 { return c.wake }
+
+// input starts every input method. An input method takes the cycle now
+// whose Tick first sees the input; input credits the skipped cycles before
+// now from the state they saw, and makes the core due.
+//
+//simlint:noalloc
+func (c *Core) input(now uint64) {
+	c.catchUp(now)
+	c.wake = 0
+}
+
+// catchUp credits the per-cycle counters of the cycles after acct and before
+// now. The system skipped the core's Tick in each of them, and no input
+// arrived in between, so each would have been an idle Tick seeing the
+// current state. A finished core never ticks again and is not credited.
+//
+//simlint:noalloc
+func (c *Core) catchUp(now uint64) {
+	if now <= c.acct+1 || c.Finished() {
+		return
+	}
+	c.skipIdle(c.acct, now-1-c.acct)
+	c.acct = now - 1
+}
+
+// Settle credits the per-cycle counters through cycle now, whose step the
+// system has finished. Call it before reading Stats or the debug counters
+// between steps; the result is the same as if every skipped Tick had run.
+func (c *Core) Settle(now uint64) { c.catchUp(now + 1) }
 
 // ROBOccupancy returns the number of in-flight ROB entries (a live gauge
 // for the observability layer).
@@ -475,7 +512,9 @@ func (c *Core) robIndexAt(offset int) int32 {
 // dispatch/fetch — standard reverse-pipeline order so results are visible
 // to younger stages one cycle later.
 func (c *Core) Tick(now uint64) {
+	c.catchUp(now)
 	c.now = now
+	c.acct = now
 	c.Stats.Cycles++
 	c.retire()
 	c.complete()
@@ -776,8 +815,8 @@ func (c *Core) translate(vaddr uint64) (paddr uint64, lat int) {
 // waiting on the line, installs it in the L1D, and returns the evicted
 // victim line (if any) so the caller can maintain the LLC directory.
 func (c *Core) Fill(lineAddr uint64, now uint64) (victim uint64, hadVictim bool) {
+	c.input(now)
 	c.now = now
-	c.wake = 0
 	m := c.msh.Complete(lineAddr)
 	if m == nil {
 		return 0, false
@@ -994,13 +1033,13 @@ func (c *Core) BranchPredictor() *bpred.Predictor { return c.bp }
 // ShootdownTLB removes a translation from the core's TLB (the OS-initiated
 // TLB-shootdown path; the system propagates it to the EMC TLBs via the
 // PTE's residence bit, §4.1.4).
-func (c *Core) ShootdownTLB(vaddr uint64) {
-	c.wake = 0
+func (c *Core) ShootdownTLB(vaddr, now uint64) {
+	c.input(now)
 	c.tlb.Invalidate(vaddr, c.pt.Shift())
 }
 
 // NextEvent reports the earliest future cycle at which Tick can change
-// architectural or statistical state (beyond the bulk counters SkipIdle
+// architectural or statistical state (beyond the bulk counters skipIdle
 // credits). It is a lower bound: waking earlier is harmless because an idle
 // Tick is a pure no-op, waking later would be a bug.
 func (c *Core) NextEvent(now uint64) uint64 {
@@ -1088,7 +1127,7 @@ func (c *Core) dispatchHorizon(now uint64) uint64 {
 		blockTill = c.icFillAt
 	}
 	if now < blockTill {
-		return blockTill // SkipIdle credits FetchStallCycles over the gap
+		return blockTill // skipIdle credits FetchStallCycles over the gap
 	}
 	if c.fetchHold >= 0 {
 		return NoEvent // waits for the mispredicted branch to issue
@@ -1115,13 +1154,14 @@ func (c *Core) dispatchHorizon(now uint64) uint64 {
 	return now + 1
 }
 
-// SkipIdle credits delta skipped cycles' worth of the per-cycle counters an
+// skipIdle credits delta skipped cycles' worth of the per-cycle counters an
 // idle Tick would have accumulated, for the cycles now+1 through now+delta.
 // It must only be called when NextEvent(now) > now+delta and no input
-// arrives in between (the event-horizon skip, or Wake() > now+1 for
-// SkipIdle(now, 1)): the skipped Ticks are then pure no-ops apart from
-// these counters.
-func (c *Core) SkipIdle(now, delta uint64) {
+// arrives in between (catchUp's gap): the skipped Ticks are then pure
+// no-ops apart from these counters.
+//
+//simlint:noalloc
+func (c *Core) skipIdle(now, delta uint64) {
 	c.Stats.Cycles += delta
 	if c.robCount > 0 {
 		e := c.slot(int32(c.robHead))

@@ -33,7 +33,7 @@ func (f *fakeUncore) LoadMiss(m *MissInfo) {
 	if miss {
 		// Report the LLC outcome a little later, like a real slice lookup.
 		f.fills = append(f.fills, fill{line: m.LineAddr, at: m.IssuedAt + f.latency})
-		f.core.NoteLLCMiss(m.LineAddr)
+		f.core.NoteLLCMiss(m.LineAddr, m.IssuedAt)
 	} else {
 		f.fills = append(f.fills, fill{line: m.LineAddr, at: m.IssuedAt + 20})
 	}
@@ -332,7 +332,7 @@ func TestChainAbortRevertsToLocal(t *testing.T) {
 		fu.tick(cy)
 		c.Tick(cy)
 		if ch := c.TakeReadyChain(cy); ch != nil {
-			c.AbortRemoteChain(ch)
+			c.AbortRemoteChain(ch, cy+1)
 			aborted = true
 		}
 		if c.Finished() {
@@ -446,10 +446,10 @@ func TestRemoteMemExecutedConflict(t *testing.T) {
 		fu.tick(cy)
 		c.Tick(cy)
 	}
-	if !c.RemoteMemExecuted(loadSlot, 0x30000) {
+	if !c.RemoteMemExecuted(loadSlot, 0x30000, 121) {
 		t.Error("conflict with a resolved older store should be detected")
 	}
-	if c.RemoteMemExecuted(loadSlot, 0x99999) {
+	if c.RemoteMemExecuted(loadSlot, 0x99999, 121) {
 		t.Error("no conflict expected for a disjoint address")
 	}
 }
@@ -483,7 +483,7 @@ func TestLateDisambiguationCatchesResolvingStore(t *testing.T) {
 	le := c.slot(c.lq[1])
 	le.inChain = true
 	le.chainRef = ch
-	if c.RemoteMemExecuted(c.lq[1], 0x40000) {
+	if c.RemoteMemExecuted(c.lq[1], 0x40000, 51) {
 		t.Fatal("unresolved older store must not conflict yet")
 	}
 	// Let the slow load fill and the store resolve.

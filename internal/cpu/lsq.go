@@ -86,8 +86,8 @@ func (c *Core) issueLoad(idx int32) bool {
 // their results are tainted (dependents of this load are dependent misses),
 // and loads whose own address was tainted are counted as dependent misses
 // and train the dependence counter's producers.
-func (c *Core) NoteLLCMiss(lineAddr uint64) {
-	c.wake = 0
+func (c *Core) NoteLLCMiss(lineAddr, now uint64) {
+	c.input(now)
 	m := c.msh.Lookup(lineAddr)
 	if m == nil {
 		return

@@ -186,7 +186,7 @@ func TestRunShippedLoadAbortDuplicate(t *testing.T) {
 			t.Fatal("shipped load still rides a run")
 		}
 		checkRuns(t, c, cy)
-		c.AbortRemoteChain(ch)
+		c.AbortRemoteChain(ch, cy+1)
 		if c.copies[fillLd] != 2 {
 			t.Fatalf("aborted fill load has %d copies, want 2", c.copies[fillLd])
 		}
@@ -249,7 +249,7 @@ func TestRunInvariantEveryTick(t *testing.T) {
 				for _, bad := range c.TakeConflictedChains() {
 					for i, f := range inFlight {
 						if f.ch == bad {
-							c.AbortRemoteChain(bad)
+							c.AbortRemoteChain(bad, cy+1)
 							inFlight = append(inFlight[:i], inFlight[i+1:]...)
 							checkRuns(t, c, cy)
 							break
@@ -265,7 +265,7 @@ func TestRunInvariantEveryTick(t *testing.T) {
 					f := inFlight[0]
 					inFlight = inFlight[1:]
 					if chains%2 == 0 {
-						c.AbortRemoteChain(f.ch)
+						c.AbortRemoteChain(f.ch, cy+1)
 					} else {
 						c.CompleteRemoteChain(f.ch, f.ch.Evaluate(), cy)
 					}

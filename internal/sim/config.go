@@ -72,10 +72,11 @@ type Config struct {
 	MaxCycles uint64
 
 	// DisableCycleSkip turns off both schedulers, the event-horizon skip of
-	// whole cycles and the per-component wake gate, so every core, EMC and
-	// DRAM controller ticks every cycle. Results are bit-identical either
-	// way (see TestCycleSkipDeterminism); this run is the reference for that
-	// guard and TestCycleSkipLockstep, and a debugging aid.
+	// whole cycles and the per-component wake gate, so every core, EMC,
+	// DRAM controller and LLC slice ticks every cycle. Results are
+	// bit-identical either way (see TestCycleSkipDeterminism); this run is
+	// the reference for that guard and TestCycleSkipLockstep, and a
+	// debugging aid.
 	DisableCycleSkip bool
 
 	EMCCfg emc.Config

@@ -112,6 +112,13 @@ func TestRunHandleCancelMidRun(t *testing.T) {
 	if res.Cycles == 0 {
 		t.Fatal("cancellation landed before any simulation happened")
 	}
+	// No core finished, so each counts every cycle of the partial run,
+	// including the last ones, whose Ticks the wake gate may have skipped.
+	for i, c := range res.Cores {
+		if c.Cycles != res.Cycles {
+			t.Errorf("core %d counted %d cycles of a %d-cycle partial run", i, c.Cycles, res.Cycles)
+		}
+	}
 }
 
 // TestCycleFailpointCrashesRun: arming the sim/cycle failpoint makes a run

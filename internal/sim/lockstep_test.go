@@ -6,11 +6,14 @@ import (
 )
 
 // sigOf is the full counter state compared at every step boundary: system,
-// core, DRAM, EMC and ring stats.
+// core (with the core's debug counters), DRAM, EMC and ring stats. Each core
+// first settles the stall counters of the cycles its Tick was skipped in,
+// which it otherwise credits lazily; settling changes no later count.
 func sigOf(s *System) string {
 	sig := fmt.Sprintf("st=%+v", s.st)
 	for i, c := range s.cores {
-		sig += fmt.Sprintf("|c%d=%+v", i, c.Stats)
+		c.Settle(s.now)
+		sig += fmt.Sprintf("|c%d=%+v dbg=%d/%d/%d", i, c.Stats, c.DbgChainBusy, c.DbgCounterLow, c.DbgStallHeads)
 	}
 	for i, mc := range s.mcs {
 		sig += fmt.Sprintf("|mc%d=%+v q=%d", i, mc.ctrl.Stats, mc.ctrl.QueueOccupancy())
@@ -22,8 +25,8 @@ func sigOf(s *System) string {
 	return sig
 }
 
-// frozenSig is sigOf minus the per-cycle stall counters that SkipIdle credits
-// in bulk (those legitimately advance every ticked cycle inside a skip
+// frozenSig is sigOf minus the per-cycle stall counters that skipped cycles
+// credit in bulk (those legitimately advance every ticked cycle inside a skip
 // window). Everything else must stay constant across skipped cycles.
 func frozenSig(s *System) string {
 	st := s.st
@@ -48,40 +51,48 @@ func frozenSig(s *System) string {
 // TestCycleSkipLockstep runs a skip-enabled System and an every-cycle System
 // side by side and, for every skip window, single-steps the reference system
 // through the window verifying that no component changed state at any skipped
-// cycle (per-cycle stall counters excepted — SkipIdle credits those in bulk).
+// cycle (per-cycle stall counters excepted — those are credited in bulk).
 // This localizes a missed wake-up to the exact cycle and component, where
 // TestCycleSkipDeterminism only detects that one exists.
 //
-// Two variants: the EMC+prefetcher mix (every wake-up source live), and a
+// Three variants: the EMC+prefetcher mix (every wake-up source live), a
 // refresh-heavy timing where due refresh epochs bound nearly every window —
 // if the refresh-aware horizon or the blocked-load fixed point ever skipped a
-// cycle that mattered, the guilty cycle is named here.
+// cycle that mattered, the guilty cycle is named here — and the bench's
+// chase point, 4x mcf with the EMC and no prefetcher, where chains ship and
+// abort while their cores sit gated.
 func TestCycleSkipLockstep(t *testing.T) {
+	hmix := []string{"mcf", "lbm", "milc", "omnetpp"}
 	cases := []struct {
-		name  string
-		tweak func(*Config)
+		name       string
+		benchmarks []string
+		tweak      func(*Config)
 	}{
-		{"hmix-emc-ghb", func(c *Config) {
+		{"hmix-emc-ghb", hmix, func(c *Config) {
 			c.EMCEnabled = true
 			c.Prefetcher = PFGHB
 		}},
-		{"hmix-refresh-heavy", func(c *Config) {
+		{"hmix-refresh-heavy", hmix, func(c *Config) {
 			c.EMCEnabled = true
 			c.Timing.TREFI = 800
 			c.Timing.TRFC = 128
+		}},
+		{"mcf-x4-emc", []string{"mcf", "mcf", "mcf", "mcf"}, func(c *Config) {
+			c.EMCEnabled = true
+			c.Prefetcher = PFNone
 		}},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			lockstepRun(t, tc.tweak)
+			lockstepRun(t, tc.benchmarks, tc.tweak)
 		})
 	}
 }
 
-func lockstepRun(t *testing.T, tweak func(*Config)) {
-	cfg := skipCfg([]string{"mcf", "lbm", "milc", "omnetpp"}, 1)
+func lockstepRun(t *testing.T, benchmarks []string, tweak func(*Config)) {
+	cfg := skipCfg(benchmarks, 1)
 	tweak(&cfg)
 
 	cfgA := cfg

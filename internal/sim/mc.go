@@ -213,7 +213,7 @@ func (s *System) emcFill(mc *mcNode, r *memReq) {
 // installChain delivers a fully received chain packet to the EMC.
 func (s *System) installChain(mc *mcNode, ch *cpu.Chain) {
 	if mc.emc == nil {
-		s.cores[ch.CoreID].AbortRemoteChain(ch)
+		s.cores[ch.CoreID].AbortRemoteChain(ch, s.now)
 		return
 	}
 	// PTE piggyback: the source page's translation rides along if its
@@ -236,7 +236,7 @@ func (s *System) installChain(mc *mcNode, ch *cpu.Chain) {
 	}
 	if !mc.emc.InstallChain(ch, ship, ch.SourceVA>>s.cfg.PageShift, outstanding, s.now) {
 		s.st.ChainRejects++
-		s.cores[ch.CoreID].AbortRemoteChain(ch)
+		s.cores[ch.CoreID].AbortRemoteChain(ch, s.now)
 		return
 	}
 	s.activeChains[ch] = mc.id

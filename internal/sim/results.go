@@ -179,6 +179,7 @@ func (r *Result) AvgChainLength() float64 {
 func (s *System) collect() *Result {
 	r := &Result{Config: s.cfg, Cycles: s.now, Sys: s.st}
 	for i, c := range s.cores {
+		c.Settle(s.now)
 		st := c.Stats
 		cy := st.Cycles
 		ipc := 0.0

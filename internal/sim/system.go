@@ -102,7 +102,8 @@ type llcSlice struct {
 	c        *cache.Cache
 	// lookupQ/fillQ are time-sorted (constant per-kind latency, monotone
 	// enqueue times); lkHead/flHead index the consumed prefix so draining
-	// never reallocates.
+	// never reallocates. System.sliceDue holds the earliest head over all
+	// slices.
 	lookupQ []sliceEvent
 	fillQ   []sliceEvent
 	lkHead  int
@@ -205,6 +206,11 @@ type System struct {
 	now     uint64
 	skipped uint64 // cycles fast-forwarded by the event-horizon scheduler
 	gated   uint64 // core and EMC ticks skipped on a cached wake (diagnostic)
+	// sliceDue is the earliest at over every slice's lookupQ and fillQ
+	// heads, noEvent when all are empty: handle lowers it when it enqueues,
+	// and the slice pass recomputes it, so step and horizon need not scan
+	// idle slices.
+	sliceDue uint64
 	// stalled is set by step when the horizon is empty while a core is
 	// unfinished: nothing can ever happen again, so runLoop reports the
 	// deadlock instead of skipping to MaxCycles.
@@ -347,7 +353,8 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, frames: vm.NewFrameAllocator(), activeChains: map[*cpu.Chain]int{}}
+	s := &System{cfg: cfg, frames: vm.NewFrameAllocator(), activeChains: map[*cpu.Chain]int{},
+		sliceDue: noEvent}
 	n := len(cfg.Benchmarks)
 
 	// Topology: one ring stop per core (shared with its LLC slice), then the
@@ -569,7 +576,7 @@ func (s *System) Step() { s.step() }
 // residence-bit scheme — the EMC TLB entry is invalidated only if the PTE
 // says a copy lives there, saving broadcast traffic otherwise.
 func (s *System) Shootdown(core int, vaddr uint64) {
-	s.cores[core].ShootdownTLB(vaddr)
+	s.cores[core].ShootdownTLB(vaddr, s.now+1)
 	pte := s.pts[core].Lookup(vaddr)
 	if !pte.EMCResident {
 		return
@@ -590,9 +597,9 @@ func (s *System) Now() uint64 { return s.now }
 func (s *System) SkippedCycles() uint64 { return s.skipped }
 
 // horizon returns the earliest future cycle at which any component can do
-// work: the minimum over the rings', slices' and DRAM controllers'
-// NextEvent and the cores' and EMCs' cached wakes. Short-circuits on now+1
-// (nothing to skip), the common case under load.
+// work: the minimum over the rings' and DRAM controllers' NextEvent, the
+// slices' stored due cycle and the cores' and EMCs' cached wakes.
+// Short-circuits on now+1 (nothing to skip), the common case under load.
 //
 //simlint:noalloc
 func (s *System) horizon() uint64 {
@@ -604,13 +611,11 @@ func (s *System) horizon() uint64 {
 	if d := s.data.NextEvent(now); d < h {
 		return d // rings report either now+1 or NoEvent
 	}
-	for _, sl := range s.slices {
-		if d := s.sliceNext(sl, now); d < h {
-			h = d
-			if h <= now+1 {
-				return h
-			}
+	if d := s.sliceDue; d < h {
+		if d <= now+1 {
+			return now + 1
 		}
+		h = d
 	}
 	for _, mc := range s.mcs {
 		if mc.retryHead < len(mc.retryQ) {
@@ -641,36 +646,27 @@ func (s *System) horizon() uint64 {
 	return h
 }
 
-//simlint:noalloc
-func (s *System) sliceNext(sl *llcSlice, now uint64) uint64 {
-	h := uint64(noEvent)
-	if sl.lkHead < len(sl.lookupQ) {
-		h = sl.lookupQ[sl.lkHead].at
-	}
-	if sl.flHead < len(sl.fillQ) && sl.fillQ[sl.flHead].at < h {
-		h = sl.fillQ[sl.flHead].at
-	}
-	if h <= now {
-		return now + 1
-	}
-	return h
-}
-
 // step advances one cycle. It is the per-cycle hot path: BenchmarkStepIdle,
 // BenchmarkStepSaturated and BenchmarkStepStream pin it at 0 allocs/op, and
 // the hotalloc analyzer enforces the same property at build time.
 //
 // Two schedulers cut the work, both off under DisableCycleSkip (the
 // every-tick reference): the event horizon skips whole idle cycles, and in
-// the cycles that are stepped, cores, EMCs and DRAM controllers tick only
-// when their own next event is due (DESIGN.md §8.1).
+// the cycles that are stepped, only the components with something due do
+// work. Ring delivery stops at the last queued message, the slice pass
+// runs only when sliceDue is reached, cores, EMCs and DRAM controllers
+// tick only when their own next event is due, and a core with no unshipped
+// chain answers TakeReadyChain at once. A core whose Tick is skipped
+// credits its per-cycle stall counters later, in one catch-up (DESIGN.md
+// §8.1).
 //
 //simlint:noalloc bench=BenchmarkStep(Idle|Saturated|Stream)
 func (s *System) step() {
 	gate := !s.cfg.DisableCycleSkip
 	// Event-horizon fast-forward: when every component agrees the next
 	// state change is at cycle h > now+1, the Ticks in between are pure
-	// no-ops — jump to h-1 and credit the cores' per-cycle stall counters.
+	// no-ops — jump to h-1. The cores credit the skipped cycles' stall
+	// counters when they next tick or take input.
 	if gate {
 		if h := s.horizon(); h > s.now+1 {
 			if h == noEvent && s.unfinished() {
@@ -682,13 +678,7 @@ func (s *System) step() {
 				target = s.cfg.MaxCycles
 			}
 			if target > s.now {
-				delta := target - s.now
-				for _, c := range s.cores {
-					if !c.Finished() {
-						c.SkipIdle(s.now, delta)
-					}
-				}
-				s.skipped += delta
+				s.skipped += target - s.now
 				s.now = target
 			}
 		}
@@ -697,11 +687,13 @@ func (s *System) step() {
 	s.now++
 	s.st.Cycles = s.now
 
-	// 1. Interconnect: advance and deliver. Delivered ring Messages and
-	// their *msg payloads are recycled here; handle() must not retain them.
+	// 1. Interconnect: advance and deliver, stopping once every inbox is
+	// empty (a same-stop Send from handle raises Queued and keeps the loop
+	// going). Delivered ring Messages and their *msg payloads are recycled
+	// here; handle() must not retain them.
 	s.ctrl.Tick(s.now)
 	s.data.Tick(s.now)
-	for stop := 0; stop < s.ctrl.Stops(); stop++ {
+	for stop := 0; stop < s.ctrl.Stops() && s.ctrl.Queued()+s.data.Queued() > 0; stop++ {
 		for _, dm := range s.ctrl.Deliver(stop) {
 			m := dm.Payload.(*msg)
 			s.ctrl.Recycle(dm)
@@ -717,8 +709,14 @@ func (s *System) step() {
 	}
 
 	// 2. LLC slices: complete due lookups and fills.
-	for _, sl := range s.slices {
-		s.sliceTick(sl)
+	if !gate || s.sliceDue <= s.now {
+		due := uint64(noEvent)
+		for _, sl := range s.slices {
+			if d := s.sliceTick(sl); d < due {
+				due = d
+			}
+		}
+		s.sliceDue = due
 	}
 
 	// 3. Memory controllers: DRAM, retries, EMC execution.
@@ -727,12 +725,12 @@ func (s *System) step() {
 	}
 
 	// 4. Cores. A core whose cached wake lies ahead would only advance its
-	// per-cycle counters, which SkipIdle credits for this one cycle.
+	// per-cycle counters, which it credits when it next ticks or takes
+	// input.
 	for _, c := range s.cores {
 		switch {
 		case c.Finished():
 		case gate && c.Wake() > s.now:
-			c.SkipIdle(s.now-1, 1)
 			s.gated++
 		default:
 			c.Tick(s.now)
@@ -741,7 +739,8 @@ func (s *System) step() {
 
 	// 5. Chain shipping and late-disambiguation conflicts. Not gated on the
 	// wake: a chain with ReadyAt == now ships this cycle, while NextEvent
-	// reports it at now+1.
+	// reports it at now+1. Both come after the cores' step for now, so an
+	// abort here is an input arriving at now+1.
 	if s.cfg.EMCEnabled {
 		for i, c := range s.cores {
 			if ch := c.TakeReadyChain(s.now); ch != nil {
@@ -752,7 +751,7 @@ func (s *System) step() {
 					s.sendCtrl(s.coreStop[i], s.mcs[mcID].stop,
 						msg{kind: mConflictAbort, chain: ch, mc: mcID})
 				} else {
-					c.AbortRemoteChain(ch)
+					c.AbortRemoteChain(ch, s.now+1)
 				}
 			}
 		}
@@ -801,16 +800,14 @@ func (s *System) handle(stop int, m *msg) {
 		if m.req.trace != nil {
 			s.tr.StampEvent(m.req.trace, obs.StageSliceReach, s.now)
 		}
-		sl := s.sliceOf(m.req.line)
-		sl.lookupQ = append(sl.lookupQ, sliceEvent{at: s.now + uint64(s.cfg.LLCLatency), req: m.req})
+		s.sliceEnqueue(&s.sliceOf(m.req.line).lookupQ, s.now+uint64(s.cfg.LLCLatency), m.req)
 	case mHitData, mFillToCore:
 		s.deliverFill(m.req)
 		s.freeReq(m.req)
 	case mReqToMC:
 		s.mcAdmit(s.mcOf(m.req.line), m.req)
 	case mFillToSlice:
-		sl := s.sliceOf(m.req.line)
-		sl.fillQ = append(sl.fillQ, sliceEvent{at: s.now + uint64(s.cfg.LLCFillLatency), req: m.req})
+		s.sliceEnqueue(&s.sliceOf(m.req.line).fillQ, s.now+uint64(s.cfg.LLCFillLatency), m.req)
 	case mStore:
 		s.sliceStore(m.req)
 	case mWriteback:
@@ -818,7 +815,7 @@ func (s *System) handle(stop int, m *msg) {
 		s.freeReq(m.req)
 	case mL1Inval:
 		s.st.L1Invals++
-		s.cores[m.core].InvalidateL1D(m.line)
+		s.cores[m.core].InvalidateL1D(m.line, s.now)
 	case mEMCInval:
 		s.st.EMCInvals++
 		if e := s.mcs[m.mc].emc; e != nil {
@@ -836,7 +833,7 @@ func (s *System) handle(stop int, m *msg) {
 		s.cores[m.core].CompleteRemoteChain(m.chain, m.values, s.now)
 		delete(s.activeChains, m.chain)
 	case mChainAbort:
-		s.cores[m.core].AbortRemoteChain(m.chain)
+		s.cores[m.core].AbortRemoteChain(m.chain, s.now)
 		delete(s.activeChains, m.chain)
 		if m.reason == emc.AbortTLBMiss {
 			// The core responds with the missing translation so the next
@@ -848,7 +845,7 @@ func (s *System) handle(stop int, m *msg) {
 		}
 	case mMemExec:
 		robIdx := m.chain.Uops[m.uopIdx].RobIdx
-		conflict := s.cores[m.core].RemoteMemExecuted(robIdx, m.vaddr)
+		conflict := s.cores[m.core].RemoteMemExecuted(robIdx, m.vaddr, s.now)
 		if conflict {
 			s.sendCtrl(s.coreStop[m.core], s.mcs[m.mc].stop,
 				msg{kind: mConflictAbort, chain: m.chain, mc: m.mc})
@@ -869,8 +866,7 @@ func (s *System) handle(stop int, m *msg) {
 		if m.req.trace != nil {
 			s.tr.StampEvent(m.req.trace, obs.StageSliceReach, s.now)
 		}
-		sl := s.sliceOf(m.req.line)
-		sl.lookupQ = append(sl.lookupQ, sliceEvent{at: s.now + uint64(s.cfg.LLCLatency), req: m.req})
+		s.sliceEnqueue(&s.sliceOf(m.req.line).lookupQ, s.now+uint64(s.cfg.LLCLatency), m.req)
 	case mEMCLLCData:
 		s.emcFill(s.mcs[m.req.emcMC], m.req)
 		s.freeReq(m.req)
@@ -927,7 +923,18 @@ func (s *System) deliverFill(r *memReq) {
 
 // ---- LLC slice behaviour --------------------------------------------------------
 
-func (s *System) sliceTick(sl *llcSlice) {
+// sliceEnqueue appends a lookup or fill due at cycle at to a slice queue and
+// lowers sliceDue to it.
+func (s *System) sliceEnqueue(q *[]sliceEvent, at uint64, r *memReq) {
+	*q = append(*q, sliceEvent{at: at, req: r})
+	if at < s.sliceDue {
+		s.sliceDue = at
+	}
+}
+
+// sliceTick completes a slice's due lookups and fills and returns the cycle
+// its earliest remaining event is due, noEvent when none is queued.
+func (s *System) sliceTick(sl *llcSlice) uint64 {
 	for sl.lkHead < len(sl.lookupQ) && sl.lookupQ[sl.lkHead].at <= s.now {
 		req := sl.lookupQ[sl.lkHead].req
 		sl.lookupQ[sl.lkHead] = sliceEvent{}
@@ -948,6 +955,14 @@ func (s *System) sliceTick(sl *llcSlice) {
 		sl.fillQ = sl.fillQ[:0]
 		sl.flHead = 0
 	}
+	due := uint64(noEvent)
+	if sl.lkHead < len(sl.lookupQ) {
+		due = sl.lookupQ[sl.lkHead].at
+	}
+	if sl.flHead < len(sl.fillQ) && sl.fillQ[sl.flHead].at < due {
+		due = sl.fillQ[sl.flHead].at
+	}
+	return due
 }
 
 func (s *System) sliceLookup(sl *llcSlice, r *memReq) {
@@ -1008,7 +1023,7 @@ func (s *System) sliceLookup(sl *llcSlice, r *memReq) {
 		return
 	}
 	if !r.fromEMC {
-		s.cores[r.core].NoteLLCMiss(r.line)
+		s.cores[r.core].NoteLLCMiss(r.line, s.now)
 		if r.dependent {
 			s.st.DepMisses++
 		}
