@@ -36,15 +36,16 @@ lint-canary:
 	GO="$(GO)" sh scripts/lint_canary.sh
 
 # Tier-1 gate: build everything, vet + simlint, run the full test suite,
-# the race-enabled suites over the simulator core, the job scheduler, and
-# the cluster fabric, and the observability end-to-end smoke.
+# the race-enabled suites over the simulator core, the uop feed and its
+# producer goroutines, the job scheduler, and the cluster fabric, and the
+# observability end-to-end smoke.
 test: build vet lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/sim/... ./internal/service/... ./internal/obs/... ./internal/cluster/...
+	$(GO) test -race ./internal/sim/... ./internal/trace/... ./internal/service/... ./internal/obs/... ./internal/cluster/...
 	$(MAKE) trace-smoke
 
 race:
-	$(GO) test -race ./internal/sim/... ./internal/service/... ./internal/obs/... ./internal/cluster/...
+	$(GO) test -race ./internal/sim/... ./internal/trace/... ./internal/service/... ./internal/obs/... ./internal/cluster/...
 
 # Process smokes (cmd/smoke): each target is one scenario of one Go harness,
 # which builds emcserve, emcctl, emcsim and tracecheck once into a temporary

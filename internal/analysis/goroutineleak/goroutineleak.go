@@ -1,5 +1,6 @@
 // Package goroutineleak audits every `go` statement in the service and
-// cluster layers for a reachable stop path. The fabric's shutdown story
+// cluster layers and the trace package's uop producers for a reachable
+// stop path. The fabric's shutdown story
 // (Service.Close/Drain, Node.Close) waits on WaitGroups; a goroutine whose
 // loop can spin without ever observing a stop signal turns those joins into
 // hangs — exactly the bug class the breaker loops, anti-entropy ticker, and
@@ -35,15 +36,16 @@ import (
 
 // ScopePattern selects the packages whose goroutines are audited: the
 // long-lived serving layers, where a leaked goroutine outlives the job
-// that spawned it. Simulation code does not spawn goroutines; cmds are
-// process-lifetime. The testdata fixture trees embed these paths so the
-// same default applies.
-var ScopePattern = regexp.MustCompile(`internal/(service|cluster)(/|$)`)
+// that spawned it, and the trace package, whose per-core uop producers
+// must stop when their run does (every run exit stops and joins them). The
+// rest of the simulation spawns no goroutines; cmds are process-lifetime.
+// The testdata fixture trees embed these paths so the same default applies.
+var ScopePattern = regexp.MustCompile(`internal/(service|cluster|trace)(/|$)`)
 
 // Analyzer is the goroutineleak pass.
 var Analyzer = &framework.Analyzer{
 	Name: "goroutineleak",
-	Doc: "every goroutine in service/cluster needs a reachable stop path\n\n" +
+	Doc: "every goroutine in service/cluster/trace needs a reachable stop path\n\n" +
 		"Unbounded loops inside spawned goroutines must observe a stop channel, context cancel, channel close, or condition-variable wait, or Close/Drain joins hang.",
 	RunModule: runModule,
 }

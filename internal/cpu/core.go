@@ -5,7 +5,7 @@
 // and the dependence-chain generation unit of §4.2 of the paper.
 //
 // The core is trace driven: it pulls value-consistent uops from a
-// trace.Reader and executes them functionally, so register values (and thus
+// trace.Feed and executes them functionally, so register values (and thus
 // the live-ins shipped to the Enhanced Memory Controller) are real.
 package cpu
 
@@ -226,7 +226,7 @@ type Stats struct {
 // Core is one simulated out-of-order core.
 type Core struct {
 	cfg      Config
-	feed     *peekFeed
+	feed     *trace.Feed
 	done     bool // trace exhausted
 	finished bool // Finished() latched true (monotone once done+drained)
 	uncore   Uncore
@@ -367,11 +367,11 @@ type storeWrite struct {
 	vaddr    uint64
 }
 
-// New builds a core over a trace feed, a page table, and an uncore.
-func New(cfg Config, feed trace.Reader, pt *vm.PageTable, uncore Uncore) *Core {
+// New builds a core over a uop feed, a page table, and an uncore.
+func New(cfg Config, feed *trace.Feed, pt *vm.PageTable, uncore Uncore) *Core {
 	c := &Core{
 		cfg:    cfg,
-		feed:   newPeekFeed(feed),
+		feed:   feed,
 		uncore: uncore,
 		pt:     pt,
 		tlb:    vm.NewTLB(cfg.TLBEntries, cfg.TLBWalkLat),
@@ -867,12 +867,10 @@ func (c *Core) dispatch() {
 			if c.done {
 				return
 			}
-			uu, ok := c.feed.Next()
-			if !ok {
+			if !c.feed.Next(&c.fetchBuf) {
 				c.done = true
 				return
 			}
-			c.fetchBuf = uu
 			u = &c.fetchBuf
 		}
 		// LSQ capacity.

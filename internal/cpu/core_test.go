@@ -61,7 +61,7 @@ func buildCore(t *testing.T, uops []isa.Uop, missLatency uint64, tweak func(*Con
 	}
 	fu := &fakeUncore{latency: missLatency, llcMiss: nil}
 	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
-	c := New(cfg, &trace.SliceReader{Uops: uops}, pt, fu)
+	c := New(cfg, trace.NewFeed(&trace.SliceReader{Uops: uops}, uint64(len(uops))), pt, fu)
 	fu.core = c
 	return c, fu
 }

@@ -27,7 +27,8 @@ import (
 // RunaheadConfig sizes the runahead engine.
 type RunaheadConfig struct {
 	Enabled bool
-	// Depth bounds how many uops past the window tail one episode examines.
+	// Depth bounds how many uops past the window tail one episode examines;
+	// at most trace.PeekLimit.
 	Depth int
 	// MaxPrefetches bounds prefetches per episode.
 	MaxPrefetches int
@@ -44,53 +45,6 @@ type RunaheadStats struct {
 	UopsWalked uint64
 	Prefetches uint64
 	Poisoned   uint64 // loads skipped because their address was INV
-}
-
-// peekFeed wraps a trace.Reader with lookahead so runahead can examine uops
-// that have not been fetched yet without consuming them.
-type peekFeed struct {
-	r    feedReader
-	buf  []isa.Uop
-	done bool
-}
-
-type feedReader interface {
-	Next() (isa.Uop, bool)
-}
-
-func newPeekFeed(r feedReader) *peekFeed { return &peekFeed{r: r} }
-
-// Next consumes the next uop.
-func (p *peekFeed) Next() (isa.Uop, bool) {
-	if len(p.buf) > 0 {
-		u := p.buf[0]
-		p.buf = p.buf[1:]
-		return u, true
-	}
-	if p.done {
-		return isa.Uop{}, false
-	}
-	u, ok := p.r.Next()
-	if !ok {
-		p.done = true
-	}
-	return u, ok
-}
-
-// Peek returns the i-th unconsumed uop (0 = what Next would return).
-func (p *peekFeed) Peek(i int) (isa.Uop, bool) {
-	for len(p.buf) <= i && !p.done {
-		u, ok := p.r.Next()
-		if !ok {
-			p.done = true
-			break
-		}
-		p.buf = append(p.buf, u)
-	}
-	if i < len(p.buf) {
-		return p.buf[i], true
-	}
-	return isa.Uop{}, false
 }
 
 // maybeRunahead enters a runahead episode when the stall trigger holds and

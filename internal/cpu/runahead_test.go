@@ -93,7 +93,7 @@ func TestRunaheadTargetsExactlyIndependents(t *testing.T) {
 	fu := &fakeUncore{latency: 400}
 	rec := &prefetchRecorder{fakeUncore: fu}
 	pt := vm.NewPageTableShift(vm.NewFrameAllocator(), vm.LargePageShift)
-	c := New(cfg, &trace.SliceReader{Uops: uops}, pt, rec)
+	c := New(cfg, trace.NewFeed(&trace.SliceReader{Uops: uops}, uint64(len(uops))), pt, rec)
 	fu.core = c
 	for cy := uint64(1); cy < 6000 && !c.Finished(); cy++ {
 		fu.tick(cy)
@@ -121,11 +121,12 @@ func TestRunaheadTargetsExactlyIndependents(t *testing.T) {
 
 func TestPeekFeed(t *testing.T) {
 	us := []isa.Uop{{Seq: 0}, {Seq: 1}, {Seq: 2}}
-	f := newPeekFeed(&trace.SliceReader{Uops: us})
+	f := trace.NewFeed(&trace.SliceReader{Uops: us}, uint64(len(us)))
+	var u isa.Uop
 	if u, ok := f.Peek(1); !ok || u.Seq != 1 {
 		t.Fatalf("Peek(1) = %v ok=%v", u, ok)
 	}
-	if u, ok := f.Next(); !ok || u.Seq != 0 {
+	if ok := f.Next(&u); !ok || u.Seq != 0 {
 		t.Fatalf("Next after Peek = %v ok=%v", u, ok)
 	}
 	if u, ok := f.Peek(0); !ok || u.Seq != 1 {
@@ -134,9 +135,9 @@ func TestPeekFeed(t *testing.T) {
 	if _, ok := f.Peek(5); ok {
 		t.Error("Peek past end should fail")
 	}
-	f.Next()
-	f.Next()
-	if _, ok := f.Next(); ok {
+	f.Next(&u)
+	f.Next(&u)
+	if f.Next(&u) {
 		t.Error("feed should be exhausted")
 	}
 }

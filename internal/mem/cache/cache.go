@@ -9,7 +9,10 @@
 // callers (core, LLC slice, EMC), which know where the cache sits.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineShift and LineSize fix the 64-byte line geometry of Table 1.
 const (
@@ -58,10 +61,11 @@ type line struct {
 
 // Cache is a set-associative cache with true LRU replacement.
 type Cache struct {
-	cfg  Config
-	sets [][]line
-	mask uint64
-	tick uint64
+	cfg   Config
+	sets  [][]line
+	mask  uint64
+	shift uint // log2(set count): a line address's tag is lineAddr >> shift
+	tick  uint64
 
 	Stats Stats
 }
@@ -85,7 +89,7 @@ func New(cfg Config) *Cache {
 	for i := range sets {
 		sets[i], backing = backing[:cfg.Ways:cfg.Ways], backing[cfg.Ways:]
 	}
-	return &Cache{cfg: cfg, sets: sets, mask: uint64(nSets - 1)}
+	return &Cache{cfg: cfg, sets: sets, mask: uint64(nSets - 1), shift: uint(bits.TrailingZeros(uint(nSets)))}
 }
 
 // Config returns the cache's configuration.
@@ -98,22 +102,13 @@ func (c *Cache) set(lineAddr uint64) []line { return c.sets[lineAddr&c.mask] }
 
 func (c *Cache) find(lineAddr uint64) *line {
 	set := c.set(lineAddr)
-	tag := lineAddr >> uint(trailingZeros(c.mask+1))
+	tag := lineAddr >> c.shift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return &set[i]
 		}
 	}
 	return nil
-}
-
-func trailingZeros(v uint64) int {
-	n := 0
-	for v&1 == 0 && v != 0 {
-		v >>= 1
-		n++
-	}
-	return n
 }
 
 // Access looks up the line containing addr, updating LRU and dirty state.
@@ -208,14 +203,12 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 			c.Stats.Writebacks++
 		}
 	}
-	setIdx := la & c.mask
 	*victim = line{
-		tag:   la >> uint(trailingZeros(c.mask+1)),
+		tag:   la >> c.shift,
 		valid: true,
 		dirty: dirty,
 		used:  c.tick,
 	}
-	_ = setIdx
 	c.Stats.Fills++
 	return out
 }
@@ -223,8 +216,7 @@ func (c *Cache) Insert(addr uint64, dirty bool) Victim {
 // lineAddrOf reconstructs the full line address of a resident way given any
 // line address that maps to the same set.
 func (c *Cache) lineAddrOf(l *line, sameSet uint64) uint64 {
-	bits := uint(trailingZeros(c.mask + 1))
-	return l.tag<<bits | (sameSet & c.mask)
+	return l.tag<<c.shift | (sameSet & c.mask)
 }
 
 // Invalidate removes the line containing addr, reporting whether it was

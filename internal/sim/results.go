@@ -235,10 +235,9 @@ func (s *System) computeEnergy(r *Result) energy.Breakdown {
 		ev.ChainSrcOps += st.ChainUops * 2 // up to two RRT lookups per uop
 		ev.ChainDstOps += st.ChainUops
 	}
-	for i, g := range s.gens {
+	for i, p := range s.profs {
 		// FP fraction from the generator profile applied to this core's
 		// retired count (FP uops are costlier in the model).
-		p := g.Profile()
 		ev.FPUops += uint64(float64(r.Cores[i].Stats.Retired) * p.FPFrac * (1 - p.MemFrac))
 	}
 	for _, sl := range s.slices {

@@ -187,9 +187,15 @@ type RunStats struct {
 
 // System is one assembled chip + workload.
 type System struct {
-	cfg    Config
-	cores  []*cpu.Core
-	gens   []*trace.Generator
+	cfg   Config
+	cores []*cpu.Core
+	// live holds the cores whose Finished has not latched, in core order.
+	// Step 4 drops a core the Tick it finishes (only a Tick can retire its
+	// last uop or drain its store buffer), so the stepper and horizon never
+	// poll Finished and unfinished is a length check.
+	live   []*cpu.Core
+	feeds  []*trace.Feed   // one uop feed per core (DESIGN.md §8.5)
+	profs  []trace.Profile // each core's benchmark profile
 	pts    []*vm.PageTable
 	frames *vm.FrameAllocator
 
@@ -387,16 +393,19 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 		g := trace.NewGenerator(prof, cfg.Seed+uint64(i)*0x9E3779B9)
-		s.gens = append(s.gens, g)
+		feed := trace.NewFeed(g, cfg.InstrPerCore)
+		s.feeds = append(s.feeds, feed)
+		s.profs = append(s.profs, prof)
 		pt := vm.NewPageTableShift(s.frames, cfg.PageShift)
 		s.pts = append(s.pts, pt)
 		cc := cpu.DefaultConfig(i)
 		cc.EMCEnabled = cfg.EMCEnabled
 		cc.Runahead.Enabled = cfg.RunaheadEnabled
 		cc.UseBranchPredictor = cfg.UseBranchPredictor
-		feed := &trace.LimitReader{R: g, N: cfg.InstrPerCore}
 		s.cores = append(s.cores, cpu.New(cc, feed, pt, coreShim{s: s, id: i}))
 	}
+
+	s.live = append([]*cpu.Core(nil), s.cores...)
 
 	// LLC slices co-located with cores.
 	for i := 0; i < n; i++ {
@@ -502,6 +511,8 @@ func (s *System) Run() (*Result, error) { return s.runLoop(nil) }
 // snapshots), so a handled run that is never cancelled stays bit-identical
 // to a plain Run.
 func (s *System) runLoop(h *RunHandle) (*Result, error) {
+	s.startFeeds()
+	defer s.stopFeeds()
 	for s.unfinished() {
 		if s.now >= s.cfg.MaxCycles {
 			return nil, fmt.Errorf("sim: exceeded MaxCycles=%d (deadlock?)", s.cfg.MaxCycles)
@@ -528,13 +539,26 @@ func (s *System) runLoop(h *RunHandle) (*Result, error) {
 // unfinished reports whether some core still has work.
 //
 //simlint:noalloc
-func (s *System) unfinished() bool {
-	for _, c := range s.cores {
-		if !c.Finished() {
-			return true
-		}
+func (s *System) unfinished() bool { return len(s.live) > 0 }
+
+// startFeeds hands each core's uop generator to a producer goroutine that
+// fills the core's feed ahead of the simulation (DESIGN.md §8.5). Only
+// runLoop calls it, and its deferred stopFeeds joins every producer on
+// every exit, so no producer outlives a run and Step outside a run fills
+// the feeds inline.
+func (s *System) startFeeds() {
+	for _, f := range s.feeds {
+		f.Start()
 	}
-	return false
+}
+
+// stopFeeds stops and joins the producers startFeeds started, returning
+// each generator to the simulation goroutine. Chunks still queued keep
+// their uops, so a later Step or Run continues the same streams.
+func (s *System) stopFeeds() {
+	for _, f := range s.feeds {
+		f.Stop()
+	}
 }
 
 // deadlockError describes a run whose event horizon is empty with a core
@@ -598,18 +622,19 @@ func (s *System) SkippedCycles() uint64 { return s.skipped }
 
 // horizon returns the earliest future cycle at which any component can do
 // work: the minimum over the rings' and DRAM controllers' NextEvent, the
-// slices' stored due cycle and the cores' and EMCs' cached wakes.
+// slices' stored due cycle and the unfinished cores' and EMCs' cached
+// wakes. Every term is a lower bound, whatever cycle a component reports.
 // Short-circuits on now+1 (nothing to skip), the common case under load.
 //
 //simlint:noalloc
 func (s *System) horizon() uint64 {
 	now := s.now
 	h := s.ctrl.NextEvent(now)
+	if d := s.data.NextEvent(now); d < h {
+		h = d
+	}
 	if h <= now+1 {
 		return h
-	}
-	if d := s.data.NextEvent(now); d < h {
-		return d // rings report either now+1 or NoEvent
 	}
 	if d := s.sliceDue; d < h {
 		if d <= now+1 {
@@ -635,8 +660,8 @@ func (s *System) horizon() uint64 {
 			return now + 1
 		}
 	}
-	for _, c := range s.cores {
-		if d := c.Wake(); d < h && !c.Finished() {
+	for _, c := range s.live {
+		if d := c.Wake(); d < h {
 			h = d
 			if h <= now+1 {
 				return now + 1
@@ -726,14 +751,18 @@ func (s *System) step() {
 
 	// 4. Cores. A core whose cached wake lies ahead would only advance its
 	// per-cycle counters, which it credits when it next ticks or takes
-	// input.
-	for _, c := range s.cores {
-		switch {
-		case c.Finished():
-		case gate && c.Wake() > s.now:
+	// input. A core that finishes leaves live for good.
+	for i := 0; i < len(s.live); i++ {
+		c := s.live[i]
+		if gate && c.Wake() > s.now {
 			s.gated++
-		default:
-			c.Tick(s.now)
+			continue
+		}
+		c.Tick(s.now)
+		if c.Finished() {
+			n := copy(s.live[i:], s.live[i+1:])
+			s.live = s.live[:i+n]
+			i--
 		}
 	}
 

@@ -74,8 +74,8 @@ type Reader interface {
 }
 
 // Generator produces an unbounded value-consistent uop stream for one
-// benchmark profile. It implements Reader and never exhausts; wrap it in a
-// LimitReader to bound a run.
+// benchmark profile. It implements Reader and never exhausts; a Feed cuts
+// it to a run's length.
 type Generator struct {
 	prof Profile
 	rng  *PRNG
@@ -236,6 +236,22 @@ func (g *Generator) Next() (isa.Uop, bool) {
 	u := g.buf[g.head]
 	g.head++
 	return u, true
+}
+
+// Fill fills dst with the next len(dst) uops of the stream, the same ones
+// len(dst) calls of Next return, copying whole emitted blocks at a time.
+func (g *Generator) Fill(dst []isa.Uop) {
+	for n := 0; n < len(dst); {
+		if g.head >= len(g.buf) {
+			g.buf = g.buf[:0]
+			g.head = 0
+			g.emitBlock()
+			continue
+		}
+		k := copy(dst[n:], g.buf[g.head:])
+		g.head += k
+		n += k
+	}
 }
 
 // rollPC advances the rolling program counter by one 4-byte uop slot within
@@ -725,21 +741,6 @@ func (g *Generator) recordEdge(node, next uint64) {
 		g.succOrder = append(g.succOrder, node)
 	}
 	g.succ[node] = next
-}
-
-// LimitReader bounds an underlying reader to n uops.
-type LimitReader struct {
-	R Reader
-	N uint64
-}
-
-// Next returns the next uop until the limit is reached.
-func (l *LimitReader) Next() (isa.Uop, bool) {
-	if l.N == 0 {
-		return isa.Uop{}, false
-	}
-	l.N--
-	return l.R.Next()
 }
 
 // SliceReader replays a fixed slice of uops; useful in tests.

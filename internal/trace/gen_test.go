@@ -77,8 +77,7 @@ func TestValueConsistencyAll(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			g := NewGenerator(MustByName(name), 7)
-			if err := Check(&LimitReader{R: g, N: 20000}); err != nil {
+			if err := Check(&SliceReader{Uops: Generate(MustByName(name), 7, 20000)}); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -88,8 +87,7 @@ func TestValueConsistencyAll(t *testing.T) {
 // Property: value consistency holds for arbitrary seeds.
 func TestValueConsistencyProperty(t *testing.T) {
 	f := func(seed uint64) bool {
-		g := NewGenerator(MustByName("mcf"), seed)
-		return Check(&LimitReader{R: g, N: 4000}) == nil
+		return Check(&SliceReader{Uops: Generate(MustByName("mcf"), seed, 4000)}) == nil
 	}
 	cfg := &quick.Config{MaxCount: 20}
 	if err := quick.Check(f, cfg); err != nil {
@@ -165,22 +163,6 @@ func TestChaseAddressDataflow(t *testing.T) {
 	}
 }
 
-func TestLimitReader(t *testing.T) {
-	g := NewGenerator(MustByName("gcc"), 1)
-	lr := &LimitReader{R: g, N: 10}
-	n := 0
-	for {
-		_, ok := lr.Next()
-		if !ok {
-			break
-		}
-		n++
-	}
-	if n != 10 {
-		t.Errorf("LimitReader yielded %d uops, want 10", n)
-	}
-}
-
 func TestSliceReader(t *testing.T) {
 	us := []isa.Uop{{Seq: 0}, {Seq: 1}}
 	sr := &SliceReader{Uops: us}
@@ -246,8 +228,7 @@ func TestFloat64Bounds(t *testing.T) {
 func TestStreamsWrap(t *testing.T) {
 	// libquantum has one big stream; generating a lot must wrap without
 	// violating consistency.
-	g := NewGenerator(MustByName("libquantum"), 2)
-	if err := Check(&LimitReader{R: g, N: 100000}); err != nil {
+	if err := Check(&SliceReader{Uops: Generate(MustByName("libquantum"), 2, 100000)}); err != nil {
 		t.Fatal(err)
 	}
 }
