@@ -78,8 +78,8 @@ chaos:
 # Multi-node chaos: 25 seeded fault schedules through a 3-node fabric under
 # the race detector (forwarding/fetch/fetch-tear/steal failpoints, a network
 # partition window, node kills mid-sweep), plus 25 self-healing schedules
-# (join mid-sweep, kill-and-restart with anti-entropy backfill, flapping
-# peers through the circuit breakers). Deterministic per seed; see
+# (join mid-sweep, kill-and-restart with anti-entropy backfill, a flapping
+# peer marked dead and found alive again). Deterministic per seed; see
 # internal/cluster/chaos_cluster_test.go and chaos_heal_test.go.
 chaos-cluster:
 	EMCSIM_CHAOS_SCHEDULES=25 $(GO) test -race -run 'TestClusterChaosSchedules|TestClusterHealSchedules' -count=1 ./internal/cluster/

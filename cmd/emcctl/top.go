@@ -156,7 +156,7 @@ func renderTop(f *service.StatsFrame, et *etaTracker) string {
 			state := nd.State
 			if nd.Syncing {
 				// Anti-entropy backfill in flight; shown in place of
-				// alive/self (dead and degraded dominate).
+				// alive/self (dead dominates).
 				if state == "alive" || state == "self" {
 					state = "syncing"
 				}

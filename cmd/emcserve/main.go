@@ -74,8 +74,6 @@ func main() {
 	stealThreshold := flag.Int("steal-threshold", 2, "peer queue depth that makes an idle node steal work")
 	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy cadence: each round reads one peer's key list and backfills missing records")
 	ringWeight := flag.Int("ring-weight", 1, "this node's ring weight (virtual-point multiplier for heterogeneous nodes)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive peer failures that trip the circuit breaker")
-	breakerCooldown := flag.Duration("breaker-cooldown", 5*time.Second, "open-circuit duration before a half-open probe (jittered +/-25%)")
 	clusterToken := flag.String("cluster-token", "", "shared bearer token guarding /api/v1/cluster/* (empty = no auth)")
 	flag.Parse()
 
@@ -129,8 +127,6 @@ func main() {
 			StealThreshold:      *stealThreshold,
 			AntiEntropyInterval: *antiEntropy,
 			Weight:              *ringWeight,
-			BreakerThreshold:    *breakerThreshold,
-			BreakerCooldown:     *breakerCooldown,
 		})
 		tr := cluster.NewHTTPTransport(node.MemberAddr)
 		tr.Token = *clusterToken

@@ -441,7 +441,7 @@ func healSmoke() {
 	node := func(name, id, join string) *proc {
 		return serve(name, nil, "-node-id", id, "-cache-dir", cacheOf(id), "-cluster-token", "heal-smoke-token",
 			"-heartbeat", "100ms", "-suspect-after", "500ms",
-			"-anti-entropy-interval", "250ms", "-breaker-cooldown", "500ms", "-join", join)
+			"-anti-entropy-interval", "250ms", "-join", join)
 	}
 	a := node("a", "a", "")
 	b := node("b", "b", a.url)

@@ -3,8 +3,8 @@
 // stop path. The fabric's shutdown story
 // (Service.Close/Drain, Node.Close) waits on WaitGroups; a goroutine whose
 // loop can spin without ever observing a stop signal turns those joins into
-// hangs — exactly the bug class the breaker loops, anti-entropy ticker, and
-// delegation-reclaim timers flirt with.
+// hangs — exactly the bug class the heartbeat and anti-entropy tickers and
+// the routed-job status waits flirt with.
 //
 // The rule: from a `go` statement, every statically unbounded loop
 // reachable through the module call graph (the spawned function, the

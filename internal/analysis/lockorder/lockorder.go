@@ -10,8 +10,8 @@
 // block each other forever.
 //
 // Class-level analysis is deliberately coarser than instance-level: it
-// cannot tell two breaker instances apart, so a function that locks one
-// breaker while holding another's lock reports as a self-cycle even when
+// cannot tell two job instances apart, so a function that locks one
+// job while holding another's lock reports as a self-cycle even when
 // the instances are provably distinct. That coarseness is the point — the
 // fabric's invariants are stated per class ("never call into membership
 // while holding Node.mu" is reviewable; "these two instances are never
@@ -292,7 +292,7 @@ func (b *builder) walkFunc(fir *framework.FuncIR, closure map[string]map[string]
 			held = savedHeld
 			return
 		case *ast.FuncLit:
-			// An inline closure (passed to viaBreaker etc.) may run under
+			// An inline closure (passed to Node.call etc.) may run under
 			// the caller's current held set — walk it with that set.
 			walkStmt(n.Body)
 			return

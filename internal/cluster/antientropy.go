@@ -54,7 +54,7 @@ func (n *Node) antiEntropyRound(peer string) {
 		return
 	}
 	var keys []string
-	err := n.viaBreaker(peer, func() error {
+	err := n.call(peer, func() error {
 		var err error
 		keys, err = n.tr.Keys(context.Background(), peer)
 		return err
@@ -74,27 +74,8 @@ func (n *Node) antiEntropyRound(peer string) {
 	n.syncing.Store(true)
 	defer n.syncing.Store(false)
 	for _, k := range missing {
-		if fpAEFetch.Fire() {
-			continue
-		}
-		if n.aeBackfill(peer, k) {
-			n.backfilled.Add(1)
+		if !fpAEFetch.Fire() {
+			_, _ = n.fetchRecord(context.Background(), peer, k, true)
 		}
 	}
-}
-
-// aeBackfill fetches one missing durable record from peer and hands it to
-// acceptRecord, which validates it end to end and seeds the local cache.
-func (n *Node) aeBackfill(peer, key string) bool {
-	var frame []byte
-	err := n.viaBreaker(peer, func() error {
-		var err error
-		frame, err = n.tr.Fetch(context.Background(), peer, key)
-		return err
-	})
-	if err != nil {
-		return false
-	}
-	_, err = n.acceptRecord(key, frame)
-	return err == nil
 }

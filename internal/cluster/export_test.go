@@ -8,5 +8,5 @@ import (
 
 // FetchRecord exposes the peer-fetch receive path to the external tests.
 func (n *Node) FetchRecord(peer, key string) (*sim.Result, error) {
-	return n.fetchRecord(context.Background(), peer, key)
+	return n.fetchRecord(context.Background(), peer, key, false)
 }

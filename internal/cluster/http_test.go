@@ -375,6 +375,17 @@ func TestHTTPClusterAuth(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
+
+	// A running node whose transport carries the wrong token gets 401 on
+	// every heartbeat, and an answer is liveness: it must still see its peer
+	// alive long after the suspect window (60ms) has passed.
+	w := startHTTPNodeAuth(t, "w", "wrong-token")
+	w.node.AddMember(cluster.Member{ID: "a", Addr: a.url})
+	w.node.Start()
+	time.Sleep(500 * time.Millisecond)
+	if row, ok := peerRow(w.node, "a"); !ok || row.State != "alive" {
+		t.Fatalf("a on the wrong-token node: %+v, want alive — a 401 read as a partition", row)
+	}
 }
 
 // TestPingSkipsStatsHook: a heartbeat answer reads the node's load from

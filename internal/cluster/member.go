@@ -24,13 +24,15 @@ type memberRow struct {
 	Alive    bool
 	Self     bool
 	LastBeat time.Time
+	Health   Health // the last heartbeat payload (peers)
 }
 
-// membership is the liveness table: every node this node has heard of, with
-// the last successful heartbeat. Members are never removed — a dead node is
-// skipped by the ring's liveness predicate and revived by the next
-// successful heartbeat, so a healed partition converges without a
-// membership epoch protocol.
+// membership is the peer-health table: every node this node has heard of,
+// whether it is alive, when it last answered, and its last heartbeat
+// payload. It holds all per-peer state under one lock. Members are never
+// removed — a dead node is skipped by the ring's liveness predicate and
+// revived by the next answered RPC (the heartbeat loop probes dead peers),
+// so a healed partition converges without a membership epoch protocol.
 type membership struct {
 	mu sync.Mutex
 	m  map[string]*memberRow
@@ -64,8 +66,8 @@ func (ms *membership) addr(id string) (string, bool) {
 	return row.Addr, true
 }
 
-// markDead records a failed reach of id (the fast path: a forward that got
-// ErrUnreachable does not wait for the heartbeat sweep).
+// markDead records a failed reach of id: an unreachable RPC does not wait
+// for the suspect sweep.
 func (ms *membership) markDead(id string) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -74,7 +76,7 @@ func (ms *membership) markDead(id string) {
 	}
 }
 
-// markAlive records a successful heartbeat of id.
+// markAlive records that id answered an RPC, or sent one.
 func (ms *membership) markAlive(id string, now time.Time) {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()
@@ -84,7 +86,16 @@ func (ms *membership) markAlive(id string, now time.Time) {
 	}
 }
 
-// isDead is the ring's liveness predicate.
+// setHealth stores id's heartbeat payload.
+func (ms *membership) setHealth(id string, h Health) {
+	ms.mu.Lock()
+	defer ms.mu.Unlock()
+	if row, ok := ms.m[id]; ok {
+		row.Health = h
+	}
+}
+
+// isDead is the ring's liveness predicate. Self is never dead.
 func (ms *membership) isDead(id string) bool {
 	ms.mu.Lock()
 	defer ms.mu.Unlock()

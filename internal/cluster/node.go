@@ -57,12 +57,6 @@ type Options struct {
 	// Weight is this node's ring weight — the virtual-point multiplier for
 	// heterogeneous fabrics (default 1).
 	Weight int
-	// BreakerThreshold is the consecutive unreachable-failure count that
-	// trips a peer's circuit breaker open (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is the base open-circuit duration before a half-open
-	// probe; the actual reopen delay is jittered ±25% (default 5s).
-	BreakerCooldown time.Duration
 }
 
 func (o *Options) defaults() {
@@ -84,18 +78,11 @@ func (o *Options) defaults() {
 	if o.Weight <= 0 {
 		o.Weight = 1
 	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
 }
 
 // Counters is a node's cluster-counter snapshot (tests, smoke checks).
 type Counters struct {
 	Forwarded     uint64 // fresh jobs this node routed to a remote owner
-	Redispatched  uint64 // forwards re-routed after an owner died or answered busy
 	LocalFallback uint64 // routed jobs (not stolen ones) that ended up executing here
 	ReplSent      uint64 // stolen-out jobs whose result this victim fetched back
 	Torn          uint64 // fetched or backfilled frames rejected by CRC verification
@@ -104,7 +91,6 @@ type Counters struct {
 	StolenOut     uint64 // queued jobs forwarded to thieves
 	Reclaimed     uint64 // stolen-out jobs that fell back to run on this victim
 	Backfilled    uint64 // records backfilled via anti-entropy sync
-	BreakerTrips  uint64 // circuit-breaker opens, summed over peers
 }
 
 // Node is one fabric member: a service.Service plus the routing, steal,
@@ -120,13 +106,9 @@ type Node struct {
 	ring    *Ring
 	members *membership
 
-	// mu guards health and orders Close's cancel against every wg.Add made
-	// on behalf of a caller (enter).
-	mu     sync.Mutex
-	health map[string]Health // last heartbeat payload per peer
-
-	brMu     sync.Mutex
-	breakers map[string]*breaker // per-peer circuit breakers
+	// mu orders Close's cancel against every wg.Add made on behalf of a
+	// caller (enter).
+	mu sync.Mutex
 
 	syncing atomic.Bool // anti-entropy backfill in progress
 
@@ -138,7 +120,6 @@ type Node struct {
 	started bool
 
 	forwarded     atomic.Uint64
-	redispatched  atomic.Uint64
 	localFallback atomic.Uint64
 	replSent      atomic.Uint64
 	torn          atomic.Uint64
@@ -155,15 +136,13 @@ func New(svc *service.Service, opts Options) *Node {
 	opts.defaults()
 	ctx, cancel := context.WithCancel(context.Background())
 	n := &Node{
-		id:       opts.ID,
-		opts:     opts,
-		svc:      svc,
-		ring:     NewRing(0),
-		members:  newMembership(),
-		health:   map[string]Health{},
-		breakers: map[string]*breaker{},
-		ctx:      ctx,
-		cancel:   cancel,
+		id:      opts.ID,
+		opts:    opts,
+		svc:     svc,
+		ring:    NewRing(0),
+		members: newMembership(),
+		ctx:     ctx,
+		cancel:  cancel,
 	}
 	n.ring.AddWeighted(n.id, opts.Weight)
 	n.members.upsert(n.selfMember(), true, time.Now())
@@ -250,7 +229,6 @@ func (n *Node) Members() []Member {
 func (n *Node) Counters() Counters {
 	return Counters{
 		Forwarded:     n.forwarded.Load(),
-		Redispatched:  n.redispatched.Load(),
 		LocalFallback: n.localFallback.Load(),
 		ReplSent:      n.replSent.Load(),
 		Torn:          n.torn.Load(),
@@ -259,7 +237,6 @@ func (n *Node) Counters() Counters {
 		StolenOut:     n.stolenOut.Load(),
 		Reclaimed:     n.reclaimed.Load(),
 		Backfilled:    n.backfilled.Load(),
-		BreakerTrips:  n.breakerTrips(),
 	}
 }
 
@@ -334,75 +311,27 @@ func (n *Node) Run(ctx context.Context, client string, cfg sim.Config) (*sim.Res
 	return j.Wait(ctx)
 }
 
-// owner is the ring owner of key among members that are neither marked dead
-// nor currently degraded (circuit breaker open); self is never rejected, so
-// it always resolves. Skipping degraded peers is the graceful-degradation
-// rule: a flapping owner's keys fall to the next live node immediately
-// instead of burning maxHops timeouts per routed job.
+// owner is the ring owner of key among the members not marked dead; self is
+// never dead, so it always resolves.
 func (n *Node) owner(key string) string {
-	if o := n.ring.Owner(key, n.peerUnavailable); o != "" {
+	if o := n.ring.Owner(key, n.members.isDead); o != "" {
 		return o
 	}
 	return n.id
 }
 
-// peerUnavailable is the routing liveness predicate: dead or degraded.
-func (n *Node) peerUnavailable(id string) bool {
-	if id == n.id {
-		return false
-	}
-	return n.members.isDead(id) || n.breakerStalled(id)
-}
-
-// breakerFor returns (creating on first use) the circuit breaker for peer.
-func (n *Node) breakerFor(peer string) *breaker {
-	n.brMu.Lock()
-	defer n.brMu.Unlock()
-	b, ok := n.breakers[peer]
-	if !ok {
-		b = newBreaker(n.opts.BreakerThreshold, n.opts.BreakerCooldown, ringHash(n.id+"/"+peer))
-		n.breakers[peer] = b
-	}
-	return b
-}
-
-// breakerStalled reports whether peer's circuit currently rejects traffic.
-func (n *Node) breakerStalled(peer string) bool {
-	n.brMu.Lock()
-	b, ok := n.breakers[peer]
-	n.brMu.Unlock()
-	return ok && b.stalled(time.Now())
-}
-
-// breakerTrips sums circuit opens over all peers.
-func (n *Node) breakerTrips() uint64 {
-	n.brMu.Lock()
-	defer n.brMu.Unlock()
-	var total uint64
-	for _, b := range n.breakers {
-		total += b.tripCount()
-	}
-	return total
-}
-
-// viaBreaker routes one outbound RPC to peer through its circuit breaker:
-// an open circuit short-circuits to ErrPeerDegraded without touching the
-// wire; unreachable-classified failures feed the breaker; any answer —
-// including ErrBusy and permanent errors — closes it and, because an
-// answered RPC is liveness evidence as good as a heartbeat, resets the
-// peer's suspect timer.
-func (n *Node) viaBreaker(peer string, fn func() error) error {
-	b := n.breakerFor(peer)
-	if !b.allow(time.Now()) {
-		return ErrPeerDegraded
-	}
+// call runs one outbound RPC to peer and applies the fabric's one
+// peer-health rule to its outcome: an unreachable peer is marked dead at
+// once, so routing fails over without waiting for the suspect sweep; any
+// answer — ErrBusy and permanent errors included — marks the peer alive
+// and resets its suspect timer, as a heartbeat would.
+func (n *Node) call(peer string, fn func() error) error {
 	err := fn()
 	if isUnreachable(err) {
-		b.onFailure(time.Now())
-		return err
+		n.members.markDead(peer)
+	} else {
+		n.members.markAlive(peer, time.Now())
 	}
-	b.onSuccess()
-	n.members.markAlive(peer, time.Now())
 	return err
 }
 
@@ -429,7 +358,6 @@ func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 			}
 			return
 		}
-		n.redispatched.Add(1)
 		owner = next
 	}
 	if stolen {
@@ -506,7 +434,7 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 func (n *Node) finishRemote(ctx context.Context, j *service.Job, owner string, st service.Status) bool {
 	switch st.State {
 	case service.StateDone:
-		if res, err := n.fetchRecord(ctx, owner, j.Key()); err == nil {
+		if res, err := n.fetchRecord(ctx, owner, j.Key(), false); err == nil {
 			n.svc.FinishRouted(j, res, nil)
 			return true
 		}
@@ -532,13 +460,11 @@ func (n *Node) failOver(owner, key string) string {
 }
 
 // rpcSubmit/rpcStatus/rpcCancel wrap the routing RPCs with the forward
-// failpoint and the per-peer circuit breaker: a failpoint firing is
-// indistinguishable from a partition, and — because it fires inside the
-// breaker — consecutive firings trip the circuit exactly like real
-// unreachability would.
+// failpoint: it fires inside call, so a firing is indistinguishable from a
+// partition and marks the peer dead like real unreachability would.
 func (n *Node) rpcSubmit(ctx context.Context, node string, req SubmitRequest) (service.Status, error) {
 	var st service.Status
-	err := n.viaBreaker(node, func() error {
+	err := n.call(node, func() error {
 		if fpForward.Fire() {
 			return ErrUnreachable
 		}
@@ -551,7 +477,7 @@ func (n *Node) rpcSubmit(ctx context.Context, node string, req SubmitRequest) (s
 
 func (n *Node) rpcStatus(ctx context.Context, node, jobID string, wait time.Duration) (service.Status, error) {
 	var st service.Status
-	err := n.viaBreaker(node, func() error {
+	err := n.call(node, func() error {
 		if fpForward.Fire() {
 			return ErrUnreachable
 		}
@@ -563,7 +489,7 @@ func (n *Node) rpcStatus(ctx context.Context, node, jobID string, wait time.Dura
 }
 
 func (n *Node) rpcCancel(ctx context.Context, node, jobID string) error {
-	return n.viaBreaker(node, func() error {
+	return n.call(node, func() error {
 		if fpForward.Fire() {
 			return ErrUnreachable
 		}
@@ -572,18 +498,20 @@ func (n *Node) rpcCancel(ctx context.Context, node, jobID string) error {
 }
 
 func isUnreachable(err error) bool {
-	return err == ErrUnreachable || err == ErrPeerDegraded || err == service.ErrDraining
+	return err == ErrUnreachable || err == service.ErrDraining
 }
 
 // ---------------------------------------------------------------------------
 // Peer fetch.
 
-// fetchRecord pulls the durable frame for key from one peer, CRC-verifies
-// it, and seeds the local cache on success.
-func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, error) {
+// fetchRecord pulls the durable frame for key from one peer and hands it to
+// acceptRecord, which CRC-verifies it and seeds the local cache. A peer fetch
+// counts into Fetched, and its failpoint fires inside call, as a partition;
+// an anti-entropy backfill counts into Backfilled.
+func (n *Node) fetchRecord(ctx context.Context, node, key string, backfill bool) (*sim.Result, error) {
 	var frame []byte
-	err := n.viaBreaker(node, func() error {
-		if fpFetch.Fire() {
+	err := n.call(node, func() error {
+		if !backfill && fpFetch.Fire() {
 			return ErrUnreachable
 		}
 		var err error
@@ -597,14 +525,18 @@ func (n *Node) fetchRecord(ctx context.Context, node, key string) (*sim.Result, 
 	if err != nil {
 		return nil, err
 	}
-	n.fetched.Add(1)
+	if backfill {
+		n.backfilled.Add(1)
+	} else {
+		n.fetched.Add(1)
+	}
 	return res, nil
 }
 
 // fetchFromPeers tries every live peer in id order.
 func (n *Node) fetchFromPeers(key string) (*sim.Result, bool) {
 	for _, p := range n.members.rows(isLivePeer) {
-		if res, err := n.fetchRecord(context.Background(), p.ID, key); err == nil {
+		if res, err := n.fetchRecord(context.Background(), p.ID, key, false); err == nil {
 			return res, true
 		}
 	}
@@ -655,7 +587,7 @@ func (n *Node) HandleJoin(mem Member) []Member {
 					continue
 				}
 				peer := p.ID
-				_ = n.viaBreaker(peer, func() error {
+				_ = n.call(peer, func() error {
 					_, err := n.tr.Join(context.Background(), peer, mem)
 					return err
 				})
@@ -692,19 +624,14 @@ func (n *Node) heartbeatRound() {
 		}
 		peer := p.ID
 		var h Health
-		err := n.viaBreaker(peer, func() error {
+		err := n.call(peer, func() error {
 			var err error
 			h, err = n.tr.Ping(context.Background(), peer)
 			return err
 		})
-		if err != nil {
-			// An open breaker suppresses the probe entirely; once the
-			// cooldown elapses this same loop becomes the half-open probe.
-			continue
+		if err == nil {
+			n.members.setHealth(peer, h)
 		}
-		n.mu.Lock()
-		n.health[peer] = h
-		n.mu.Unlock()
 	}
 	n.members.sweep(time.Now(), n.opts.SuspectAfter)
 	n.maybeSteal()
@@ -722,18 +649,16 @@ func (n *Node) maybeSteal() {
 		return
 	}
 	victim, best := "", n.opts.StealThreshold-1
-	n.mu.Lock()
-	for id, h := range n.health {
-		if h.Stealable > best && !n.peerUnavailable(id) {
-			victim, best = id, h.Stealable
+	for _, p := range n.members.rows(isLivePeer) {
+		if p.Health.Stealable > best {
+			victim, best = p.ID, p.Health.Stealable
 		}
 	}
-	n.mu.Unlock()
 	if victim == "" {
 		return
 	}
 	var accepted bool
-	_ = n.viaBreaker(victim, func() error { // a failed steal is a declined one
+	_ = n.call(victim, func() error { // a failed steal is a declined one
 		var err error
 		accepted, err = n.tr.Steal(context.Background(), victim)
 		return err
@@ -751,31 +676,20 @@ func (n *Node) nodeStats(local *service.Stats) []service.NodeStat {
 		Node: n.id, Addr: n.opts.Addr, State: "self",
 		Queued: local.QueueDepth, Running: local.Running, Hung: local.Hung,
 		Syncing:   n.syncing.Load(),
-		Forwarded: c.Forwarded, Redispatched: c.Redispatched,
-		StolenIn: c.StolenIn, StolenOut: c.StolenOut,
+		Forwarded: c.Forwarded, StolenIn: c.StolenIn, StolenOut: c.StolenOut,
 		Torn: c.Torn, Fetched: c.Fetched, Backfilled: c.Backfilled,
-		BreakerTrips: c.BreakerTrips,
 	}}
 	now := time.Now()
 	for _, m := range n.members.rows(isPeer) {
-		row := service.NodeStat{Node: m.ID, Addr: m.Addr, State: "alive", HeartbeatAgeMS: -1}
-		switch {
-		case !m.Alive:
+		h := m.Health
+		row := service.NodeStat{Node: m.ID, Addr: m.Addr, State: "alive", HeartbeatAgeMS: -1,
+			Queued: h.Queued, Running: h.Running, Hung: h.Hung, Syncing: h.Syncing}
+		if !m.Alive {
 			row.State = "dead"
-		case n.breakerStalled(m.ID):
-			// Alive (heartbeats still land or the suspect window has not
-			// elapsed) but the circuit is open: degraded, routed around.
-			row.State = "degraded"
 		}
 		if !m.LastBeat.IsZero() {
 			row.HeartbeatAgeMS = now.Sub(m.LastBeat).Milliseconds()
 		}
-		n.mu.Lock()
-		if h, ok := n.health[m.ID]; ok {
-			row.Queued, row.Running, row.Hung = h.Queued, h.Running, h.Hung
-			row.Syncing = h.Syncing
-		}
-		n.mu.Unlock()
 		rows = append(rows, row)
 	}
 	return rows

@@ -25,10 +25,6 @@ var (
 	// job was still in flight; the waiter is failed rather than left to
 	// block Close forever.
 	ErrNodeClosed = errors.New("cluster: node closed")
-	// ErrPeerDegraded means the per-peer circuit breaker is open: recent
-	// consecutive failures tripped it, and the cooldown has not elapsed. The
-	// caller treats the peer as unreachable without touching the wire.
-	ErrPeerDegraded = errors.New("cluster: peer degraded (breaker open)")
 )
 
 // RemoteError is a terminal failure reported by the owning node. The

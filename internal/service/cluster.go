@@ -146,7 +146,7 @@ func (s *Service) ExecuteNow(j *Job) {
 type NodeStat struct {
 	Node  string `json:"node"`
 	Addr  string `json:"addr,omitempty"`
-	State string `json:"state"` // "self" | "alive" | "degraded" | "dead"
+	State string `json:"state"` // "self" | "alive" | "dead"
 
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
@@ -157,16 +157,14 @@ type NodeStat struct {
 	Syncing bool `json:"syncing,omitempty"`
 
 	// Cluster counters (self row only).
-	Forwarded    uint64 `json:"forwarded,omitempty"`
-	Redispatched uint64 `json:"redispatched,omitempty"`
-	StolenIn     uint64 `json:"stolenIn,omitempty"`
-	StolenOut    uint64 `json:"stolenOut,omitempty"`
-	Torn         uint64 `json:"torn,omitempty"`
-	Fetched      uint64 `json:"fetched,omitempty"`
-	Backfilled   uint64 `json:"backfilled,omitempty"`
-	BreakerTrips uint64 `json:"breakerTrips,omitempty"`
+	Forwarded  uint64 `json:"forwarded,omitempty"`
+	StolenIn   uint64 `json:"stolenIn,omitempty"`
+	StolenOut  uint64 `json:"stolenOut,omitempty"`
+	Torn       uint64 `json:"torn,omitempty"`
+	Fetched    uint64 `json:"fetched,omitempty"`
+	Backfilled uint64 `json:"backfilled,omitempty"`
 
-	// HeartbeatAgeMS is the age of the last successful heartbeat (peer rows;
-	// -1 when never heard from).
+	// HeartbeatAgeMS is how long ago the peer last answered or sent an RPC,
+	// heartbeats included (peer rows; -1 when never heard from).
 	HeartbeatAgeMS int64 `json:"heartbeatAgeMS,omitempty"`
 }
