@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check lint lint-canary test race bench experiments trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster kill-smoke cluster-smoke heal-smoke clean
+.PHONY: all build vet fmt-check lint lint-canary test race bench experiments results-check trace-smoke serve-smoke dashboard-smoke chaos chaos-cluster kill-smoke cluster-smoke heal-smoke clean
 
 all: build test
 
@@ -132,6 +132,13 @@ bench:
 
 experiments:
 	$(GO) run ./cmd/experiments -n 30000 -n8 15000 -md results-run.md
+
+# Figures gate: regenerate every figure at results.md's run length into a
+# temporary file and diff the figure sections against the committed
+# results.md (the Run: timestamp line is not compared). About 25 s on two
+# cores; see scripts/results_check.sh.
+results-check:
+	GO="$(GO)" sh scripts/results_check.sh
 
 clean:
 	rm -f BENCH_sim.json results-run.md *.test *.prof

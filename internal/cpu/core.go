@@ -300,6 +300,10 @@ type Core struct {
 	evMask    [eventHorizon / 64]uint64
 	lq, sq    []int32 // rob slots of in-flight loads/stores, program order
 	blockedLd []int32 // loads waiting on LSQ conditions or MSHR space
+	// sqRes is the store queue's resolved prefix: sq[:sqRes] are all
+	// resolved stores. issueLoad moves it forward; retire lowers it when the
+	// oldest store leaves (DESIGN.md §8.3).
+	sqRes int
 
 	storeBuf  []storeWrite
 	storeHead int // consumed prefix of storeBuf (head-index pop)
@@ -568,6 +572,10 @@ func (c *Core) retire() {
 		case isa.OpLoad:
 			c.lq = removeSlot(c.lq, idx)
 		case isa.OpStore:
+			// Retirement is in order: the store is sq[0].
+			if c.sqRes > 0 {
+				c.sqRes--
+			}
 			c.sq = removeSlot(c.sq, idx)
 		}
 		c.st[idx] = stEmpty

@@ -300,7 +300,7 @@ func TestChainCompleteRemotely(t *testing.T) {
 						vals[i] = vals[i-1] + uint64(ch.Uops[i].U.Imm)
 					}
 				}
-				c.CompleteRemoteChain(ch, vals, cy+50)
+				c.CompleteRemoteChain(ch, vals, cy)
 			}
 		}
 		if c.Finished() {

@@ -15,22 +15,30 @@ func (c *Core) issueLoad(idx int32) bool {
 	e := c.slot(idx)
 	e.vaddr = isa.AddrOf(&e.u, e.srcVal[0])
 
-	// Memory ordering: scan older stores. An older store with an unresolved
-	// address blocks the load (conservative disambiguation); a resolved
-	// older store to the same dword forwards its data.
-	var forwardFrom *robEntry
-	for _, sIdx := range c.sq {
-		if c.seq[sIdx] >= c.seq[idx] {
-			break
-		}
-		if c.storeUnresolved(sIdx) {
-			// Remote stores (executing at the EMC) resolve via the
-			// address-ring message; until then they block younger loads like
-			// any unresolved store.
+	// Memory ordering against older stores. sq[:sqRes] are resolved
+	// (DESIGN.md §8.3), so once the cursor has moved past the stores
+	// resolved since, sq[sqRes] is the first unresolved store in program
+	// order. If it is older than the load it blocks the load (conservative
+	// disambiguation). Remote stores (executing at the EMC) resolve via the
+	// address-ring message; until then they block younger loads like any
+	// unresolved store.
+	for c.sqRes < len(c.sq) && !c.storeUnresolved(c.sq[c.sqRes]) {
+		c.sqRes++
+	}
+	if c.sqRes < len(c.sq) {
+		if sIdx := c.sq[c.sqRes]; c.seq[sIdx] < c.seq[idx] {
 			c.blockStore[idx] = sIdx
 			c.blockSeq[idx] = c.seq[sIdx]
 			c.parkLoad(idx)
 			return false
+		}
+	}
+	// Every older store lies in the resolved prefix; a resolved older store
+	// to the same dword forwards its data.
+	var forwardFrom *robEntry
+	for _, sIdx := range c.sq[:c.sqRes] {
+		if c.seq[sIdx] >= c.seq[idx] {
+			break
 		}
 		if se := c.slot(sIdx); c.addrValid[sIdx] && se.vaddr == e.vaddr {
 			forwardFrom = se // youngest older match wins

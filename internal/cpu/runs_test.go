@@ -11,10 +11,12 @@ import (
 // every run member is a local stReady load still blocked on an unresolved
 // store (matching seq), parked (memBlocked), and has no other copy in either
 // list; copies and runs match what the lists actually hold; and standalone
-// entries carry the memBlocked value of the list they sit in. It returns the
+// entries carry the memBlocked value of the list they sit in. It also checks
+// the store queue's resolved-prefix cursor (checkStoreCursor). It returns the
 // number of run members.
 func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 	t.Helper()
+	checkStoreCursor(t, c, cy)
 	count := make([]int32, len(c.copies))
 	var inRun []int32
 	tokens := 0
@@ -73,6 +75,56 @@ func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 		}
 	}
 	return len(inRun)
+}
+
+// checkStoreCursor verifies that sq[:sqRes] are resolved stores and that,
+// for every ready load in readyQ/blockedLd (run members included), the
+// blocker issueLoad finds from the cursor is the one a full scan of the
+// older stores finds: the first unresolved one in program order.
+func checkStoreCursor(t *testing.T, c *Core, cy uint64) {
+	t.Helper()
+	if c.sqRes > len(c.sq) {
+		t.Fatalf("cycle %d: sqRes %d beyond the %d-entry store queue", cy, c.sqRes, len(c.sq))
+	}
+	for _, s := range c.sq[:c.sqRes] {
+		if c.storeUnresolved(s) {
+			t.Fatalf("cycle %d: store %d below the cursor %d is unresolved", cy, s, c.sqRes)
+		}
+	}
+	first := c.sqRes
+	for first < len(c.sq) && !c.storeUnresolved(c.sq[first]) {
+		first++
+	}
+	check := func(ld int32) {
+		if c.ops[ld] != isa.OpLoad || c.st[ld] != stReady {
+			return
+		}
+		cursor, scan := int32(-1), int32(-1)
+		if first < len(c.sq) && c.seq[c.sq[first]] < c.seq[ld] {
+			cursor = c.sq[first]
+		}
+		for _, s := range c.sq {
+			if c.seq[s] >= c.seq[ld] {
+				break
+			}
+			if c.storeUnresolved(s) {
+				scan = s
+				break
+			}
+		}
+		if cursor != scan {
+			t.Fatalf("cycle %d: load %d: cursor finds blocker %d, full scan %d", cy, ld, cursor, scan)
+		}
+	}
+	for _, x := range append(append([]int32(nil), c.readyQ...), c.blockedLd...) {
+		if x >= 0 {
+			check(x)
+			continue
+		}
+		for m := ^x; m >= 0; m = c.runNext[m] {
+			check(m)
+		}
+	}
 }
 
 // inRun reports whether slot idx rides a run token.

@@ -117,13 +117,18 @@ func (r *Request) Channel() int { return r.channel }
 
 // Per-bank state is kept struct-of-arrays (DESIGN.md §13): the scheduler's
 // inner loops (issueOn, NextEvent) touch only readyAt for every queued
-// request, so giving each field its own dense slice keeps those scans inside
-// one or two cache lines instead of striding over 24-byte structs.
+// request or occupied bank, so giving each field its own dense slice keeps
+// those scans inside one or two cache lines instead of striding over
+// 24-byte structs.
 type channel struct {
 	// Bank arrays, ranks*banks flattened; Request.bankIdx indexes them.
 	openRow    []int64
 	readyAt    []uint64
 	activateAt []uint64
+	// nRead/nWrite count the queued reads/writes per bank, so NextEvent
+	// reads one readyAt per occupied bank instead of one per request.
+	nRead  []int32
+	nWrite []int32
 
 	busFreeAt uint64
 	readQ     []*Request
@@ -193,6 +198,9 @@ type Controller struct {
 	// minDoneAt lower-bounds the earliest DoneAt in inFlight, so Tick can
 	// skip the completion scan on cycles where nothing can finish.
 	minDoneAt uint64
+	// minReadDone is the earliest DoneAt of an in-flight read (NoEvent if
+	// none): start lowers it, Tick's compaction recomputes it.
+	minReadDone uint64
 
 	// Free list for pooled Requests and the reused completion buffer the
 	// Tick return value aliases (consumed before the next Tick).
@@ -298,12 +306,15 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 		if useWrites && ch.draining != (len(ch.writeQ) > c.geo.WriteDrain/2) {
 			return now + 1
 		}
-		q := ch.readQ
+		queued := ch.nRead
 		if useWrites {
-			q = ch.writeQ
+			queued = ch.nWrite
 		}
-		for _, r := range q {
-			t := ch.readyAt[r.bankIdx]
+		for b, n := range queued {
+			if n == 0 {
+				continue
+			}
+			t := ch.readyAt[b]
 			if t <= now {
 				return now + 1
 			}
@@ -314,10 +325,8 @@ func (c *Controller) NextEvent(now uint64) uint64 {
 	}
 	// Read completions wake the owner; write completions only compact the
 	// in-flight list, which is order-preserving whenever it happens.
-	for _, r := range c.inFlight {
-		if !r.Write && r.DoneAt < h {
-			h = r.DoneAt
-		}
+	if c.minReadDone < h {
+		h = c.minReadDone
 	}
 	if h <= now {
 		return now + 1
@@ -334,13 +343,15 @@ func NewController(geo Geometry, t Timing, policy SchedPolicy, cores int) *Contr
 	}
 	c := &Controller{geo: geo, timing: t, policy: policy, coreRank: make([]int, cores+1),
 		batchQuota: map[batchKey]int{}, batchCount: make([]int, cores+1),
-		minDoneAt: NoEvent}
+		minDoneAt: NoEvent, minReadDone: NoEvent}
 	c.channels = make([]channel, geo.Channels)
 	for i := range c.channels {
 		nb := geo.Ranks * geo.Banks
 		c.channels[i].openRow = make([]int64, nb)
 		c.channels[i].readyAt = make([]uint64, nb)
 		c.channels[i].activateAt = make([]uint64, nb)
+		c.channels[i].nRead = make([]int32, nb)
+		c.channels[i].nWrite = make([]int32, nb)
 		for b := 0; b < nb; b++ {
 			c.channels[i].openRow[b] = -1
 		}
@@ -418,6 +429,7 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 			return false
 		}
 		ch.writeQ = append(ch.writeQ, r)
+		ch.nWrite[r.bankIdx]++
 		c.gen++
 		return true
 	}
@@ -426,6 +438,7 @@ func (c *Controller) Enqueue(r *Request, now uint64) bool {
 		return false
 	}
 	ch.readQ = append(ch.readQ, r)
+	ch.nRead[r.bankIdx]++
 	c.gen++
 	return true
 }
@@ -459,7 +472,7 @@ func (c *Controller) Tick(now uint64) []*Request {
 	// valid until the next Tick.
 	done := c.doneBuf[:0]
 	keep := c.inFlight[:0]
-	minDone := uint64(NoEvent)
+	minDone, minRead := uint64(NoEvent), uint64(NoEvent)
 	for _, r := range c.inFlight {
 		if r.DoneAt <= now {
 			c.gen++
@@ -472,11 +485,15 @@ func (c *Controller) Tick(now uint64) []*Request {
 			if r.DoneAt < minDone {
 				minDone = r.DoneAt
 			}
+			if !r.Write && r.DoneAt < minRead {
+				minRead = r.DoneAt
+			}
 			keep = append(keep, r) //simlint:allocok compacts in place into inFlight[:0], never exceeds its capacity
 		}
 	}
 	c.inFlight = keep
 	c.minDoneAt = minDone
+	c.minReadDone = minRead
 	c.doneBuf = done
 	return done
 }
@@ -673,8 +690,10 @@ func (c *Controller) issueOn(ch *channel, now uint64) {
 	r := q[bestIdx]
 	if useWrites {
 		ch.writeQ = append(q[:bestIdx], q[bestIdx+1:]...) //simlint:allocok removal compaction within the queue's own backing array
+		ch.nWrite[r.bankIdx]--
 	} else {
 		ch.readQ = append(q[:bestIdx], q[bestIdx+1:]...) //simlint:allocok removal compaction within the queue's own backing array
+		ch.nRead[r.bankIdx]--
 	}
 	c.start(ch, r, now)
 }
@@ -730,6 +749,9 @@ func (c *Controller) start(ch *channel, r *Request, now uint64) {
 	c.gen++
 	if r.DoneAt < c.minDoneAt {
 		c.minDoneAt = r.DoneAt
+	}
+	if !r.Write && r.DoneAt < c.minReadDone {
+		c.minReadDone = r.DoneAt
 	}
 	c.inFlight = append(c.inFlight, r) //simlint:allocok in-flight list reaches its high-water capacity and stays there
 }

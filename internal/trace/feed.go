@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 
@@ -209,6 +211,11 @@ func (f *Feed) Start() {
 	go f.produce(f.stop, f.done)
 }
 
+// producerLabels tag the producers' CPU-profile samples, so that
+// `go tool pprof -tagignore=goroutine=uop-producer` shows the simulation
+// goroutine alone (DESIGN.md §8.4).
+var producerLabels = pprof.Labels("goroutine", "uop-producer")
+
 // produce is the producer goroutine: it fills chunks until the last one
 // is queued or stop closes. With every chunk out it waits for a released
 // one and sees stop through the select; its sends on full never block.
@@ -219,19 +226,21 @@ func (f *Feed) produce(stop <-chan struct{}, done chan<- struct{}) {
 		f.live.Store(false)
 		close(done)
 	}()
-	for !f.filled {
-		var c *chunk
-		if len(f.free) == 0 && f.made == feedChunks {
-			select {
-			case <-stop:
-				return
-			case c = <-f.free:
+	pprof.Do(context.Background(), producerLabels, func(context.Context) {
+		for !f.filled {
+			var c *chunk
+			if len(f.free) == 0 && f.made == feedChunks {
+				select {
+				case <-stop:
+					return
+				case c = <-f.free:
+				}
+			} else {
+				c = f.spare()
 			}
-		} else {
-			c = f.spare()
+			f.full <- f.fill(c)
 		}
-		f.full <- f.fill(c)
-	}
+	})
 }
 
 // Stop stops the producer Start started and waits for it to exit, which
