@@ -16,22 +16,23 @@ fmt-check:
 	@out=$$(gofmt -l $$(find . -path ./.bench_build -prune -o -path '*/testdata' -prune -o -name '*.go' -print)); \
 	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
-# Custom static analysis (cmd/simlint), five analyzers: zero-alloc,
+# Custom static analysis (cmd/simlint), four analyzers: zero-alloc,
 # failpoint registry, determinism (sim-state sources, taint into result
-# sinks, float order), lock-order and goroutine-leak — the last three on
-# the cross-package dataflow IR. Copies of sync/atomic values are go vet's
+# sinks, float order) and goroutine-leak — the last two on the
+# cross-package dataflow IR. Copies of sync/atomic values are go vet's
 # copylocks check (the vet target). The driver is built through the normal
 # go build cache, so warm runs cost seconds.
 lint:
 	$(GO) run ./cmd/simlint ./...
 
 # Lint self-test: inject known violations (a wall clock flowing into a
-# Result in the cluster layer, a reversed lock pair, a leaked goroutine,
-# a make in a noalloc function, a literal failpoint site, a wall-clock
-# read in internal/sim, a map-order float sum) into a throwaway overlay of
-# the tree and assert simlint fails on each, naming the right analyzer,
-# and that go vet rejects a by-value atomic.Int64 — so a silently broken
-# check cannot pass CI by reporting nothing (see scripts/lint_canary.sh).
+# Result in the cluster layer, a leaked goroutine, a make in a noalloc
+# function, a literal failpoint site, a wall-clock read in internal/sim, a
+# map-order float sum) into a throwaway overlay of the tree and assert
+# simlint fails on each, naming the right analyzer for every name
+# `simlint -list` prints, and that go vet rejects a by-value atomic.Int64 —
+# so a silently broken check cannot pass CI by reporting nothing (see
+# scripts/lint_canary.sh).
 lint-canary:
 	GO="$(GO)" sh scripts/lint_canary.sh
 

@@ -10,15 +10,13 @@
 //	                 map order) stays out of simulation-state packages and
 //	                 result sinks — tracked across package boundaries —
 //	                 and float sums do not follow map or goroutine order
-//	lockorder        no cycles in the service/cluster mutex
-//	                 acquisition-order graph (potential deadlocks)
 //	goroutineleak    every service/cluster goroutine has a reachable stop
 //	                 path, so Close/Drain joins cannot hang
 //
-// dettaint's sink rule, lockorder and goroutineleak run on the
-// cross-package dataflow IR (internal/analysis/framework/ir.go): facts
-// propagate over the module call graph, so a clock read three calls and
-// two packages away from a sim.Result still reports.
+// dettaint's sink rule and goroutineleak run on the cross-package dataflow
+// IR (internal/analysis/framework/ir.go): facts propagate over the module
+// call graph, so a clock read three calls and two packages away from a
+// sim.Result still reports.
 //
 // Usage:
 //
@@ -37,7 +35,6 @@ import (
 	"repro/internal/analysis/framework"
 	"repro/internal/analysis/goroutineleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockorder"
 )
 
 func main() {
@@ -47,7 +44,6 @@ func main() {
 		hotalloc.Analyzer,
 		failpoint.Analyzer,
 		dettaint.Analyzer,
-		lockorder.Analyzer,
 		goroutineleak.Analyzer,
 	}))
 }

@@ -21,7 +21,7 @@ import (
 
 // FuncKey is the stable, cross-package identity of a function or method:
 // "pkgpath.Name" for package functions, "pkgpath.(Recv).Name" for methods
-// (pointerness of the receiver is erased — lock-order and taint facts do
+// (pointerness of the receiver is erased — taint and stop-evidence facts do
 // not care which method set resolved the call). Keys are strings, not
 // *types.Func, because each package is type-checked against gc export data:
 // the same method seen from two importing packages is two distinct objects.
@@ -55,92 +55,13 @@ func FuncKey(fn *types.Func) string {
 	return pkg + "." + fn.Name()
 }
 
-// ExprKey resolves an lvalue-ish expression to a stable cross-package
-// identity usable as a map key:
-//
-//   - x.f where x has a named (possibly pointered) type T in package p
-//     yields "p.T.f" — the same key no matter which package the selector
-//     appears in, which plain object identity cannot give (each package is
-//     type-checked against export data, so the field object differs);
-//   - a package-level var v in package p yields "p.v";
-//   - a local var yields "p.v@<offset>" (unique per declaration; locals are
-//     never visible cross-package, the offset only separates shadows).
-//
-// ok=false for expressions with no stable identity (map/slice elements
-// through computed indexes, results of calls, ...).
-func ExprKey(fset *token.FileSet, info *types.Info, e ast.Expr) (key string, ok bool) {
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj := info.ObjectOf(x)
-		v, isVar := obj.(*types.Var)
-		if !isVar || v.Pkg() == nil {
-			return "", false
-		}
-		if v.IsField() {
-			// Unqualified field reference inside a method (embedded or
-			// promoted): no receiver chain to name the owner; fall back to
-			// the declaring position, which is stable for source-loaded
-			// packages.
-			pos := fset.Position(v.Pos())
-			return fmt.Sprintf("%s.%s@%d", v.Pkg().Path(), v.Name(), pos.Offset), true
-		}
-		if v.Parent() == v.Pkg().Scope() {
-			return v.Pkg().Path() + "." + v.Name(), true
-		}
-		pos := fset.Position(v.Pos())
-		return fmt.Sprintf("%s.%s@%d", v.Pkg().Path(), v.Name(), pos.Offset), true
-	case *ast.SelectorExpr:
-		obj := info.ObjectOf(x.Sel)
-		v, isVar := obj.(*types.Var)
-		if !isVar {
-			return "", false
-		}
-		if !v.IsField() {
-			// pkgname.Var qualified reference.
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return v.Pkg().Path() + "." + v.Name(), true
-			}
-			return "", false
-		}
-		t := exprTypeOf(info, x.X)
-		if t == nil {
-			return "", false
-		}
-		if p, isPtr := t.(*types.Pointer); isPtr {
-			t = p.Elem()
-		}
-		named, isNamed := t.(*types.Named)
-		if !isNamed || named.Obj().Pkg() == nil {
-			return "", false
-		}
-		return named.Obj().Pkg().Path() + "." + named.Obj().Name() + "." + v.Name(), true
-	case *ast.IndexExpr:
-		return ExprKey(fset, info, x.X)
-	case *ast.StarExpr:
-		return ExprKey(fset, info, x.X)
-	}
-	return "", false
-}
-
-// ShortKey trims the module-path prefix off an ExprKey or FuncKey for
-// readable diagnostics: "repro/internal/cluster.Node.mu" -> "cluster.Node.mu".
+// ShortKey trims the module-path prefix off a FuncKey for readable
+// diagnostics: "repro/internal/cluster.(Node).Close" -> "cluster.(Node).Close".
 func ShortKey(key string) string {
 	if i := strings.LastIndex(key, "/"); i >= 0 {
 		return key[i+1:]
 	}
 	return key
-}
-
-func exprTypeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok && tv.Type != nil {
-		return tv.Type
-	}
-	if id, ok := ast.Unparen(e).(*ast.Ident); ok {
-		if obj := info.ObjectOf(id); obj != nil {
-			return obj.Type()
-		}
-	}
-	return nil
 }
 
 // Assign is one def in a function's def-use chain: the object written, the
@@ -157,39 +78,23 @@ type Assign struct {
 	InSelect bool
 }
 
-// CallSite is one call in a function body, resolved where possible.
-type CallSite struct {
-	Call      *ast.CallExpr
-	Callee    *types.Func // nil for func-valued expressions and builtins
-	CalleeKey string      // "" when unresolved
-}
-
 // FuncIR is the per-function slice of the IR.
 type FuncIR struct {
 	Key  string
-	Name string
 	Pkg  *Package
-	Decl *ast.FuncDecl // nil for function literals
-	Lit  *ast.FuncLit  // nil for declared functions
 	Body *ast.BlockStmt
 
 	Assigns []Assign
 	Returns []*ast.ReturnStmt
-	Calls   []CallSite
 	Gos     []*ast.GoStmt
 }
 
 // ModuleIR holds the whole loaded module's IR plus the call graph.
 type ModuleIR struct {
-	Fset     *token.FileSet
-	Packages []*Package
-
 	// Funcs maps FuncKey -> IR for every declared function/method whose
-	// body was loaded from source. Function literals are not keyed (no
-	// stable identity) but appear in Lits.
+	// body was loaded from source. Function literals have no key of their
+	// own: their defs and go statements belong to the enclosing function.
 	Funcs map[string]*FuncIR
-	// Lits holds the IR of every function literal, in source order.
-	Lits []*FuncIR
 	// Callers is the reverse call graph: callee FuncKey -> caller FuncKeys
 	// (declared functions only; a call made inside a function literal is
 	// attributed to the literal's enclosing declared function).
@@ -198,12 +103,10 @@ type ModuleIR struct {
 
 // BuildModuleIR constructs the IR for every loaded package. Cost is one AST
 // walk per file; analyzers share the result through the ModulePass.
-func BuildModuleIR(fset *token.FileSet, pkgs []*Package) *ModuleIR {
+func BuildModuleIR(pkgs []*Package) *ModuleIR {
 	m := &ModuleIR{
-		Fset:     fset,
-		Packages: pkgs,
-		Funcs:    map[string]*FuncIR{},
-		Callers:  map[string][]string{},
+		Funcs:   map[string]*FuncIR{},
+		Callers: map[string][]string{},
 	}
 	for _, pkg := range pkgs {
 		for _, file := range pkg.Syntax {
@@ -217,7 +120,7 @@ func BuildModuleIR(fset *token.FileSet, pkgs []*Package) *ModuleIR {
 				if key == "" {
 					key = pkg.PkgPath + "." + fd.Name.Name
 				}
-				fir := &FuncIR{Key: key, Name: fd.Name.Name, Pkg: pkg, Decl: fd, Body: fd.Body}
+				fir := &FuncIR{Key: key, Pkg: pkg, Body: fd.Body}
 				m.scanBody(fir, pkg, fd.Body, key)
 				m.Funcs[key] = fir
 			}
@@ -232,13 +135,14 @@ func BuildModuleIR(fset *token.FileSet, pkgs []*Package) *ModuleIR {
 	return m
 }
 
-// scanBody fills fir's def-use, call, return, and go-statement chains, and
-// recursively builds literal IRs. Nested function literals get their own
-// FuncIR (appended to Lits) whose Key is the enclosing declared function's
-// key plus a "$lit" suffix; their calls contribute reverse edges under the
-// enclosing key so fact propagation sees through `go func(){...}()` bodies.
+// scanBody fills fir's def-use, return, and go-statement chains and adds
+// its calls to the reverse call graph under enclosingKey. A nested function
+// literal is scanned separately and its defs and go statements folded into
+// fir (its returns are its own); its calls contribute reverse edges under
+// the enclosing key so fact propagation sees through `go func(){...}()`
+// bodies.
 func (m *ModuleIR) scanBody(fir *FuncIR, pkg *Package, body *ast.BlockStmt, enclosingKey string) {
-	// selectDepth tracks whether the walk is inside a multi-way select.
+	// inSelect tracks whether the walk is inside a multi-way select.
 	var walk func(n ast.Node, inSelect bool) bool
 	var inspect func(n ast.Node, inSelect bool)
 	inspect = func(n ast.Node, inSelect bool) {
@@ -247,20 +151,11 @@ func (m *ModuleIR) scanBody(fir *FuncIR, pkg *Package, body *ast.BlockStmt, encl
 	walk = func(n ast.Node, inSelect bool) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			lit := &FuncIR{
-				Key:  enclosingKey + "$lit",
-				Name: fir.Name + "$lit",
-				Pkg:  pkg,
-				Lit:  n,
-				Body: n.Body,
-			}
-			m.scanBody(lit, pkg, n.Body, enclosingKey)
-			m.Lits = append(m.Lits, lit)
-			// The literal's contents also belong to the enclosing function's
-			// chains: a `go func(){...}` body is still this function's code
-			// as far as lock/taint/stop facts are concerned.
+			// A `go func(){...}` body is still this function's code as far
+			// as taint and stop facts are concerned.
+			var lit FuncIR
+			m.scanBody(&lit, pkg, n.Body, enclosingKey)
 			fir.Assigns = append(fir.Assigns, lit.Assigns...)
-			fir.Calls = append(fir.Calls, lit.Calls...)
 			fir.Gos = append(fir.Gos, lit.Gos...)
 			return false
 		case *ast.SelectStmt:
@@ -276,13 +171,10 @@ func (m *ModuleIR) scanBody(fir *FuncIR, pkg *Package, body *ast.BlockStmt, encl
 			fir.Returns = append(fir.Returns, n)
 			return true
 		case *ast.CallExpr:
-			cs := CallSite{Call: n}
 			if callee := CalleeOf(pkg.TypesInfo, n); callee != nil {
-				cs.Callee = callee
-				cs.CalleeKey = FuncKey(callee)
-				m.Callers[cs.CalleeKey] = appendUnique(m.Callers[cs.CalleeKey], enclosingKey)
+				key := FuncKey(callee)
+				m.Callers[key] = appendUnique(m.Callers[key], enclosingKey)
 			}
-			fir.Calls = append(fir.Calls, cs)
 			return true
 		case *ast.AssignStmt:
 			for i, lhs := range n.Lhs {
@@ -397,8 +289,7 @@ func appendUnique(s []string, v string) []string {
 // function acquires the fact as soon as any function it calls holds it.
 // seed maps FuncKey -> true for the functions where the fact originates;
 // the returned map is the transitive closure over the reverse call graph.
-// This is the shape lockorder (transitive lock sets decompose into one
-// fact per lock class) and goroutineleak (has-stop-evidence) need; dettaint
+// This is the shape goroutineleak's has-stop-evidence fact needs; dettaint
 // runs its own fixpoint because its transfer function re-evaluates local
 // def-use chains rather than a plain union.
 func (m *ModuleIR) Propagate(seed map[string]bool) map[string]bool {
@@ -422,17 +313,4 @@ func (m *ModuleIR) Propagate(seed map[string]bool) map[string]bool {
 		}
 	}
 	return facts
-}
-
-// PkgOf returns the package path component of a FuncKey ("" if malformed).
-func PkgOf(key string) string {
-	// pkgpath is everything before the last '.' outside parens; method keys
-	// look like pkg.(T).M, function keys like pkg.F.
-	if i := strings.Index(key, ".("); i >= 0 {
-		return key[:i]
-	}
-	if i := strings.LastIndex(key, "."); i >= 0 {
-		return key[:i]
-	}
-	return ""
 }

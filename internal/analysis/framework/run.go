@@ -48,7 +48,7 @@ func RunPackages(fset *token.FileSet, pkgs []*Package, analyzers []*Analyzer) ([
 			continue
 		}
 		if ir == nil {
-			ir = BuildModuleIR(fset, pkgs)
+			ir = BuildModuleIR(pkgs)
 		}
 		mp := &ModulePass{
 			Analyzer: a,

@@ -121,18 +121,3 @@ func TestPropagate(t *testing.T) {
 		}
 	}
 }
-
-// TestFuncKeyAndPkgOf pins the stable-key grammar that cross-package facts
-// are addressed by.
-func TestFuncKeyAndPkgOf(t *testing.T) {
-	cases := []struct{ key, pkg string }{
-		{"repro/internal/cluster.(Node).Close", "repro/internal/cluster"},
-		{"repro/internal/service.EncodeRecord", "repro/internal/service"},
-		{"time.Now", "time"},
-	}
-	for _, tc := range cases {
-		if got := PkgOf(tc.key); got != tc.pkg {
-			t.Errorf("PkgOf(%q) = %q, want %q", tc.key, got, tc.pkg)
-		}
-	}
-}

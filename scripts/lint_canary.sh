@@ -5,16 +5,18 @@
 # A static analyzer that silently stops reporting looks exactly like a clean
 # tree, so "make lint is green" alone is not evidence the lint suite works.
 # This script copies the module into a throwaway overlay, verifies the clean
-# tree passes, injects five known violations into the cluster layer — a
-# wall clock flowing into a sim.Result (dettaint), a reversed lock pair
-# (lockorder), a goroutine with no stop path (goroutineleak), a make inside
-# a //simlint:noalloc function (hotalloc), and a fault.Register with a
-# string literal (failpoint) — plus one each for dettaint's package-local
-# rules — a wall-clock read in internal/sim and a map-order float sum in
+# tree passes, injects one known violation per analyzer into the cluster
+# layer — a wall clock flowing into a sim.Result (dettaint), a goroutine
+# with no stop path (goroutineleak), a make inside a //simlint:noalloc
+# function (hotalloc), and a fault.Register with a string literal
+# (failpoint) — plus one each for dettaint's package-local rules — a
+# wall-clock read in internal/sim and a map-order float sum in
 # internal/cluster — and asserts simlint exits nonzero with the right
-# analyzer reporting inside each canary file. Copies of sync/atomic values
-# are go vet's copylocks check, so a by-value atomic.Int64 parameter must
-# make go vet fail naming its file.
+# analyzer reporting inside each canary file. The analyzer list comes from
+# `simlint -list`, so an analyzer without a zz_canary_<name>.go file fails
+# the canary instead of going unchecked. Copies of sync/atomic values are
+# go vet's copylocks check, so a by-value atomic.Int64 parameter must make
+# go vet fail naming its file.
 set -eu
 
 GO="${GO:-go}"
@@ -47,31 +49,6 @@ import (
 // canaryTaint writes the wall clock into a Result field: dettaint must fire.
 func canaryTaint(r *sim.Result) {
 	r.Cycles = uint64(time.Now().UnixNano())
-}
-EOF
-
-cat > "$overlay/internal/cluster/zz_canary_lockorder.go" <<'EOF'
-package cluster
-
-import "sync"
-
-type canaryL1 struct{ mu sync.Mutex }
-type canaryL2 struct{ mu sync.Mutex }
-
-// canaryLockAB and canaryLockBA reverse each other's acquisition order:
-// lockorder must report the cycle.
-func canaryLockAB(a *canaryL1, b *canaryL2) {
-	a.mu.Lock()
-	b.mu.Lock()
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-func canaryLockBA(a *canaryL1, b *canaryL2) {
-	b.mu.Lock()
-	a.mu.Lock()
-	a.mu.Unlock()
-	b.mu.Unlock()
 }
 EOF
 
@@ -156,8 +133,13 @@ if (cd "$overlay" && "$GO" run ./cmd/simlint ./... >"$out" 2>&1); then
 	exit 1
 fi
 
+if ! analyzers="$(cd "$overlay" && "$GO" run ./cmd/simlint -list)" || [ -z "$analyzers" ]; then
+	echo "lint-canary: FAIL: simlint -list printed no analyzers" >&2
+	exit 1
+fi
+
 fail=0
-for a in dettaint lockorder goroutineleak hotalloc failpoint; do
+for a in $analyzers; do
 	if ! grep -q "zz_canary_${a}\.go.*(${a})" "$out"; then
 		echo "lint-canary: FAIL: ${a} did not report inside zz_canary_${a}.go" >&2
 		fail=1
@@ -185,4 +167,4 @@ if ! grep -q "zz_canary_atomiccopy\.go.*lock by value" "$vetout"; then
 	cat "$vetout" >&2
 	exit 1
 fi
-echo "lint-canary: PASS (dettaint sink, wall-clock and float-order rules, lockorder, goroutineleak, hotalloc, failpoint and vet copylocks all fire)"
+echo "lint-canary: PASS (dettaint sink, wall-clock and float-order rules, goroutineleak, hotalloc, failpoint and vet copylocks all fire)"
