@@ -24,9 +24,9 @@
 // fabric (see internal/cluster and DESIGN.md §15): submissions to any node
 // route to the key's consistent-hash owner, the entry node fetches the
 // result as a durable EMCR record, anti-entropy converges the durable
-// caches, and idle nodes (a freshly joined one too) steal queued work — the
-// victim forwards a queued job to the thief and follows it like any other
-// forwarded job:
+// caches, and idle nodes (a freshly joined one too) steal queued work from
+// peers whose workers are all busy — the victim forwards a queued job to
+// the thief and follows it like any other forwarded job:
 //
 //	emcserve -addr 127.0.0.1:8081 -node-id a
 //	emcserve -addr 127.0.0.1:8082 -node-id b -join http://127.0.0.1:8081
@@ -71,7 +71,6 @@ func main() {
 	peers := flag.String("peers", "", "static membership as id=url,id=url (alternative to -join)")
 	heartbeat := flag.Duration("heartbeat", time.Second, "cluster heartbeat interval")
 	suspect := flag.Duration("suspect-after", 0, "mark peers dead after this much heartbeat silence (0 = 4x heartbeat)")
-	stealThreshold := flag.Int("steal-threshold", 2, "peer queue depth that makes an idle node steal work")
 	antiEntropy := flag.Duration("anti-entropy-interval", 30*time.Second, "anti-entropy cadence: each round reads one peer's key list and backfills missing records")
 	ringWeight := flag.Int("ring-weight", 1, "this node's ring weight (virtual-point multiplier for heterogeneous nodes)")
 	clusterToken := flag.String("cluster-token", "", "shared bearer token guarding /api/v1/cluster/* (empty = no auth)")
@@ -124,7 +123,6 @@ func main() {
 			Addr:                adv,
 			HeartbeatInterval:   *heartbeat,
 			SuspectAfter:        *suspect,
-			StealThreshold:      *stealThreshold,
 			AntiEntropyInterval: *antiEntropy,
 			Weight:              *ringWeight,
 		})

@@ -147,12 +147,13 @@ func runClusterChaosSchedule(t *testing.T, seed int64, pool []sim.Config, refs [
 			}
 		},
 		func(int) cluster.Options {
-			return cluster.Options{
+			o := cluster.Options{
 				HeartbeatInterval: time.Duration(5+rng.Intn(10)) * time.Millisecond,
 				SuspectAfter:      40 * time.Millisecond,
 				PollInterval:      2 * time.Millisecond,
-				StealThreshold:    1 + rng.Intn(2),
 			}
+			_ = rng.Intn(2) // was the steal threshold; keeps every seed's schedule
+			return o
 		})
 	faults := armClusterChaos(t, rng)
 

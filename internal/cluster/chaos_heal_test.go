@@ -80,11 +80,11 @@ func runClusterHealSchedule(t *testing.T, seed int64, pool []sim.Config, refs []
 	}
 	heartbeat := time.Duration(5+rng.Intn(10)) * time.Millisecond
 	opts := func(i int) cluster.Options {
+		_ = rng.Intn(2) // was the steal threshold; keeps every seed's schedule
 		o := cluster.Options{
 			HeartbeatInterval:   heartbeat,
 			SuspectAfter:        40 * time.Millisecond,
 			PollInterval:        2 * time.Millisecond,
-			StealThreshold:      1 + rng.Intn(2),
 			AntiEntropyInterval: time.Duration(10+rng.Intn(15)) * time.Millisecond,
 			Weight:              1 + i%2, // heterogeneous ring on purpose
 		}

@@ -196,10 +196,13 @@ func (n *Node) httpPing(w http.ResponseWriter, _ *http.Request) {
 // takes one queued job and forwards it to the thief through routeJob, the
 // path every forwarded job takes, so the victim follows it by status wait
 // and fetches its result (200). It declines (204) when the thief is unnamed,
-// nothing is stealable, or the node is closing.
+// a worker here is free, nothing is stealable, or the node is closing. The
+// free-worker rule keeps a job that a worker is about to pick up from
+// moving, and keeps a thief, idle when it stole, from handing its stolen
+// job straight back.
 func (n *Node) httpSteal(w http.ResponseWriter, r *http.Request) {
 	thief := r.Header.Get(peerIDHeader)
-	if fpSteal.Fire() || thief == "" || !n.enter() {
+	if fpSteal.Fire() || thief == "" || !n.svc.Saturated() || !n.enter() {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	}

@@ -47,9 +47,6 @@ type Options struct {
 	// cancel on the entry node, or a partition, can go unnoticed (default
 	// 100ms).
 	PollInterval time.Duration
-	// StealThreshold is the minimum number of stealable queued jobs at which
-	// a peer becomes a steal victim (default 2).
-	StealThreshold int
 	// AntiEntropyInterval is the cadence of the anti-entropy loop: each tick
 	// reads the key list of one live peer round-robin and backfills the
 	// durable records this node lacks (default 30s).
@@ -68,9 +65,6 @@ func (o *Options) defaults() {
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 100 * time.Millisecond
-	}
-	if o.StealThreshold <= 0 {
-		o.StealThreshold = 2
 	}
 	if o.AntiEntropyInterval <= 0 {
 		o.AntiEntropyInterval = 30 * time.Second
@@ -349,7 +343,7 @@ func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 		return
 	}
 	for hop := 0; hop < maxHops && owner != n.id; hop++ {
-		done, next := n.runRemote(j, owner)
+		done, next := n.runRemote(j, owner, stolen)
 		if done {
 			if stolen {
 				if _, err, _ := j.Result(); err == nil {
@@ -375,7 +369,14 @@ func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 // runRemote forwards j to owner and follows it to a terminal state.
 // done=false means the owner was busy or became unreachable; next is the
 // ring owner to try (this node for a busy owner).
-func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) {
+//
+// A forward the owner queues while this node is idle is taken back at once:
+// the node asks the owner for a steal, and an owner whose workers are all
+// running hands a queued job over. The forward itself stays as it is, and
+// when the stolen job was this one, its result is already in the local
+// cache by the time the owner reports it done. A stolen job is never
+// taken back, so a steal cannot bounce between victim and thief.
+func (n *Node) runRemote(j *service.Job, owner string, stolen bool) (done bool, next string) {
 	ctx := context.Background()
 	req := SubmitRequest{Client: n.id + "/" + j.Client(), Key: j.Key(), Cfg: j.Config()}
 	st, err := n.rpcSubmit(ctx, owner, req)
@@ -389,6 +390,9 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 	case err != nil:
 		n.svc.FinishRouted(j, nil, fmt.Errorf("cluster: forward to %s: %w", owner, err))
 		return true, ""
+	}
+	if st.State == service.StateQueued && !stolen && n.svc.Idle() {
+		n.steal(owner)
 	}
 	// Follow the job by long-poll: each status call returns once the job is
 	// terminal on the owner or PollInterval has passed, and the next is
@@ -434,6 +438,12 @@ func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) 
 func (n *Node) finishRemote(ctx context.Context, j *service.Job, owner string, st service.Status) bool {
 	switch st.State {
 	case service.StateDone:
+		// This node holds the result already when it ran the job itself,
+		// stolen back from the owner: no round trip for the bytes.
+		if res, ok := n.svc.PeekResult(j.Key()); ok {
+			n.svc.FinishRouted(j, res, nil)
+			return true
+		}
 		if res, err := n.fetchRecord(ctx, owner, j.Key(), false); err == nil {
 			n.svc.FinishRouted(j, res, nil)
 			return true
@@ -637,26 +647,33 @@ func (n *Node) heartbeatRound() {
 	n.maybeSteal()
 }
 
-// maybeSteal asks the live peer with the most stealable queued jobs for one
-// when this node has a free worker and nothing queued — skew smoothing, not
-// load balancing: the ring already spreads keys, stealing only absorbs
-// hot-spot bursts, and it is how a freshly joined node picks up queued
-// work. A node whose workers are all busy does not steal even with an empty
-// queue: the stolen job would only wait here instead of there. An accepted
-// steal arrives as an ordinary forwarded Submit from the victim.
+// maybeSteal is the heartbeat's steal trigger: when this node has a free
+// worker and nothing queued, it asks the live peer whose last heartbeat
+// reported the most stealable queued jobs for one. It is how a freshly
+// joined node, which owns no in-flight work, picks up queued jobs; the
+// other trigger, a forward taken back at once (runRemote), acts within a
+// job rather than a heartbeat. A node whose workers are all busy does not
+// steal even with an empty queue: the stolen job would only wait here
+// instead of there.
 func (n *Node) maybeSteal() {
 	if !n.svc.Idle() {
 		return
 	}
-	victim, best := "", n.opts.StealThreshold-1
+	victim, best := "", 0
 	for _, p := range n.members.rows(isLivePeer) {
 		if p.Health.Stealable > best {
 			victim, best = p.ID, p.Health.Stealable
 		}
 	}
-	if victim == "" {
-		return
+	if victim != "" {
+		n.steal(victim)
 	}
+}
+
+// steal asks victim to forward one of its queued jobs here; the victim
+// declines unless every one of its workers is running (httpSteal). An
+// accepted steal arrives as an ordinary forwarded Submit from the victim.
+func (n *Node) steal(victim string) {
 	var accepted bool
 	_ = n.call(victim, func() error { // a failed steal is a declined one
 		var err error

@@ -86,6 +86,14 @@ func fastOpts(int) cluster.Options {
 	}
 }
 
+// quietOpts is fastOpts with heartbeats an hour apart, so no heartbeat steal
+// can move a job while the test arranges its nodes' queues.
+func quietOpts(i int) cluster.Options {
+	o := fastOpts(i)
+	o.HeartbeatInterval = time.Hour
+	return o
+}
+
 func newFabric(t *testing.T, nodes int, scfg func(i int) service.Config) *cluster.Fabric {
 	return newFabricOpts(t, nodes, scfg, fastOpts)
 }
@@ -285,17 +293,18 @@ func TestOwnerDeathRedispatch(t *testing.T) {
 // TestBusyOwnerFallsBackLocally: an owner whose queue is full answers 429,
 // and the entry node runs the job itself at once rather than wait for the
 // owner: the owner's only worker and its one queue slot stay taken by
-// blockers until the job is done.
+// blockers until the job is done. Heartbeats are an hour apart, so the idle
+// entry node cannot steal the queued blocker and free the slot first.
 func TestBusyOwnerFallsBackLocally(t *testing.T) {
 	fault.DisableAll()
 	release := make(chan struct{})
 	defer close(release)
-	f := newFabric(t, 2, func(i int) service.Config {
+	f := newFabricOpts(t, 2, func(i int) service.Config {
 		if i == 1 {
 			return service.Config{Workers: 1, QueueCap: 1}
 		}
 		return service.Config{Workers: 1, QueueCap: 64}
-	})
+	}, quietOpts)
 	owner := f.Nodes[1].Service()
 	if _, err := owner.Submit("blocker", blockerCfg(release)); err != nil {
 		t.Fatal(err)
@@ -342,11 +351,7 @@ func TestWorkStealing(t *testing.T) {
 			return service.Config{Workers: 1, QueueCap: 64}
 		}
 		return service.Config{Workers: 2, QueueCap: 64}
-	}, func(i int) cluster.Options {
-		o := fastOpts(i)
-		o.StealThreshold = 1 // steal even a single queued job
-		return o
-	})
+	}, fastOpts)
 
 	// Park node0's only worker on a blocker.
 	bj := parkWorker(t, f.Nodes[0], release)
@@ -413,11 +418,7 @@ func TestNoStealWhileWorkersBusy(t *testing.T) {
 	defer free(1)
 	f := newFabricOpts(t, 2, func(int) service.Config {
 		return service.Config{Workers: 1, QueueCap: 64}
-	}, func(i int) cluster.Options {
-		o := fastOpts(i)
-		o.StealThreshold = 1
-		return o
-	})
+	}, fastOpts)
 	var parked []*service.Job
 	for i, n := range f.Nodes {
 		parked = append(parked, parkWorker(t, n, release[i]))
@@ -474,11 +475,7 @@ func TestNoStealFromUnstealableQueue(t *testing.T) {
 	defer close(release) // runs before the fabric's Close: unpark node0
 	f := newFabricOpts(t, 2, func(i int) service.Config {
 		return service.Config{Workers: 1 + i, QueueCap: 64} // node0 has one worker
-	}, func(i int) cluster.Options {
-		o := fastOpts(i)
-		o.StealThreshold = 1
-		return o
-	})
+	}, fastOpts)
 	parkWorker(t, f.Nodes[0], release)
 	// Queue two jobs behind the blocker and cancel them; node0 is cut off
 	// from node1 meanwhile, so no steal can take one in between.
@@ -507,6 +504,80 @@ func TestNoStealFromUnstealableQueue(t *testing.T) {
 	time.Sleep(10 * fastOpts(0).HeartbeatInterval)
 	if n := fp.Fires() - before; n != 0 {
 		t.Fatalf("node0 received %d steal requests with nothing stealable queued", n)
+	}
+}
+
+// TestIdleEntryTakesBackQueuedForward: a forward that its owner queues
+// behind a busy worker is taken back at once by an idle entry node, through
+// the steal RPC, without waiting for a heartbeat (the heartbeat interval is
+// an hour here). The entry node runs the job, its result matches a direct
+// run, the owner never executes it, and the entry node finishes its routed
+// copy from its own cache without fetching the bytes back.
+func TestIdleEntryTakesBackQueuedForward(t *testing.T) {
+	fault.DisableAll()
+	release := make(chan struct{})
+	defer close(release) // runs before the fabric's Close: unpark node1
+	f := newFabricOpts(t, 2, func(int) service.Config {
+		return service.Config{Workers: 1, QueueCap: 64}
+	}, quietOpts)
+	parkWorker(t, f.Nodes[1], release)
+
+	cfg := cfgOwnedBy(t, 2, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, err := f.Nodes[0].Run(ctx, "t", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := res.Hash(), runTiny(t, cfg).Hash(); got != want {
+		t.Fatalf("taken-back result hash %#x != direct %#x", got, want)
+	}
+	entry, owner := f.Nodes[0].Counters(), f.Nodes[1].Counters()
+	if entry.Forwarded != 1 || entry.StolenIn != 1 || entry.Fetched != 0 || entry.Reclaimed != 0 {
+		t.Fatalf("entry counters %+v, want 1 forward, 1 steal in, no fetch, no reclaim", entry)
+	}
+	if owner.StolenOut != 1 || owner.Reclaimed != 0 {
+		t.Fatalf("owner counters %+v, want 1 steal out and no reclaim", owner)
+	}
+	if got := f.Nodes[0].Service().Stats().Executed; got != 1 {
+		t.Fatalf("entry node executed %d jobs, want 1", got)
+	}
+	if got := sumExecuted(f); got != 1 {
+		t.Fatalf("%d executions across the fabric, want 1 (the blocker is still parked)", got)
+	}
+}
+
+// TestNoStealFromFreeWorker: a victim with a free worker declines a steal,
+// even with a job queued: the worker is about to take it. The owner here
+// has one of its two workers parked, so every forward the idle entry node
+// sends is answered while a worker is free, and a forward answered
+// "queued" is followed at once by a steal request the owner must refuse.
+// Every job runs on its owner.
+func TestNoStealFromFreeWorker(t *testing.T) {
+	fault.DisableAll()
+	release := make(chan struct{})
+	defer close(release)
+	f := newFabricOpts(t, 2, func(i int) service.Config {
+		return service.Config{Workers: 1 + i, QueueCap: 64} // node1, the owner, has two
+	}, fastOpts)
+	parkWorker(t, f.Nodes[1], release)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for i, cfg := range cfgsOwnedBy(t, 2, 1, 8) {
+		res, err := f.Nodes[0].Run(ctx, "t", cfg)
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
+		}
+		if got, want := res.Hash(), runTiny(t, cfg).Hash(); got != want {
+			t.Fatalf("job %d: result hash %#x != direct %#x", i, got, want)
+		}
+	}
+	if c := f.Nodes[1].Counters(); c.StolenOut != 0 {
+		t.Fatalf("owner with a free worker handed out %d jobs (%+v)", c.StolenOut, c)
+	}
+	if got := f.Nodes[0].Service().Stats().Executed; got != 0 {
+		t.Fatalf("entry node executed %d jobs, want 0", got)
 	}
 }
 
@@ -689,7 +760,6 @@ func TestCloseFailsStolenOutJob(t *testing.T) {
 		return service.Config{Workers: 1, QueueCap: 64}
 	}, func(i int) cluster.Options {
 		o := fastOpts(i)
-		o.StealThreshold = 1
 		o.PollInterval = 30 * time.Second
 		return o
 	})

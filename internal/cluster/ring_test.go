@@ -67,22 +67,23 @@ func TestRingEmpty(t *testing.T) {
 	}
 }
 
-// TestRingDistribution: with 64 virtual points per member no node should be
-// starved — a sanity bound, not a uniformity claim.
+// TestRingDistribution: with 64 virtual points per member every node's
+// share of the hash space is within ±20% of 1/n on 2-, 3- and 4-node rings.
+// Bare FNV-64a point hashes failed this (a 53/18/29 split on three nodes);
+// ringHash's finalizer is what passes it.
 func TestRingDistribution(t *testing.T) {
-	r := cluster.NewRing(0)
-	nodes := []string{"node0", "node1", "node2"}
-	for _, id := range nodes {
-		r.Add(id)
-	}
-	counts := map[string]int{}
-	const keys = 9000
-	for i := 0; i < keys; i++ {
-		counts[r.Owner(fmt.Sprintf("fp:%x", i*7919), nil)]++
-	}
-	for _, id := range nodes {
-		if counts[id] < keys/10 {
-			t.Fatalf("node %s owns only %d/%d keys — ring badly skewed: %v", id, counts[id], keys, counts)
+	for n := 2; n <= 4; n++ {
+		r := cluster.NewRing(0)
+		for i := 0; i < n; i++ {
+			r.Add(fmt.Sprintf("node%d", i))
+		}
+		shares := r.ArcShares()
+		fair := 1 / float64(n)
+		for i := 0; i < n; i++ {
+			id := fmt.Sprintf("node%d", i)
+			if s := shares[id]; s < 0.8*fair || s > 1.2*fair {
+				t.Errorf("%d nodes: %s holds %.1f%% of the ring, want %.1f%% ± 20%%: %v", n, id, 100*s, 100*fair, shares)
+			}
 		}
 	}
 }

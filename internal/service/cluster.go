@@ -37,6 +37,13 @@ func (s *Service) Idle() bool {
 	return queued == 0 && running < s.cfg.Workers
 }
 
+// Saturated reports whether every worker is running a job — the condition
+// under which a steal victim hands out a queued job. A node with a free
+// worker declines: the worker is about to take the job itself.
+func (s *Service) Saturated() bool {
+	return int(s.running.Load()) >= s.cfg.Workers
+}
+
 // Load reads the queue depth and the running and hung job counts from the
 // service's counters: the load a heartbeat reports, without the per-node
 // rows Stats builds.

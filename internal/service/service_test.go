@@ -434,6 +434,35 @@ func TestEqualConfigsShareCacheKey(t *testing.T) {
 	}
 }
 
+// TestSaturated: a service is saturated, and so a steal victim, only while
+// every worker runs a job; it stops being one when a worker frees up.
+func TestSaturated(t *testing.T) {
+	s := New(Config{Workers: 2, QueueCap: 8, AttemptHook: parkBlockers})
+	defer s.Close()
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	free := func(i int) { once[i].Do(func() { close(release[i]) }) }
+	defer free(1) // runs before Close: unpark the blocked workers
+	defer free(0)
+	if s.Saturated() {
+		t.Fatal("idle service reports saturated")
+	}
+	for i := range release {
+		if _, err := s.Submit("a", blockerCfg(release[i])); err != nil {
+			t.Fatal(err)
+		}
+		waitStats(t, s, func(st Stats) bool { return st.Running == i+1 })
+		if got, want := s.Saturated(), i == 1; got != want {
+			t.Fatalf("%d of 2 workers running: Saturated = %v, want %v", i+1, got, want)
+		}
+	}
+	free(0)
+	waitStats(t, s, func(st Stats) bool { return st.Running == 1 })
+	if s.Saturated() {
+		t.Fatal("service with a free worker reports saturated")
+	}
+}
+
 // TestTakeQueuedLeavesUnstealableQueued: a steal takes only a job that may
 // leave the node. A cancel-requested job at the head of a client's queue
 // stays queued for the local workers, which finish it as cancelled, and Drain
