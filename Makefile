@@ -134,10 +134,10 @@ bench:
 experiments:
 	$(GO) run ./cmd/experiments -n 30000 -n8 15000 -md results-run.md
 
-# Figures gate: regenerate every figure at results.md's run length into a
-# temporary file and diff the figure sections against the committed
-# results.md (the Run: timestamp line is not compared). About 25 s on two
-# cores; see scripts/results_check.sh.
+# Results gate: regenerate results.md at its run length into a temporary
+# file and diff it against the committed results.md (only the Run:
+# timestamp line is not compared). About 25 s on two cores; see
+# scripts/results_check.sh.
 results-check:
 	GO="$(GO)" sh scripts/results_check.sh
 

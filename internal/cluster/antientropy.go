@@ -7,13 +7,13 @@ import (
 	"repro/internal/fault"
 )
 
-// Anti-entropy failpoints (see internal/fault): antientropy.digest fails a
+// Anti-entropy failpoints (see internal/fault): antientropy.keys fails a
 // round's key-list RPC as unreachable (the node skips that peer this round);
 // antientropy.fetch drops one missing record's backfill (a later round must
 // cover it).
 var (
-	fpAEDigest = fault.Register(fault.SiteClusterAntiEntropyDigest)
-	fpAEFetch  = fault.Register(fault.SiteClusterAntiEntropyFetch)
+	fpAEKeys  = fault.Register(fault.SiteClusterAntiEntropyKeys)
+	fpAEFetch = fault.Register(fault.SiteClusterAntiEntropyFetch)
 )
 
 // antiEntropy is the convergence loop: every AntiEntropyInterval, read the
@@ -50,7 +50,7 @@ func (n *Node) antiEntropy() {
 // locally, and the syncing flag is up only while actual backfill work is in
 // flight.
 func (n *Node) antiEntropyRound(peer string) {
-	if fpAEDigest.Fire() {
+	if fpAEKeys.Fire() {
 		return
 	}
 	var keys []string

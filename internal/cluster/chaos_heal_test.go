@@ -56,7 +56,7 @@ func armHealChaos(t *testing.T, rng *rand.Rand) string {
 		return fault.Trigger{Prob: p, Seed: rng.Uint64() | 1}
 	}
 	if rng.Float64() < 0.5 {
-		arm(fault.SiteClusterAntiEntropyDigest, prob(0.2+0.2*rng.Float64()))
+		arm(fault.SiteClusterAntiEntropyKeys, prob(0.2+0.2*rng.Float64()))
 	}
 	if rng.Float64() < 0.5 {
 		arm(fault.SiteClusterAntiEntropyFetch, prob(0.2+0.2*rng.Float64()))

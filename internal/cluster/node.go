@@ -343,7 +343,7 @@ func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 		return
 	}
 	for hop := 0; hop < maxHops && owner != n.id; hop++ {
-		done, next := n.runRemote(j, owner, stolen)
+		done, next := n.runRemote(j, owner)
 		if done {
 			if stolen {
 				if _, err, _ := j.Result(); err == nil {
@@ -374,9 +374,11 @@ func (n *Node) routeJob(j *service.Job, owner string, stolen bool) {
 // the node asks the owner for a steal, and an owner whose workers are all
 // running hands a queued job over. The forward itself stays as it is, and
 // when the stolen job was this one, its result is already in the local
-// cache by the time the owner reports it done. A stolen job is never
-// taken back, so a steal cannot bounce between victim and thief.
-func (n *Node) runRemote(j *service.Job, owner string, stolen bool) (done bool, next string) {
+// cache by the time the owner reports it done. A steal cannot bounce
+// between victim and thief: the owner hands a job over only while all its
+// workers are running (httpSteal's Saturated rule), and a thief was idle,
+// with a free worker, when it stole.
+func (n *Node) runRemote(j *service.Job, owner string) (done bool, next string) {
 	ctx := context.Background()
 	req := SubmitRequest{Client: n.id + "/" + j.Client(), Key: j.Key(), Cfg: j.Config()}
 	st, err := n.rpcSubmit(ctx, owner, req)
@@ -391,7 +393,7 @@ func (n *Node) runRemote(j *service.Job, owner string, stolen bool) (done bool, 
 		n.svc.FinishRouted(j, nil, fmt.Errorf("cluster: forward to %s: %w", owner, err))
 		return true, ""
 	}
-	if st.State == service.StateQueued && !stolen && n.svc.Idle() {
+	if st.State == service.StateQueued && n.svc.Idle() {
 		n.steal(owner)
 	}
 	// Follow the job by long-poll: each status call returns once the job is

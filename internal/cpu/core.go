@@ -251,13 +251,6 @@ type Core struct {
 	remote     []bool   // shipped to the EMC; do not issue locally
 	memBlocked []bool   // parked in blockedLd (or riding a run token)
 	addrValid  []bool
-	// blockStore memoizes the unresolved older store (ROB slot, with its
-	// dispatch seq in blockSeq) that parked a load, so retries skip the
-	// store-queue scan while that same store is still unresolved. -1 when
-	// the load is not store-blocked. The skipped scan prefix has no side
-	// effects, so retry outcomes are bit-identical.
-	blockStore []int32
-	blockSeq   []uint64
 
 	renameMap [isa.NumArchRegs]int32
 	archVal   [isa.NumArchRegs]uint64
@@ -265,29 +258,28 @@ type Core struct {
 
 	// Run tokens. readyQ and blockedLd hold ROB slots, and also negative
 	// items ^h: a run token standing for a maximal sequence of consecutive
-	// parked loads, h being the first. Members are linked in order through
-	// runNext (-1 ends the run); runTail and runChecked are kept for heads
-	// only. Every member is a local, stReady load blocked on an unresolved
-	// older store, with no other copy in either list; memBlocked stays set
-	// while it rides a token. Such loads only ever move as a block (parked
-	// behind the same store they issue nothing and touch no counter), so
-	// issue, retryBlockedLoads and NextEvent move or skip a whole run in
-	// O(1) where the per-entry loops would handle each member in turn. A run
-	// is split back into its members in place once one stops being valid:
-	// every store resolution and chain shipment bumps resolveGen, runValid
-	// rechecks a run whose runChecked lags it, and settleRuns splits the
-	// invalid ones (DESIGN.md §8.3).
-	runNext    []int32
-	runTail    []int32
-	runChecked []uint64
+	// store-blocked parked loads, h being the first. Members are linked in
+	// order through runNext (-1 ends the run); runTail and runMin (the
+	// members' least dispatch seq) are kept for heads only. Every member is
+	// a local stReady load with no other copy in either list; memBlocked
+	// stays set while it rides a token. While the first unresolved store
+	// (blockerSeq) is older than every member, the run is valid: each
+	// member is store-blocked, issues nothing and touches no counter, so
+	// issue, retryBlockedLoads and NextEvent move or skip the whole run in
+	// O(1) where the per-entry loops would handle each member in turn.
+	// runValid is one comparison; issue() splits an invalid run back into
+	// its members in place when it reaches it, and a chain ship splits out
+	// the loads it ships (DESIGN.md §8.3).
+	runNext []int32
+	runTail []int32
+	runMin  []uint64
 	// copies counts each slot's items in readyQ and blockedLd (a run counts
 	// once for each member). Stale entries of a reused slot and chain aborts
 	// create duplicates; a load joins a run only when its copy is the sole
 	// one.
-	copies     []int32
-	resolveGen uint64
-	runs       int // run tokens present in readyQ and blockedLd
-	runBuf     []int32
+	copies []int32
+	runs   int // run tokens present in readyQ and blockedLd
+	runBuf []int32
 
 	rsCount int
 	readyQ  []int32
@@ -301,8 +293,8 @@ type Core struct {
 	lq, sq    []int32 // rob slots of in-flight loads/stores, program order
 	blockedLd []int32 // loads waiting on LSQ conditions or MSHR space
 	// sqRes is the store queue's resolved prefix: sq[:sqRes] are all
-	// resolved stores. issueLoad moves it forward; retire lowers it when the
-	// oldest store leaves (DESIGN.md §8.3).
+	// resolved stores. blockerSeq moves it forward; retire lowers it when
+	// the oldest store leaves (DESIGN.md §8.3).
 	sqRes int
 
 	storeBuf  []storeWrite
@@ -391,11 +383,9 @@ func New(cfg Config, feed *trace.Feed, pt *vm.PageTable, uncore Uncore) *Core {
 		remote:     make([]bool, cfg.ROBSize),
 		memBlocked: make([]bool, cfg.ROBSize),
 		addrValid:  make([]bool, cfg.ROBSize),
-		blockStore: make([]int32, cfg.ROBSize),
-		blockSeq:   make([]uint64, cfg.ROBSize),
 		runNext:    make([]int32, cfg.ROBSize),
 		runTail:    make([]int32, cfg.ROBSize),
-		runChecked: make([]uint64, cfg.ROBSize),
+		runMin:     make([]uint64, cfg.ROBSize),
 		copies:     make([]int32, cfg.ROBSize),
 		fetchHold:  -1,
 	}
@@ -697,7 +687,6 @@ func (c *Core) issue() {
 	// out. Scan order and the surviving queue order match the remove-in-place
 	// formulation exactly, without its O(n^2) element moves.
 	issued, memIssued := 0, 0
-	gen := c.resolveGen
 	i, w := 0, 0
 	for i < len(c.readyQ) && issued < c.cfg.IssueWidth {
 		idx := c.readyQ[i]
@@ -711,9 +700,10 @@ func (c *Core) issue() {
 				continue
 			}
 			if !c.runValid(^idx) {
-				// A store issued earlier in this scan unblocked a member,
-				// which may issue this very cycle: handle the members one
-				// by one from here.
+				// A store resolved since the run formed (earlier in this
+				// scan, or before this Tick) and unblocked a member, which
+				// may issue this very cycle: handle the members one by one
+				// from here.
 				i--
 				c.readyQ = c.splitRun(c.readyQ, i, false)
 				continue
@@ -733,17 +723,13 @@ func (c *Core) issue() {
 			w++
 			continue
 		}
-		if c.blockStore[idx] >= 0 {
-			// Load still blocked on the same unresolved older store: the
-			// issueOne attempt would park it again with no net state change
-			// (issuedAt and recomputed taint fields are unobservable until a
-			// successful issue), so re-park directly. rsCount is untouched —
-			// the attempt's decrement/increment pair cancels.
-			if c.stillBlocked(idx) {
-				c.park(idx)
-				continue
-			}
-			c.blockStore[idx] = -1
+		if op == isa.OpLoad && c.blockerSeq() < c.seq[idx] {
+			// An older store is unresolved (conservative disambiguation):
+			// an issueOne attempt would park the load with no net state
+			// change (issuedAt, vaddr and the taint fields are unobservable
+			// until a successful issue), so park it directly.
+			c.park(idx)
+			continue
 		}
 		if c.issueOne(idx) {
 			c.copies[idx]--
@@ -759,10 +745,6 @@ func (c *Core) issue() {
 		i++
 	}
 	c.readyQ = c.readyQ[:w]
-	if c.resolveGen != gen {
-		// A store issued: runs parked before it may hold loads it unblocked.
-		c.settleRuns()
-	}
 }
 
 // issueOne executes an entry. Returns false if it could not issue (parked).
@@ -792,7 +774,6 @@ func (c *Core) issueOne(idx int32) bool {
 		e.val = e.srcVal[1]
 		c.schedule(idx, c.now+1+uint64(tlbLat))
 		c.checkLateDisambiguation(idx)
-		c.resolveGen++
 		return true
 	case isa.ClassBranch:
 		c.schedule(idx, c.now+1)
@@ -930,8 +911,6 @@ func (c *Core) dispatchUop(u *isa.Uop) {
 	c.remote[idx] = false
 	c.memBlocked[idx] = false
 	c.addrValid[idx] = false
-	c.blockStore[idx] = -1
-	c.blockSeq[idx] = 0
 	c.nextSeq++
 	c.rsCount++
 
@@ -1057,17 +1036,26 @@ func (c *Core) NextEvent(now uint64) uint64 {
 		return now + 1
 	}
 	// Parked loads churn through the retry sweep every cycle, but while each
-	// one is still blocked on the same unresolved older store the sweep is a
-	// fixed point: blockedLd -> readyQ -> blockedLd in identical order with no
+	// one is still blocked on an unresolved older store the sweep is a fixed
+	// point: blockedLd -> readyQ -> blockedLd in identical order with no
 	// counter or architectural change, so those cycles are skippable. The
-	// blocking store resolves only through an event this function already
-	// accounts for (a wheel completion waking it, or CompleteRemoteChain,
-	// an input method, which resets the wake cache). Loads parked for any
-	// other reason (MSHR pressure) keep forcing per-cycle ticking. Run tokens
-	// hold only loads still blocked on an unresolved store (settleRuns keeps
-	// them so between Ticks), so a run is skipped whole.
+	// first unresolved store (blockerSeq) changes only when a store resolves,
+	// through an event this function already accounts for (issue from a
+	// non-empty readyQ, or CompleteRemoteChain, an input method, which
+	// resets the wake cache). A run token is skipped whole while runValid
+	// holds. An individual entry is skipped only while it is a live parked
+	// load the cursor says is blocked: loads parked on MSHR pressure, and
+	// stale entries of an issued or reused slot, keep forcing per-cycle
+	// ticking.
 	for _, idx := range c.blockedLd {
-		if idx >= 0 && !c.stillBlocked(idx) {
+		if idx < 0 {
+			if !c.runValid(^idx) {
+				return now + 1
+			}
+			continue
+		}
+		if c.st[idx] != stReady || !c.memBlocked[idx] || c.ops[idx] != isa.OpLoad ||
+			c.blockerSeq() >= c.seq[idx] {
 			return now + 1
 		}
 	}

@@ -1,40 +1,23 @@
 package cpu
 
 import (
+	"math"
 	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem/cache"
 )
 
-// issueLoad runs the load pipeline: memory ordering against older stores,
-// store-to-load forwarding, TLB translation, L1D lookup, and on a miss an
-// MSHR allocation plus an uncore request. Returns false when the load had to
-// be parked (unresolved older store, MSHR pressure).
+// issueLoad runs the load pipeline: store-to-load forwarding, TLB
+// translation, L1D lookup, and on a miss an MSHR allocation plus an uncore
+// request. issue() has already asked blockerSeq whether an older store is
+// unresolved, so every older store lies in the resolved prefix sq[:sqRes].
+// Returns false when the load had to be parked on MSHR pressure.
 func (c *Core) issueLoad(idx int32) bool {
 	e := c.slot(idx)
 	e.vaddr = isa.AddrOf(&e.u, e.srcVal[0])
 
-	// Memory ordering against older stores. sq[:sqRes] are resolved
-	// (DESIGN.md §8.3), so once the cursor has moved past the stores
-	// resolved since, sq[sqRes] is the first unresolved store in program
-	// order. If it is older than the load it blocks the load (conservative
-	// disambiguation). Remote stores (executing at the EMC) resolve via the
-	// address-ring message; until then they block younger loads like any
-	// unresolved store.
-	for c.sqRes < len(c.sq) && !c.storeUnresolved(c.sq[c.sqRes]) {
-		c.sqRes++
-	}
-	if c.sqRes < len(c.sq) {
-		if sIdx := c.sq[c.sqRes]; c.seq[sIdx] < c.seq[idx] {
-			c.blockStore[idx] = sIdx
-			c.blockSeq[idx] = c.seq[sIdx]
-			c.parkLoad(idx)
-			return false
-		}
-	}
-	// Every older store lies in the resolved prefix; a resolved older store
-	// to the same dword forwards its data.
+	// A resolved older store to the same dword forwards its data.
 	var forwardFrom *robEntry
 	for _, sIdx := range c.sq[:c.sqRes] {
 		if c.seq[sIdx] >= c.seq[idx] {
@@ -146,35 +129,46 @@ func (c *Core) storeUnresolved(sIdx int32) bool {
 		(st == stIssued && !c.addrValid[sIdx])
 }
 
-// stillBlocked reports whether a parked load's memoized blocker (slot+seq) is
-// still an unresolved store.
-func (c *Core) stillBlocked(idx int32) bool {
-	bs := c.blockStore[idx]
-	return bs >= 0 && c.seq[bs] == c.blockSeq[idx] && c.storeUnresolved(bs)
+// blockerSeq returns the dispatch seq of the first unresolved store in
+// program order, or math.MaxUint64 when every store is resolved. A load is
+// store-blocked (conservative disambiguation) exactly when this store is
+// older than it. sq[:sqRes] are resolved (DESIGN.md §8.3), so the cursor
+// only has to move past the stores resolved since the last call. Remote
+// stores (executing at the EMC) resolve via the address-ring message; until
+// then they block younger loads like any unresolved store.
+func (c *Core) blockerSeq() uint64 {
+	for c.sqRes < len(c.sq) && !c.storeUnresolved(c.sq[c.sqRes]) {
+		c.sqRes++
+	}
+	if c.sqRes == len(c.sq) {
+		return math.MaxUint64
+	}
+	return c.seq[c.sq[c.sqRes]]
 }
 
-// parkLoad undoes a failed issueOne attempt and returns the load to the
-// blocked list; it re-enters the ready queue on the next retry sweep.
+// parkLoad undoes an issueOne attempt that failed on MSHR pressure and
+// returns the load to the blocked list; it re-enters the ready queue on the
+// next retry sweep.
 func (c *Core) parkLoad(idx int32) {
 	c.st[idx] = stReady
 	c.rsCount++ // it still occupies its RS entry
-	c.park(idx)
+	c.memBlocked[idx] = true
+	c.blockedLd = append(c.blockedLd, idx)
 }
 
-// park appends a load to the blocked list. A load blocked on an unresolved
-// older store whose only copy in readyQ/blockedLd is the one being moved
-// joins a run token at the tail of the list instead (see the "run tokens"
-// block on Core). Loads parked on MSHR pressure, and duplicated loads, stay
-// individual entries.
+// park appends a store-blocked load to the blocked list. If its copy in
+// readyQ/blockedLd is the sole one it joins a run token at the tail of the
+// list (see the "run tokens" block on Core); a duplicated load stays an
+// individual entry.
 func (c *Core) park(idx int32) {
 	c.memBlocked[idx] = true
-	if c.blockStore[idx] < 0 || c.copies[idx] != 1 {
+	if c.copies[idx] != 1 {
 		c.blockedLd = append(c.blockedLd, idx)
 		return
 	}
 	c.runNext[idx] = -1
 	c.runTail[idx] = idx
-	c.runChecked[idx] = c.resolveGen
+	c.runMin[idx] = c.seq[idx]
 	c.runs++
 	c.blockedLd = c.appendRun(c.blockedLd, idx)
 }
@@ -189,29 +183,14 @@ func (c *Core) appendRun(list []int32, h int32) []int32 {
 	t := ^list[n-1]
 	c.runNext[c.runTail[t]] = h
 	c.runTail[t] = c.runTail[h]
-	if c.runChecked[h] < c.runChecked[t] {
-		c.runChecked[t] = c.runChecked[h]
-	}
+	c.runMin[t] = min(c.runMin[t], c.runMin[h])
 	c.runs--
 	return list
 }
 
-// runValid reports whether every member of the run headed by h is still a
-// local load blocked on an unresolved store. The answer is memoized against
-// resolveGen, so it costs a walk only after a store resolved or a chain
-// shipped.
-func (c *Core) runValid(h int32) bool {
-	if c.runChecked[h] == c.resolveGen {
-		return true
-	}
-	for m := h; m >= 0; m = c.runNext[m] {
-		if c.remote[m] || !c.stillBlocked(m) {
-			return false
-		}
-	}
-	c.runChecked[h] = c.resolveGen
-	return true
-}
+// runValid reports whether every member of the run headed by h is still
+// store-blocked: the first unresolved store is older than the oldest member.
+func (c *Core) runValid(h int32) bool { return c.blockerSeq() < c.runMin[h] }
 
 // splitRun replaces the run token at list[pos] by its members as individual
 // entries, in order, with memBlocked set for the list they now sit in
@@ -227,21 +206,27 @@ func (c *Core) splitRun(list []int32, pos int, parked bool) []int32 {
 	return slices.Replace(list, pos, pos+1, buf...)
 }
 
-// settleRuns splits every run that holds a member no longer store-blocked or
-// shipped to the EMC, restoring the invariant that every run token is valid.
-// Called after anything that bumps resolveGen.
-func (c *Core) settleRuns() {
+// splitShipped splits every run that holds a load TakeReadyChain just
+// shipped to the EMC, so that no run member is remote.
+func (c *Core) splitShipped() {
 	if c.runs == 0 {
 		return
 	}
-	c.readyQ = c.settleList(c.readyQ, false)
-	c.blockedLd = c.settleList(c.blockedLd, true)
+	c.readyQ = c.splitShippedIn(c.readyQ, false)
+	c.blockedLd = c.splitShippedIn(c.blockedLd, true)
 }
 
-func (c *Core) settleList(list []int32, parked bool) []int32 {
+func (c *Core) splitShippedIn(list []int32, parked bool) []int32 {
 	for i := 0; i < len(list); i++ {
-		if x := list[i]; x < 0 && !c.runValid(^x) {
-			list = c.splitRun(list, i, parked)
+		x := list[i]
+		if x >= 0 {
+			continue
+		}
+		for m := ^x; m >= 0; m = c.runNext[m] {
+			if c.remote[m] {
+				list = c.splitRun(list, i, parked)
+				break
+			}
 		}
 	}
 	return list

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/isa"
@@ -8,12 +9,13 @@ import (
 )
 
 // checkRuns verifies the run-token representation of readyQ/blockedLd:
-// every run member is a local stReady load still blocked on an unresolved
-// store (matching seq), parked (memBlocked), and has no other copy in either
-// list; copies and runs match what the lists actually hold; and standalone
-// entries carry the memBlocked value of the list they sit in. It also checks
-// the store queue's resolved-prefix cursor (checkStoreCursor). It returns the
-// number of run members.
+// every run member is a local (never remote) stReady load, parked
+// (memBlocked), with no other copy in either list; each token's runMin is the
+// least dispatch seq of its members, and runValid agrees with a full scan of
+// every member's older stores; copies and runs match what the lists actually
+// hold; and standalone entries carry the memBlocked value of the list they
+// sit in. It also checks the store queue's resolved-prefix cursor
+// (checkStoreCursor). It returns the number of run members.
 func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 	t.Helper()
 	checkStoreCursor(t, c, cy)
@@ -27,6 +29,7 @@ func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 		}
 		tokens++
 		last, n := int32(-1), 0
+		least, blocked := uint64(math.MaxUint64), true
 		for m := ^x; m >= 0; m = c.runNext[m] {
 			if n++; n > len(c.rob) {
 				t.Fatalf("cycle %d: run %d does not terminate", cy, ^x)
@@ -34,6 +37,8 @@ func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 			count[m]++
 			inRun = append(inRun, m)
 			last = m
+			least = min(least, c.seq[m])
+			blocked = blocked && scanBlocker(c, m) >= 0
 			switch {
 			case c.ops[m] != isa.OpLoad:
 				t.Fatalf("cycle %d: run member %d is not a load", cy, m)
@@ -41,14 +46,18 @@ func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 				t.Fatalf("cycle %d: run member %d in state %d", cy, m, c.st[m])
 			case c.remote[m]:
 				t.Fatalf("cycle %d: run member %d shipped to the EMC", cy, m)
-			case !c.stillBlocked(m):
-				t.Fatalf("cycle %d: run member %d no longer store-blocked (store %d)", cy, m, c.blockStore[m])
 			case !c.memBlocked[m]:
 				t.Fatalf("cycle %d: run member %d not marked parked", cy, m)
 			}
 		}
 		if c.runTail[^x] != last {
 			t.Fatalf("cycle %d: run %d tail %d, last member %d", cy, ^x, c.runTail[^x], last)
+		}
+		if c.runMin[^x] != least {
+			t.Fatalf("cycle %d: run %d runMin %d, least member seq %d", cy, ^x, c.runMin[^x], least)
+		}
+		if v := c.runValid(^x); v != blocked {
+			t.Fatalf("cycle %d: run %d runValid %v, every member store-blocked %v", cy, ^x, v, blocked)
 		}
 	}
 	for _, m := range inRun {
@@ -77,10 +86,24 @@ func checkRuns(t *testing.T, c *Core, cy uint64) (members int) {
 	return len(inRun)
 }
 
+// scanBlocker returns the first unresolved store older than load ld, found
+// by a full front-to-back scan of the store queue, or -1 when there is none.
+func scanBlocker(c *Core, ld int32) int32 {
+	for _, s := range c.sq {
+		if c.seq[s] >= c.seq[ld] {
+			break
+		}
+		if c.storeUnresolved(s) {
+			return s
+		}
+	}
+	return -1
+}
+
 // checkStoreCursor verifies that sq[:sqRes] are resolved stores and that,
 // for every ready load in readyQ/blockedLd (run members included), the
-// blocker issueLoad finds from the cursor is the one a full scan of the
-// older stores finds: the first unresolved one in program order.
+// blocker the cursor finds is the one a full scan of the older stores
+// finds: the first unresolved one in program order.
 func checkStoreCursor(t *testing.T, c *Core, cy uint64) {
 	t.Helper()
 	if c.sqRes > len(c.sq) {
@@ -99,20 +122,11 @@ func checkStoreCursor(t *testing.T, c *Core, cy uint64) {
 		if c.ops[ld] != isa.OpLoad || c.st[ld] != stReady {
 			return
 		}
-		cursor, scan := int32(-1), int32(-1)
+		cursor := int32(-1)
 		if first < len(c.sq) && c.seq[c.sq[first]] < c.seq[ld] {
 			cursor = c.sq[first]
 		}
-		for _, s := range c.sq {
-			if c.seq[s] >= c.seq[ld] {
-				break
-			}
-			if c.storeUnresolved(s) {
-				scan = s
-				break
-			}
-		}
-		if cursor != scan {
+		if scan := scanBlocker(c, ld); cursor != scan {
 			t.Fatalf("cycle %d: load %d: cursor finds blocker %d, full scan %d", cy, ld, cursor, scan)
 		}
 	}

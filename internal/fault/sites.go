@@ -56,11 +56,10 @@ const (
 	// forward a queued job to the thief.
 	SiteClusterSteal = "cluster/steal"
 
-	// SiteClusterAntiEntropyDigest fires on the anti-entropy key-list
+	// SiteClusterAntiEntropyKeys fires on the anti-entropy key-list
 	// exchange: the round's key-list RPC fails as unreachable, so the node
-	// skips that peer this round and converges on a later one. (The name
-	// predates the key list; the chaos suite arms it by this name.)
-	SiteClusterAntiEntropyDigest = "cluster/antientropy.digest"
+	// skips that peer this round and converges on a later one.
+	SiteClusterAntiEntropyKeys = "cluster/antientropy.keys"
 	// SiteClusterAntiEntropyFetch fires on an anti-entropy backfill fetch:
 	// one missing record is not retrieved this round (a later round must
 	// cover it).

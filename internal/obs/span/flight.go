@@ -1,19 +1,17 @@
 package span
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
-	"path/filepath"
+
+	"repro/internal/frame"
 )
 
 // Flight-recorder dump framing: magic + u16 version + u32 payload length +
-// JSON payload + u32 CRC32(payload), little-endian — the same frame shape as
-// the durable result cache's EMCR records, so one decoder discipline covers
-// both on-disk formats. One file per dump.
+// JSON payload + u32 CRC32(payload), little-endian. internal/frame encodes
+// and decodes it for both on-disk formats, these dumps and the durable
+// result cache's EMCR records. One file per dump.
 const (
 	DumpMagic   = "EMFR"
 	DumpVersion = 1
@@ -127,69 +125,28 @@ func phaseFromString(s string) (Phase, bool) {
 
 // EncodeDump frames d for disk.
 func EncodeDump(d *Dump) ([]byte, error) {
-	payload, err := json.Marshal(d)
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 0, len(DumpMagic)+10+len(payload))
-	frame = append(frame, DumpMagic...)
-	frame = binary.LittleEndian.AppendUint16(frame, DumpVersion)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	return frame, nil
+	return frame.Encode(DumpMagic, DumpVersion, d)
 }
 
 // DecodeDump validates a frame end to end; every failure mode wraps
 // ErrDumpCorrupt.
 func DecodeDump(data []byte) (*Dump, error) {
-	head := len(DumpMagic) + 6
-	if len(data) < head+4 {
-		return nil, fmt.Errorf("%w: truncated frame (%d bytes)", ErrDumpCorrupt, len(data))
-	}
-	if string(data[:len(DumpMagic)]) != DumpMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrDumpCorrupt)
-	}
-	if v := binary.LittleEndian.Uint16(data[len(DumpMagic):]); v != DumpVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrDumpCorrupt, v)
-	}
-	n := binary.LittleEndian.Uint32(data[len(DumpMagic)+2:])
-	if uint64(len(data)) != uint64(head)+uint64(n)+4 {
-		return nil, fmt.Errorf("%w: length mismatch", ErrDumpCorrupt)
-	}
-	payload := data[head : head+int(n)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[head+int(n):]) {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrDumpCorrupt)
-	}
 	var d Dump
-	if err := json.Unmarshal(payload, &d); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrDumpCorrupt, err)
+	if err := frame.Decode(data, DumpMagic, DumpVersion, ErrDumpCorrupt, &d); err != nil {
+		return nil, err
 	}
 	return &d, nil
 }
 
-// WriteDumpFile atomically writes d's frame to path (temp file in the same
-// directory, then rename) so a crash mid-dump never leaves a torn file
-// under the real name.
+// WriteDumpFile atomically writes d's frame to path (frame.WriteFile: temp
+// file in the same directory, fsync, rename) so a crash mid-dump never
+// leaves a torn file under the real name.
 func WriteDumpFile(path string, d *Dump) error {
-	frame, err := EncodeDump(d)
+	data, err := EncodeDump(d)
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-emfr-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(frame); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return frame.WriteFile(path, data)
 }
 
 // ReadDumpFile reads and decodes one dump file (CRC-validated; call Verify

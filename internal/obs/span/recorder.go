@@ -10,14 +10,13 @@ import (
 	"repro/internal/obs"
 )
 
-// Options sizes a Recorder.
-type Options struct {
-	// RingEvents is the per-job flight-recorder capacity (default 256).
-	RingEvents int
-	// Retain bounds the finished spans kept for the Chrome export and the
-	// /api/v1/trace endpoint (default 4096; oldest dropped beyond it).
-	Retain int
-}
+const (
+	// ringEvents is the per-job flight-recorder capacity.
+	ringEvents = 256
+	// retainSpans bounds the finished spans kept for the Chrome export and
+	// the /api/v1/trace endpoint; the oldest are dropped beyond it.
+	retainSpans = 4096
+)
 
 // phaseBuckets are the cumulative upper bounds (seconds) of the phase
 // histograms — roughly log-spaced from "instant" to "minutes", matching the
@@ -34,9 +33,7 @@ const phaseMetric = "service_phase_seconds"
 // retention of finished spans, and (once Registered) the phase histograms
 // fed on every finish.
 type Recorder struct {
-	base       time.Time
-	ringEvents int
-	retain     int
+	base time.Time
 
 	mu      sync.Mutex
 	pool    []*Ring
@@ -47,16 +44,8 @@ type Recorder struct {
 	hist [NumPhases][]*obs.HistogramSeries
 }
 
-// NewRecorder builds a recorder; the zero Options take defaults.
-func NewRecorder(opts Options) *Recorder {
-	if opts.RingEvents <= 0 {
-		opts.RingEvents = 256
-	}
-	if opts.Retain <= 0 {
-		opts.Retain = 4096
-	}
-	return &Recorder{base: time.Now(), ringEvents: opts.RingEvents, retain: opts.Retain}
-}
+// NewRecorder builds a recorder.
+func NewRecorder() *Recorder { return &Recorder{base: time.Now()} }
 
 // Register adds the phase histograms to reg — seconds per lifecycle phase,
 // one series per phase and worker lane in [0, shards) — and feeds them from
@@ -85,7 +74,7 @@ func (r *Recorder) AcquireRing() *Ring {
 		return rg
 	}
 	r.mu.Unlock()
-	return NewRing(r.ringEvents)
+	return NewRing(ringEvents)
 }
 
 // FinishSpan retains a finished job's span, feeds the phase histograms, and
@@ -98,7 +87,7 @@ func (r *Recorder) FinishSpan(sp Span, ring *Ring) {
 		}
 	}
 	r.mu.Lock()
-	if len(r.done) >= r.retain {
+	if len(r.done) >= retainSpans {
 		// Drop the oldest half in one move so retention is amortized O(1).
 		half := len(r.done) / 2
 		r.dropped += uint64(half)

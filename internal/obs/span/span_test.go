@@ -87,7 +87,7 @@ func TestRingWrap(t *testing.T) {
 // TestRecorderPoolRecycles: rings released by FinishSpan come back from the
 // pool cleared.
 func TestRecorderPoolRecycles(t *testing.T) {
-	rec := NewRecorder(Options{RingEvents: 16, Retain: 4})
+	rec := NewRecorder()
 	r1 := rec.AcquireRing()
 	r1.Record(1, EvSubmit, 0, 0)
 	rec.FinishSpan(Span{JobID: "j1", Outcome: "done", SubmitAt: 0, AdmitAt: 1, FinishAt: 2}, r1)
@@ -103,15 +103,17 @@ func TestRecorderPoolRecycles(t *testing.T) {
 // TestRecorderRetentionBound: the finished-span retention stays bounded and
 // counts what it drops.
 func TestRecorderRetentionBound(t *testing.T) {
-	rec := NewRecorder(Options{Retain: 8})
-	for i := 0; i < 40; i++ {
+	rec := NewRecorder()
+	const finished = 3 * retainSpans
+	for i := 0; i < finished; i++ {
 		rec.FinishSpan(Span{JobID: "j", Outcome: "done"}, nil)
 	}
-	if n := len(rec.Spans()); n > 8+4 {
-		t.Fatalf("retained %d spans, want <= 12", n)
+	n := len(rec.Spans())
+	if n > retainSpans {
+		t.Fatalf("retained %d spans, want <= %d", n, retainSpans)
 	}
-	if rec.Dropped() == 0 {
-		t.Fatal("retention dropped nothing over 40 spans with cap 8")
+	if d := rec.Dropped(); d == 0 || uint64(n)+d != finished {
+		t.Fatalf("retained %d and dropped %d of %d spans", n, d, finished)
 	}
 }
 
@@ -246,7 +248,7 @@ func TestAddTraceShape(t *testing.T) {
 // Prometheus histogram.
 func TestRecorderHistogramExposition(t *testing.T) {
 	reg := obs.NewRegistry()
-	r := NewRecorder(Options{})
+	r := NewRecorder()
 	r.Register(reg, 2)
 	r.FinishSpan(Span{Shard: 0, SubmitAt: 0, AdmitAt: 400_000, FinishAt: 400_000}, nil)       // queued 0.0004: le=0.001
 	r.FinishSpan(Span{Shard: 0, SubmitAt: 0, AdmitAt: 50_000_000, FinishAt: 50_000_000}, nil) // queued 0.05: le=0.1

@@ -1,11 +1,8 @@
 package service
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"os"
 	"path/filepath"
@@ -14,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fault"
+	"repro/internal/frame"
 	"repro/internal/sim"
 )
 
@@ -27,8 +25,8 @@ var (
 	fpDurableLoad = fault.Register(fault.SiteDurableLoad)
 )
 
-// Durable record framing: magic + version + length-prefixed JSON payload +
-// CRC32 trailer, one file per cache entry. The payload carries the cache key
+// Durable record framing (internal/frame): magic + version +
+// length-prefixed JSON payload + CRC32 trailer, one file per cache entry. The payload carries the cache key
 // alongside the Result so a load can verify the file holds what its name
 // promises (names are sanitized and may collide in principle).
 const (
@@ -207,33 +205,15 @@ func durableFileName(key string) string {
 	return fmt.Sprintf("%s-%08x%s", b.String(), h.Sum32(), durableExt)
 }
 
-// writeDurableRecord atomically writes rec's frame: encode to a temp file in
-// the same directory, fsync, rename over the final name. A crash at any
-// point leaves either the old record or the new one, never a torn file with
-// the real name (torn temp files are ignored by load and overwritten later).
+// writeDurableRecord atomically writes rec's frame under its final name
+// (frame.WriteFile: temp file, fsync, rename). Torn temp files are ignored by
+// load and overwritten later.
 func writeDurableRecord(dir string, rec *durableRecord) error {
-	frame, err := EncodeRecord(rec.Key, rec.Result)
+	data, err := EncodeRecord(rec.Key, rec.Result)
 	if err != nil {
 		return err
 	}
-	final := filepath.Join(dir, durableFileName(rec.Key))
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(frame); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), final)
+	return frame.WriteFile(filepath.Join(dir, durableFileName(rec.Key)), data)
 }
 
 // readDurableRecord reads and validates one record file.
@@ -251,17 +231,7 @@ func readDurableRecord(path string) (string, *sim.Result, error) {
 // fabric's peer-fetch and backfill wire format too (a record is valid
 // anywhere).
 func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
-	payload, err := json.Marshal(durableRecord{Key: key, Result: res})
-	if err != nil {
-		return nil, err
-	}
-	frame := make([]byte, 0, len(durableMagic)+10+len(payload))
-	frame = append(frame, durableMagic...)
-	frame = binary.LittleEndian.AppendUint16(frame, durableVersion)
-	frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-	frame = append(frame, payload...)
-	frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-	return frame, nil
+	return frame.Encode(durableMagic, durableVersion, durableRecord{Key: key, Result: res})
 }
 
 // DecodeRecord validates an EMCR frame end to end (magic, version, length,
@@ -269,27 +239,9 @@ func EncodeRecord(key string, res *sim.Result) ([]byte, error) {
 // wraps ErrRecordCorrupt, so the loader's quarantine decision and a fabric
 // node's torn-frame check are one test each.
 func DecodeRecord(data []byte) (string, *sim.Result, error) {
-	head := len(durableMagic) + 6
-	if len(data) < head+4 {
-		return "", nil, fmt.Errorf("%w: truncated frame (%d bytes)", ErrRecordCorrupt, len(data))
-	}
-	if string(data[:len(durableMagic)]) != durableMagic {
-		return "", nil, fmt.Errorf("%w: bad magic", ErrRecordCorrupt)
-	}
-	if v := binary.LittleEndian.Uint16(data[len(durableMagic):]); v != durableVersion {
-		return "", nil, fmt.Errorf("%w: unsupported version %d", ErrRecordCorrupt, v)
-	}
-	n := binary.LittleEndian.Uint32(data[len(durableMagic)+2:])
-	if uint64(len(data)) != uint64(head)+uint64(n)+4 {
-		return "", nil, fmt.Errorf("%w: length mismatch", ErrRecordCorrupt)
-	}
-	payload := data[head : head+int(n)]
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[head+int(n):]) {
-		return "", nil, fmt.Errorf("%w: checksum mismatch", ErrRecordCorrupt)
-	}
 	var rec durableRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return "", nil, fmt.Errorf("%w: %v", ErrRecordCorrupt, err)
+	if err := frame.Decode(data, durableMagic, durableVersion, ErrRecordCorrupt, &rec); err != nil {
+		return "", nil, err
 	}
 	if rec.Key == "" || rec.Result == nil {
 		return "", nil, fmt.Errorf("%w: incomplete record", ErrRecordCorrupt)

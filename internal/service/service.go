@@ -286,7 +286,7 @@ func Open(cfg Config) (*Service, error) {
 		jobs:        map[string]*Job{},
 		inflight:    map[string]*Job{},
 		watchStop:   make(chan struct{}),
-		rec:         span.NewRecorder(span.Options{}),
+		rec:         span.NewRecorder(),
 		laneRunning: make([]atomic.Int64, cfg.Workers),
 		laneHung:    make([]atomic.Int64, cfg.Workers),
 	}
