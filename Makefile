@@ -115,7 +115,7 @@ heal-smoke:
 #   steady-state pool/queue capacity, and at 100 measured iterations any
 #   per-op allocation shows up as >= 1 alloc/op instead of being rounded
 #   away. Its ns/op is too short to time anything.
-# - The timing run repeats the four System.Step benchmarks 5 times at
+# - The timing run repeats the five System.Step benchmarks 5 times at
 #   1s each; benchjson -timing replaces each one's ns/op with the median
 #   and adds the min and max ns/op and ns per simulated cycle to its entry.
 BENCHTIME ?= 100x
@@ -123,7 +123,7 @@ bench:
 	$(GO) test -run xxx -bench . -benchtime=$(BENCHTIME) -count=1 \
 		./internal/sim/ ./internal/interconnect/ ./internal/mem/dram/ ./internal/obs/span/ \
 		| $(GO) run ./cmd/benchjson > BENCH_sim.json
-	$(GO) test -run xxx -bench 'BenchmarkStep(Idle|Saturated|Stream|Chase)$$' \
+	$(GO) test -run xxx -bench 'BenchmarkStep(Idle|Saturated|Stream|Chase|MSHRBound)$$' \
 		-benchtime=1s -count=5 ./internal/sim/ \
 		| $(GO) run ./cmd/benchjson -timing BENCH_sim.json
 	@echo wrote BENCH_sim.json

@@ -151,23 +151,29 @@ type robEntry struct {
 
 	val          uint64
 	taint        bool // value derived from an LLC miss
+	wasDependent bool // this load's address derived from a prior LLC miss
 	taintSrc     int32
 	taintSeq     uint64
-	wasDependent bool // this load's address derived from a prior LLC miss
 
 	consumers []int32 // rob slots waiting on this entry's result
 
 	// Memory state.
-	vaddr     uint64
-	paddr     uint64
+	vaddr uint64
+	paddr uint64
+	// parkGen is the core's fillGen when this load last failed to get an
+	// MSHR (0: never); while the two are equal a retry can only fail the
+	// same way (DESIGN.md §8.1). tlbSlot is the TLB slot its page sat in at
+	// its last translation, a hint the TLB checks.
+	parkGen   uint64
+	tlbSlot   int32
 	isLLCMiss bool
 	forwarded bool
 	l1Counted bool // this load already counted as an L1D miss (retries)
 
 	// EMC state.
 	inChain         bool
-	chainRef        *Chain // the chain this uop was shipped in (remote uops)
 	producedDepMiss bool
+	chainRef        *Chain // the chain this uop was shipped in (remote uops)
 
 	issuedAt uint64
 }
@@ -356,6 +362,12 @@ type Core struct {
 	// unshipped counts the chains in chains not yet shipped or cancelled,
 	// so TakeReadyChain returns at once when there is none.
 	unshipped int
+	// fillGen counts the fills that completed an MSHR, from 1; only such a
+	// fill frees an MSHR or adds a line to the L1D. retryPure says every TLB
+	// access of the last Tick was the retry of a load parked under the
+	// current fillGen that hit (DESIGN.md §8.1).
+	fillGen   uint64
+	retryPure bool
 }
 
 type storeWrite struct {
@@ -388,6 +400,7 @@ func New(cfg Config, feed *trace.Feed, pt *vm.PageTable, uncore Uncore) *Core {
 		runMin:     make([]uint64, cfg.ROBSize),
 		copies:     make([]int32, cfg.ROBSize),
 		fetchHold:  -1,
+		fillGen:    1,
 	}
 	for i := range c.renameMap {
 		c.renameMap[i] = -1
@@ -510,6 +523,7 @@ func (c *Core) Tick(now uint64) {
 	c.now = now
 	c.acct = now
 	c.Stats.Cycles++
+	c.retryPure = true
 	c.retire()
 	c.complete()
 	c.drainStoreBuffer()
@@ -768,7 +782,8 @@ func (c *Core) issueOne(idx int32) bool {
 	case isa.ClassStore:
 		// Address+data resolution; visibility happens post-retirement.
 		e.vaddr = isa.AddrOf(&e.u, e.srcVal[0])
-		paddr, tlbLat := c.translate(e.vaddr)
+		c.retryPure = false
+		paddr, tlbLat := c.translate(e)
 		e.paddr = paddr
 		c.addrValid[idx] = true
 		e.val = e.srcVal[1]
@@ -792,8 +807,11 @@ func (c *Core) issueOne(idx int32) bool {
 	}
 }
 
-func (c *Core) translate(vaddr uint64) (paddr uint64, lat int) {
-	paddr, lat = c.tlb.Access(c.pt, vaddr)
+// translate runs e's address through the TLB, starting at the slot its
+// page sat in at e's last translation.
+func (c *Core) translate(e *robEntry) (paddr uint64, lat int) {
+	paddr, lat, slot := c.tlb.AccessAt(c.pt, e.vaddr, int(e.tlbSlot))
+	e.tlbSlot = int32(slot)
 	if lat > 0 {
 		c.Stats.TLBWalks++
 	}
@@ -810,6 +828,7 @@ func (c *Core) Fill(lineAddr uint64, now uint64) (victim uint64, hadVictim bool)
 	if m == nil {
 		return 0, false
 	}
+	c.fillGen++
 	for _, ch := range c.chains {
 		if ch.SourceFilledAt == 0 && ch.SourceLine == lineAddr {
 			ch.SourceFilledAt = now
@@ -1035,18 +1054,19 @@ func (c *Core) NextEvent(now uint64) uint64 {
 	if len(c.storeBuf) > c.storeHead || len(c.readyQ) > 0 || len(c.conflicted) > 0 {
 		return now + 1
 	}
-	// Parked loads churn through the retry sweep every cycle, but while each
-	// one is still blocked on an unresolved older store the sweep is a fixed
-	// point: blockedLd -> readyQ -> blockedLd in identical order with no
-	// counter or architectural change, so those cycles are skippable. The
-	// first unresolved store (blockerSeq) changes only when a store resolves,
-	// through an event this function already accounts for (issue from a
-	// non-empty readyQ, or CompleteRemoteChain, an input method, which
-	// resets the wake cache). A run token is skipped whole while runValid
-	// holds. An individual entry is skipped only while it is a live parked
-	// load the cursor says is blocked: loads parked on MSHR pressure, and
-	// stale entries of an issued or reused slot, keep forcing per-cycle
-	// ticking.
+	// Parked loads churn through the retry sweep every cycle, but the sweep
+	// can be a fixed point, whose cycles are skippable (DESIGN.md §8.1,
+	// §13.4). A load blocked on an unresolved older store re-parks with no
+	// change at all; the first unresolved store (blockerSeq) changes only
+	// when a store resolves, through issue from a non-empty readyQ or
+	// CompleteRemoteChain, an input method that resets the wake cache. A run
+	// token is skipped whole while runValid holds. A load parked on MSHR
+	// pressure under the current fillGen fails every retry until Fill, an
+	// input method, completes an MSHR; its retry still touches the TLB, but
+	// once a Tick's retries were its only TLB accesses and all hit
+	// (retryPure), the next Tick re-stamps the same pages in the same order,
+	// which leaves the LRU order as it is. Stale entries of an issued or
+	// reused slot keep forcing per-cycle ticking.
 	for _, idx := range c.blockedLd {
 		if idx < 0 {
 			if !c.runValid(^idx) {
@@ -1054,8 +1074,10 @@ func (c *Core) NextEvent(now uint64) uint64 {
 			}
 			continue
 		}
-		if c.st[idx] != stReady || !c.memBlocked[idx] || c.ops[idx] != isa.OpLoad ||
-			c.blockerSeq() >= c.seq[idx] {
+		if c.st[idx] != stReady || !c.memBlocked[idx] || c.ops[idx] != isa.OpLoad {
+			return now + 1
+		}
+		if c.blockerSeq() >= c.seq[idx] && (!c.retryPure || c.slot(idx).parkGen != c.fillGen) {
 			return now + 1
 		}
 	}

@@ -16,6 +16,20 @@ import (
 func (c *Core) issueLoad(idx int32) bool {
 	e := c.slot(idx)
 	e.vaddr = isa.AddrOf(&e.u, e.srcVal[0])
+	if e.parkGen == c.fillGen {
+		// No MSHR has completed since this load last failed to get one, so
+		// the forwarding scan, the L1D lookup and the allocation would fail
+		// as they did then (DESIGN.md §8.1). Only the TLB access has an
+		// effect: its LRU stamp, or a walk if the page was evicted since.
+		paddr, lat := c.translate(e)
+		if lat > 0 {
+			c.retryPure = false
+		}
+		e.paddr = paddr
+		e.taint = false
+		c.parkLoad(idx)
+		return false
+	}
 
 	// A resolved older store to the same dword forwards its data.
 	var forwardFrom *robEntry
@@ -35,7 +49,8 @@ func (c *Core) issueLoad(idx int32) bool {
 		return true
 	}
 
-	paddr, tlbLat := c.translate(e.vaddr)
+	c.retryPure = false
+	paddr, tlbLat := c.translate(e)
 	e.paddr = paddr
 	c.addrValid[idx] = true
 
@@ -53,6 +68,7 @@ func (c *Core) issueLoad(idx int32) bool {
 	line := cache.LineAddr(paddr)
 	m, merged, ok := c.msh.Allocate(line, c.now)
 	if !ok {
+		e.parkGen = c.fillGen
 		c.parkLoad(idx)
 		return false
 	}

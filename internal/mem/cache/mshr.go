@@ -16,10 +16,12 @@ type MSHR struct {
 }
 
 // MSHRFile is a bounded file of MSHRs. Entries live in a dense fixed-capacity
-// slot array (struct-of-slots, DESIGN.md §13.2): the file is small (16 entries
-// per core), so keyed access is a short linear scan over one cache line of
-// LineAddrs rather than a map lookup, and slot reuse keeps the steady state
-// allocation-free (Waiters backing arrays are recycled with their slots).
+// slot array (DESIGN.md §13.2): the file is small (16 entries per core), so
+// keyed access is a short linear scan of the slots rather than a map lookup,
+// and slot reuse keeps the steady state allocation-free (Waiters backing
+// arrays are recycled with their slots). A slot is a whole 48-byte MSHR, so
+// the LineAddrs a scan reads sit 48 bytes apart: 16 slots span 12 host cache
+// lines.
 //
 // Pointers returned by Lookup/Allocate/Complete are valid only until the next
 // Allocate or Complete call: removal compacts the live prefix by moving the

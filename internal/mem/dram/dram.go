@@ -660,29 +660,11 @@ func (c *Controller) issueOn(ch *channel, now uint64) {
 			c.gen++
 		}
 	}
-	q := ch.readQ
+	q, queued := ch.readQ, ch.nRead
 	if useWrites {
-		q = ch.writeQ
+		q, queued = ch.writeQ, ch.nWrite
 	}
-	if len(q) == 0 {
-		ch.issueHintGen, ch.issueHintAt = gen, NoEvent
-		return
-	}
-	// Pick the best issuable request.
-	bestIdx := -1
-	earliest := uint64(NoEvent)
-	for i, r := range q {
-		t := ch.readyAt[r.bankIdx]
-		if t > now {
-			if t < earliest {
-				earliest = t
-			}
-			continue
-		}
-		if bestIdx < 0 || c.better(r, q[bestIdx], ch) {
-			bestIdx = i
-		}
-	}
+	bestIdx, earliest := c.pick(ch, q, queued, now)
 	if bestIdx < 0 {
 		ch.issueHintGen, ch.issueHintAt = gen, earliest
 		return
@@ -696,6 +678,38 @@ func (c *Controller) issueOn(ch *channel, now uint64) {
 		ch.nRead[r.bankIdx]--
 	}
 	c.start(ch, r, now)
+}
+
+// pick returns the index in q, one of ch's queues with queued its per-bank
+// counts, of the best request whose bank is ready at now. When there is
+// none it returns -1 and the earliest cycle a bank holding a request of q
+// becomes ready (NoEvent for an empty q). Every request on a bank shares
+// the bank's readyAt, so the counts settle that case without walking q.
+//
+//simlint:noalloc
+func (c *Controller) pick(ch *channel, q []*Request, queued []int32, now uint64) (best int, earliest uint64) {
+	earliest = NoEvent
+	for b, n := range queued {
+		if n == 0 {
+			continue
+		}
+		t := ch.readyAt[b]
+		if t <= now {
+			earliest = now
+			break
+		}
+		earliest = min(earliest, t)
+	}
+	if earliest > now {
+		return -1, earliest
+	}
+	best = -1
+	for i, r := range q {
+		if ch.readyAt[r.bankIdx] <= now && (best < 0 || c.better(r, q[best], ch)) {
+			best = i
+		}
+	}
+	return best, earliest
 }
 
 // start runs the bank state machine for a request and computes its timing.

@@ -59,6 +59,61 @@ func (c *Controller) nextEventScan(now uint64) uint64 {
 	return h
 }
 
+// pickScan is pick the long way, without the per-bank queue counts: it
+// walks every request of q. It is the oracle for pick's choice and, when
+// nothing can issue, for its hint.
+func (c *Controller) pickScan(ch *channel, q []*Request, now uint64) (best int, earliest uint64) {
+	best, earliest = -1, NoEvent
+	for i, r := range q {
+		if t := ch.readyAt[r.bankIdx]; t > now {
+			earliest = min(earliest, t)
+			continue
+		}
+		if best < 0 || c.better(r, q[best], ch) {
+			best = i
+		}
+	}
+	return best, earliest
+}
+
+// checkPick runs the part of Tick that precedes issueOn (batch formation
+// and refresh, which Tick then finds done for this cycle) and compares
+// pick with pickScan on every channel's selected queue: the choice always,
+// the hint when nothing can issue. It returns how many channels had a
+// request to issue and how many had a queue with none ready.
+func checkPick(t *testing.T, c *Controller, now uint64) (picked, blocked int) {
+	t.Helper()
+	if !c.busy() {
+		return 0, 0
+	}
+	if c.policy == SchedBatch && c.batchLive == 0 {
+		c.formBatch()
+	}
+	for i := range c.channels {
+		ch := &c.channels[i]
+		c.refresh(ch, now)
+		useWrites := len(ch.writeQ) > 0 &&
+			(len(ch.readQ) == 0 || len(ch.writeQ) >= c.geo.WriteDrain || ch.draining)
+		q, queued := ch.readQ, ch.nRead
+		if useWrites {
+			q, queued = ch.writeQ, ch.nWrite
+		}
+		best, earliest := c.pick(ch, q, queued, now)
+		wantBest, wantEarliest := c.pickScan(ch, q, now)
+		if best != wantBest || (best < 0 && earliest != wantEarliest) {
+			t.Fatalf("cycle %d channel %d: pick chose %d (hint %d), scan %d (hint %d)",
+				now, i, best, earliest, wantBest, wantEarliest)
+		}
+		switch {
+		case best >= 0:
+			picked++
+		case len(q) > 0:
+			blocked++
+		}
+	}
+	return picked, blocked
+}
+
 // checkHorizon compares NextEvent with the oracle and the incrementally
 // kept state (per-bank queue counts, minReadDone) with the queues and the
 // in-flight list it summarizes.
@@ -98,7 +153,8 @@ func checkHorizon(t *testing.T, c *Controller, now uint64, after string) {
 
 // TestHorizonMatchesScan drives a seeded random mix of reads, writes, write
 // drains, idle gaps and refreshes through both schedulers and checks the
-// horizon against the full scan after every Enqueue and every Tick.
+// horizon against the full scan after every Enqueue and every Tick, and
+// issueOn's pick against the full queue walk before every Tick.
 func TestHorizonMatchesScan(t *testing.T) {
 	for _, policy := range []SchedPolicy{SchedFRFCFS, SchedBatch} {
 		for seed := int64(1); seed <= 4; seed++ {
@@ -119,7 +175,7 @@ func horizonMix(t *testing.T, policy SchedPolicy, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 
 	var stream uint64
-	var deferred, drains, idleNoEvent int
+	var deferred, drains, idleNoEvent, picked, blocked int
 	now := uint64(0)
 	for phase := 0; phase < 40; phase++ {
 		// Phase: cycles to run, enqueue attempts per cycle (1 in every),
@@ -145,6 +201,8 @@ func horizonMix(t *testing.T, policy SchedPolicy, seed int64) {
 				}
 				checkHorizon(t, c, now, "Enqueue")
 			}
+			p, b := checkPick(t, c, now)
+			picked, blocked = picked+p, blocked+b
 			for _, d := range c.Tick(now) {
 				c.Release(d)
 			}
@@ -165,8 +223,8 @@ func horizonMix(t *testing.T, policy SchedPolicy, seed int64) {
 	}
 	// The mix must reach every branch of the horizon it checks.
 	if c.Stats.Writes == 0 || c.Stats.Refreshes == 0 || drains == 0 ||
-		deferred == 0 || idleNoEvent == 0 || c.Stats.QueueFull == 0 {
-		t.Fatalf("mix too narrow: writes %d refreshes %d drain cycles %d deferred %d idle %d rejected %d",
-			c.Stats.Writes, c.Stats.Refreshes, drains, deferred, idleNoEvent, c.Stats.QueueFull)
+		deferred == 0 || idleNoEvent == 0 || c.Stats.QueueFull == 0 || picked == 0 || blocked == 0 {
+		t.Fatalf("mix too narrow: writes %d refreshes %d drain cycles %d deferred %d idle %d rejected %d picked %d blocked %d",
+			c.Stats.Writes, c.Stats.Refreshes, drains, deferred, idleNoEvent, c.Stats.QueueFull, picked, blocked)
 	}
 }

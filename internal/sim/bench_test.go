@@ -121,3 +121,32 @@ func everyCoreShipped(sys *System) bool {
 	}
 	return true
 }
+
+// BenchmarkStepMSHRBound measures System.Step on Fig12's H4 mix
+// (mcf,sphinx3,soplex,libquantum) with the stream prefetcher and no EMC at
+// the bench sweep's run length, 3000 instructions per core: the cores keep
+// their MSHR files full, so most load issue attempts find no free MSHR.
+// One op is one whole run, stepped from a System built outside the timer
+// until every core finishes. It reports no allocs/op: a cold run allocates
+// while its maps and slices grow to their working size, a count that
+// depends on the Go map implementation, and the steady-state Step
+// benchmarks above already pin the stepping path at zero.
+func BenchmarkStepMSHRBound(b *testing.B) {
+	cfg := Default([]string{"mcf", "sphinx3", "soplex", "libquantum"})
+	cfg.InstrPerCore = 3000
+	cfg.Prefetcher = PFStream
+	var cycles uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		sys, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for len(sys.live) > 0 {
+			sys.Step()
+		}
+		cycles += sys.Now()
+	}
+	b.ReportMetric(float64(cycles)/float64(b.N), "cycles/op")
+}

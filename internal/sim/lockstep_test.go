@@ -81,6 +81,11 @@ func TestCycleSkipLockstep(t *testing.T) {
 			c.EMCEnabled = true
 			c.Prefetcher = PFNone
 		}},
+		// Fig12's H4 keeps the MSHR files full, so the cores sleep with
+		// loads parked on MSHR pressure.
+		{"h4-stream", []string{"mcf", "sphinx3", "soplex", "libquantum"}, func(c *Config) {
+			c.Prefetcher = PFStream
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc

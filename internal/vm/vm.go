@@ -116,16 +116,35 @@ func NewTLB(entries, walkLatency int) *TLB {
 // Access translates vaddr through the TLB backed by pt. It returns the
 // physical address and the translation latency in cycles (0 on a hit).
 func (t *TLB) Access(pt *PageTable, vaddr uint64) (paddr uint64, lat int) {
+	paddr, lat, _ = t.AccessAt(pt, vaddr, -1)
+	return paddr, lat
+}
+
+// AccessAt is Access starting at a guess of the slot that holds vaddr's
+// page, such as the slot an earlier AccessAt of the page returned; it
+// returns the slot that holds the page afterwards. A page sits in at most
+// one valid slot, so a guess whose slot holds the page is the slot the
+// scan would find, and any other guess (out of range, or a slot evicted or
+// invalidated since) falls back to the scan. The outcome, hit or walk, the
+// LRU stamps, the victim and the counters, is Access's either way.
+func (t *TLB) AccessAt(pt *PageTable, vaddr uint64, hint int) (paddr uint64, lat, slot int) {
 	t.tick++
 	sh := pt.shift
 	mask := uint64(1)<<sh - 1
 	vpn := vaddr >> sh
+	if uint(hint) < uint(len(t.slots)) {
+		if s := &t.slots[hint]; s.valid && s.vpn == vpn {
+			s.used = t.tick
+			t.Hits++
+			return s.frame<<sh | (vaddr & mask), 0, hint
+		}
+	}
 	for i := range t.slots {
 		s := &t.slots[i]
 		if s.valid && s.vpn == vpn {
 			s.used = t.tick
 			t.Hits++
-			return s.frame<<sh | (vaddr & mask), 0
+			return s.frame<<sh | (vaddr & mask), 0, i
 		}
 	}
 	t.Misses++
@@ -141,7 +160,7 @@ func (t *TLB) Access(pt *PageTable, vaddr uint64) (paddr uint64, lat int) {
 		}
 	}
 	t.slots[victim] = tlbSlot{vpn: vpn, frame: pte.Frame, valid: true, used: t.tick}
-	return pte.Frame<<sh | (vaddr & mask), t.walkLat
+	return pte.Frame<<sh | (vaddr & mask), t.walkLat, victim
 }
 
 // Invalidate drops a translation (TLB shootdown). shift must match the page

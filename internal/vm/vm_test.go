@@ -1,6 +1,8 @@
 package vm
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -69,6 +71,50 @@ func TestTLBHitMiss(t *testing.T) {
 	}
 	if tlb.Hits != 1 || tlb.Misses != 4 {
 		t.Errorf("hits=%d misses=%d, want 1/4", tlb.Hits, tlb.Misses)
+	}
+}
+
+// TestTLBAccessAtMatchesAccess drives two TLBs with the same accesses and
+// invalidations, one through Access and one through AccessAt with hints
+// that are right, stale, wrong or out of range: results, counters and every
+// slot (LRU stamps included) must stay equal, and the returned slot must
+// hold the page.
+func TestTLBAccessAtMatchesAccess(t *testing.T) {
+	pt := NewPageTable(NewFrameAllocator())
+	ref, hinted := NewTLB(4, 30), NewTLB(4, 30)
+	rng := rand.New(rand.NewSource(1))
+	last := map[uint64]int{} // page -> slot AccessAt last returned for it
+	for i := 0; i < 5000; i++ {
+		v := uint64(rng.Intn(12))<<PageShift | uint64(rng.Intn(1<<PageShift))
+		if rng.Intn(20) == 0 {
+			ref.Invalidate(v, PageShift)
+			hinted.Invalidate(v, PageShift)
+			continue
+		}
+		hint := last[v>>PageShift]
+		switch rng.Intn(4) {
+		case 1:
+			hint = rng.Intn(4)
+		case 2:
+			hint = -1
+		case 3:
+			hint = 4 + rng.Intn(3)
+		}
+		wantPA, wantLat := ref.Access(pt, v)
+		pa, lat, slot := hinted.AccessAt(pt, v, hint)
+		if pa != wantPA || lat != wantLat {
+			t.Fatalf("access %d (hint %d): got %#x/%d, want %#x/%d", i, hint, pa, lat, wantPA, wantLat)
+		}
+		if s := hinted.slots[slot]; !s.valid || s.vpn != v>>PageShift {
+			t.Fatalf("access %d: slot %d does not hold page %d", i, slot, v>>PageShift)
+		}
+		last[v>>PageShift] = slot
+		if !slices.Equal(ref.slots, hinted.slots) || ref.Hits != hinted.Hits || ref.Misses != hinted.Misses {
+			t.Fatalf("access %d (hint %d): TLB state diverged", i, hint)
+		}
+	}
+	if ref.Misses == 0 || ref.Hits == 0 {
+		t.Fatalf("mix too narrow: %d hits, %d misses", ref.Hits, ref.Misses)
 	}
 }
 
